@@ -14,10 +14,10 @@ from pathrel.autodiff import (
     add,
     backward,
     constant,
-    cross_entropy,
     finite_difference_check,
     matmul,
     softmax,
+    softmax_cross_entropy,
 )
 from pathrel.optim import AdaDeltaState, adadelta_step
 
@@ -37,8 +37,7 @@ store.add("w", np.zeros((2, 3)))
 def batch_loss():
     total = constant(0.0)
     for x, y in zip(POINTS, LABELS):
-        dist = softmax(matmul(store["w"], constant(x)))
-        total = add(total, cross_entropy(dist, y))
+        total = add(total, softmax_cross_entropy(matmul(store["w"], constant(x)), y))
     return total
 
 

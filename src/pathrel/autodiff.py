@@ -39,10 +39,18 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def add_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+    def add_grad(self, g, fresh: bool = False):
+        """Accumulate g into the gradient slot.
+
+        fresh=True hands over an array that nothing else references: an
+        empty slot then takes it as is instead of a copy.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif fresh:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=np.float64)
 
     def zero_grad(self):
         self.grad = None
@@ -115,19 +123,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a plain float constant."""
-    a = _as_tensor(a)
-    c = float(c)
-    out = Tensor(a.data * c, _parents=(a,))
-
-    def backward(g):
-        a.add_grad(g * c)
-
-    out._backward = backward
-    return out
-
-
 def concat(parts) -> Tensor:
     """Concatenate 1-D tensors."""
     parts = [_as_tensor(p) for p in parts]
@@ -160,15 +155,15 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    data[~pos] = ex / (1.0 + ex)
-    out = Tensor(data, _parents=(a,))
+    out = Tensor(sigmoid_array(a.data), _parents=(a,))
 
     def backward(g):
         a.add_grad(g * out.data * (1.0 - out.data))
@@ -219,55 +214,39 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-def cross_entropy(dist: Tensor, target) -> Tensor:
-    """-sum(t * log(y)) for a one-hot target (index or one-hot array)."""
-    dist = _as_tensor(dist)
-    if dist.data.ndim != 1:
-        raise ShapeMismatch(f"cross_entropy: expected 1-D distribution, got {dist.data.shape}")
-    if np.isscalar(target) or isinstance(target, (int, np.integer)):
-        onehot = np.zeros_like(dist.data)
-        onehot[int(target)] = 1.0
-    else:
-        onehot = np.asarray(target, dtype=np.float64)
-        if onehot.shape != dist.data.shape:
-            raise ShapeMismatch(
-                f"cross_entropy: target shape {onehot.shape} vs distribution {dist.data.shape}"
-            )
-    active = onehot > 0
-    value = -np.sum(onehot[active] * np.log(dist.data[active]))
-    out = Tensor(value, _parents=(dist,))
+def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
+    """-log softmax(logits)[target], by log-sum-exp; finite for any finite logits.
+
+    The gradient is softmax(logits) - onehot(target).
+    """
+    logits = _as_tensor(logits)
+    if logits.data.ndim != 1:
+        raise ShapeMismatch(f"softmax_cross_entropy: expected 1-D logits, got {logits.data.shape}")
+    target = int(target)
+    shifted = logits.data - logits.data.max()
+    lse = np.log(np.exp(shifted).sum())
+    out = Tensor(lse - shifted[target], _parents=(logits,))
 
     def backward(g):
-        grad = np.zeros_like(dist.data)
-        grad[active] = -onehot[active] / dist.data[active]
-        dist.add_grad(g * grad)
+        grad = np.exp(shifted - lse)
+        grad[target] -= 1.0
+        logits.add_grad(g * grad)
 
     out._backward = backward
     return out
 
 
-def sum_squares(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.sum(a.data * a.data), _parents=(a,))
-
-    def backward(g):
-        a.add_grad(g * 2.0 * a.data)
-
-    out._backward = backward
-    return out
-
-
-def lookup_row(table: Tensor, index: int) -> Tensor:
-    """Select one row of a 2-D table; the gradient scatters back into it."""
+def gather_rows(table: Tensor, rows) -> Tensor:
+    """The (T, D) rows of a 2-D table; the gradient scatter-adds back into it."""
     if table.data.ndim != 2:
-        raise ShapeMismatch(f"lookup_row: expected a 2-D table, got {table.data.shape}")
-    index = int(index)
-    out = Tensor(table.data[index], _parents=(table,))
+        raise ShapeMismatch(f"gather_rows: expected a 2-D table, got {table.data.shape}")
+    rows = np.asarray(rows, dtype=np.intp)
+    out = Tensor(table.data[rows], _parents=(table,))
 
     def backward(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        table.grad[index] += g
+        np.add.at(table.grad, rows, g)
 
     out._backward = backward
     return out
@@ -347,14 +326,23 @@ class ParamStore:
         """weight * sum of squared entries over the selected parameters.
 
         include defaults to every parameter; pass a predicate on names to
-        exclude e.g. embedding tables.
+        exclude e.g. embedding tables.  One tape node: its backward adds
+        2 * weight * w to each selected parameter's gradient.
         """
-        total = Tensor(0.0)
-        for name in self.names():
-            if include is not None and not include(name):
-                continue
-            total = add(total, sum_squares(self._params[name]))
-        return scale(total, weight)
+        params = [t for name, t in self.items() if include is None or include(name)]
+        total = 0.0
+        for t in params:
+            flat = t.data.reshape(-1)
+            total += float(np.dot(flat, flat))
+        out = Tensor(weight * total, _parents=tuple(params))
+
+        def backward(g):
+            c = 2.0 * weight * g
+            for t in params:
+                t.add_grad(c * t.data, fresh=True)
+
+        out._backward = backward
+        return out
 
 
 def dropout_mask(shape, keep_prob: float, seed) -> np.ndarray:

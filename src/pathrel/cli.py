@@ -16,7 +16,7 @@ import logging
 import sys
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import CheckpointError
 from .data import (
     DatasetError,
     format_path_line,
@@ -139,11 +139,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = RelationModel.load(args.checkpoint)
-    _, meta = load_checkpoint(args.checkpoint)
     if args.rule is not None:
         rule = _rule_from_args(args)
-    elif "rule" in meta:
-        rule = CutRule.from_dict(meta["rule"])
+    elif "rule" in model.meta:
+        rule = CutRule.from_dict(model.meta["rule"])
     else:
         rule = CutRule()
     instances = load_dataset(args.data)

@@ -108,14 +108,15 @@ def load_dataset(path, schema: LabelSchema | None = None, fail_fast: bool = True
         logger.warning("%s: dataset is empty", path)
         return instances
 
-    labels = Counter(inst.label for inst in instances)
-    lengths = Counter(
-        len(path_between(i.tree, entity_head(i.tree, i.e1), entity_head(i.tree, i.e2)))
-        for i in instances
-    )
-    logger.info("%s: %d instances", path, len(instances))
-    logger.info("class histogram: %s", dict(sorted(labels.items())))
-    logger.info("plain path-length histogram: %s", dict(sorted(lengths.items())))
+    if logger.isEnabledFor(logging.INFO):  # the histograms extract every plain path
+        labels = Counter(inst.label for inst in instances)
+        lengths = Counter(
+            len(path_between(i.tree, entity_head(i.tree, i.e1), entity_head(i.tree, i.e2)))
+            for i in instances
+        )
+        logger.info("%s: %d instances", path, len(instances))
+        logger.info("class histogram: %s", dict(sorted(labels.items())))
+        logger.info("plain path-length histogram: %s", dict(sorted(lengths.items())))
     return instances
 
 

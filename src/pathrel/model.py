@@ -22,17 +22,14 @@ from .autodiff import (
     ParamStore,
     Tensor,
     add,
-    concat,
     constant,
-    cross_entropy,
     dropout_mask,
-    lookup_row,
+    gather_rows,
     matmul,
-    max_over,
     mul,
-    sigmoid,
+    sigmoid_array,
     softmax,
-    tanh,
+    softmax_cross_entropy,
 )
 from .depgraph import SdpPath
 from .labels import LabelSchema
@@ -47,6 +44,9 @@ LSTM_STANDARD = "standard"
 LSTM_PAPER_LITERAL = "paper-literal"
 
 UNK = "<unk>"
+
+# the embedding tables: a training step touches only the rows of its path
+EMBEDDING_TABLES = ("emb/word", "emb/rel")
 
 
 class EmptyPath(ValueError):
@@ -154,26 +154,31 @@ class RelationVocabulary:
 
 
 class LstmCell:
-    """The eight weight matrices and four biases of one LSTM cell."""
+    """One LSTM cell: a packed (4H, X+H) weight and a 4H bias.
+
+    The weight's row blocks are the gates g, i, f, o and its columns are
+    [x | h], so one product W [x; h] + b gives every gate's pre-activation.
+    Initialization draws the eight per-gate blocks in the order w_gx, w_gh,
+    w_ix, w_ih, ..., w_oh.
+    """
 
     GATES = ("g", "i", "f", "o")
 
     def __init__(
         self, store: ParamStore, prefix: str, input_dim: int, hidden_dim: int, rng, init_scale: float
     ):
+        self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        for gate in self.GATES:
-            setattr(
-                self,
-                f"w_{gate}x",
-                _init(store, f"{prefix}/w_{gate}x", (hidden_dim, input_dim), rng, init_scale),
-            )
-            setattr(
-                self,
-                f"w_{gate}h",
-                _init(store, f"{prefix}/w_{gate}h", (hidden_dim, hidden_dim), rng, init_scale),
-            )
-            setattr(self, f"b_{gate}", _init(store, f"{prefix}/b_{gate}", (hidden_dim,), None))
+        s = init_scale
+        blocks = [
+            np.hstack([
+                rng.uniform(-s, s, size=(hidden_dim, input_dim)),
+                rng.uniform(-s, s, size=(hidden_dim, hidden_dim)),
+            ])
+            for _ in self.GATES
+        ]
+        self.w = store.add(f"{prefix}/w", np.vstack(blocks))
+        self.b = store.add(f"{prefix}/b", np.zeros(4 * hidden_dim))
 
 
 def _init(store: ParamStore, name: str, shape, rng, init_scale: float = 0.1) -> Tensor:
@@ -182,37 +187,114 @@ def _init(store: ParamStore, name: str, shape, rng, init_scale: float = 0.1) -> 
     return store.add(name, rng.uniform(-init_scale, init_scale, size=shape))
 
 
-def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor, s_prev: Tensor, variant: str = LSTM_STANDARD):
-    """One LSTM cell step; returns (h_t, s_t)."""
-    g = tanh(add(add(matmul(cell.w_gx, x), matmul(cell.w_gh, h_prev)), cell.b_g))
-    i = sigmoid(add(add(matmul(cell.w_ix, x), matmul(cell.w_ih, h_prev)), cell.b_i))
-    f = sigmoid(add(add(matmul(cell.w_fx, x), matmul(cell.w_fh, h_prev)), cell.b_f))
-    o = sigmoid(add(add(matmul(cell.w_ox, x), matmul(cell.w_oh, h_prev)), cell.b_o))
-    s = add(mul(g, i), mul(s_prev, f))
+def lstm_step(cell: LstmCell, z: np.ndarray, h_prev, s_prev, variant: str = LSTM_STANDARD):
+    """One cell step from z = W_x x_t; returns (h_t, s_t).
+
+    Adds the recurrent term and the bias to z in place and leaves the gate
+    activations [g, i, f, o] in it for the backward pass.
+    """
+    n = cell.hidden_dim
+    z += cell.w.data[:, cell.input_dim :] @ h_prev
+    z += cell.b.data
+    np.tanh(z[:n], out=z[:n])
+    z[n:] = sigmoid_array(z[n:])
+    g, i, f, o = z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n :]
+    s = g * i + s_prev * f
     if variant == LSTM_STANDARD:
-        h = mul(o, tanh(s))
+        h = o * np.tanh(s)
     else:
-        h = tanh(mul(s, o))
+        h = np.tanh(s * o)
     return h, s
 
 
-def conv_pool(word_states, rel_states, w_con: Tensor, b_con: Tensor, rel_hidden: int) -> Tensor:
-    """tanh convolution over dependency units followed by elementwise max.
+def lstm_sequence(cell: LstmCell, xs: Tensor, variant: str = LSTM_STANDARD) -> Tensor:
+    """Every step of one channel as one tape node: the (T, H) hidden states.
 
-    A single-node path (both entity heads identical) pools one pseudo-unit
-    built from the word state with a zero relation slot.
+    One GEMM projects all inputs and lstm_step runs the recurrence.  The
+    backward pass is backpropagation through time; the packed weight
+    gradient is one GEMM, dW = dZ^T [X | H_prev].
     """
-    units = []
-    if len(word_states) == 1:
+    n, x_dim = cell.hidden_dim, cell.input_dim
+    w = cell.w.data
+    x = xs.data
+    steps = x.shape[0]
+    acts = x @ w[:, :x_dim].T  # pre-activations, then gate activations
+    hs = np.zeros((steps + 1, n))  # row t+1 is h_t; row 0 the zero start state
+    ss = np.zeros((steps + 1, n))
+    for t in range(steps):
+        hs[t + 1], ss[t + 1] = lstm_step(cell, acts[t], hs[t], ss[t], variant)
+    out = Tensor(hs[1:], _parents=(xs, cell.w, cell.b))
+
+    def backward(dh_out):
+        gates = acts.reshape(steps, 4, n)
+        g, i, f, o = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+        s = ss[1:]
+        # the step-local derivatives, for all steps at once: dh_t -> ds_t,
+        # dh_t -> dz_o, and ds_t -> (dz_g, dz_i, dz_f)
+        if variant == LSTM_STANDARD:
+            tanh_s = np.tanh(s)
+            to_ds = o * (1.0 - tanh_s * tanh_s)
+            to_dzo = tanh_s * o * (1.0 - o)
+        else:
+            du = 1.0 - hs[1:] * hs[1:]
+            to_ds = du * o
+            to_dzo = du * s * o * (1.0 - o)
+        from_ds = np.stack([i * (1.0 - g * g), g * i * (1.0 - i), ss[:-1] * f * (1.0 - f)], axis=1)
+        w_h_t = w[:, x_dim:].T
+        dz = np.empty((steps, 4, n))
+        dh_next = ds_next = 0.0
+        for t in range(steps - 1, -1, -1):
+            dh = dh_out[t] + dh_next
+            ds = dh * to_ds[t] + ds_next
+            np.multiply(from_ds[t], ds, out=dz[t, :3])
+            np.multiply(dh, to_dzo[t], out=dz[t, 3])
+            ds_next = ds * f[t]
+            if t:
+                dh_next = w_h_t @ dz[t].reshape(-1)
+        dz = dz.reshape(steps, 4 * n)
+        xs.add_grad(dz @ w[:, :x_dim], fresh=True)
+        cell.w.add_grad(dz.T @ np.hstack([x, hs[:-1]]), fresh=True)
+        cell.b.add_grad(dz.sum(axis=0), fresh=True)
+
+    out._backward = backward
+    return out
+
+
+def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Tensor) -> Tensor:
+    """tanh convolution over every dependency unit, then an elementwise max.
+
+    Unit i is [word_i | rel_i | word_i+1]; one GEMM scores every unit, and
+    the max keeps the first occurrence on ties.  A single-node path (both
+    entity heads identical) pools one pseudo-unit built from the word state
+    with a zero relation slot.
+    """
+    hw, hr = word_states.data, rel_states.data
+    n_words, dim = hw.shape
+    if n_words == 1:
         logger.debug("single-node path: pooling a pseudo-unit with zero relation state")
-        h = word_states[0]
-        pseudo = concat([h, constant(np.zeros(rel_hidden)), h])
-        units.append(tanh(add(matmul(w_con, pseudo), b_con)))
+        units = np.concatenate([hw[0], np.zeros(hr.shape[1]), hw[0]])[None, :]
     else:
-        for i, rel_state in enumerate(rel_states):
-            unit = concat([word_states[i], rel_state, word_states[i + 1]])
-            units.append(tanh(add(matmul(w_con, unit), b_con)))
-    return max_over(units)
+        units = np.hstack([hw[:-1], hr, hw[1:]])
+    act = np.tanh(units @ w_con.data.T + b_con.data)
+    winner = np.argmax(act, axis=0)  # first occurrence on ties
+    cols = np.arange(act.shape[1])
+    out = Tensor(act[winner, cols], _parents=(word_states, rel_states, w_con, b_con))
+
+    def backward(g):
+        dpre = np.zeros_like(act)
+        dpre[winner, cols] = g * (1.0 - out.data**2)
+        w_con.add_grad(dpre.T @ units, fresh=True)
+        b_con.add_grad(dpre.sum(axis=0), fresh=True)
+        du = dpre @ w_con.data
+        dw = np.zeros_like(hw)  # unit i holds words i and i+1; the pseudo-unit word 0 twice
+        dw[: len(du)] += du[:, :dim]
+        dw[n_words - len(du) :] += du[:, -dim:]
+        word_states.add_grad(dw, fresh=True)
+        if n_words > 1:
+            rel_states.add_grad(du[:, dim:-dim])
+
+    out._backward = backward
+    return out
 
 
 @dataclass
@@ -263,6 +345,7 @@ class RelationModel:
         self.word_vocab = word_vocab
         self.rel_vocab = rel_vocab
         self.store = ParamStore()
+        self.meta: dict = {}
 
         rng = np.random.default_rng(seed)
         s = config.init_scale
@@ -318,11 +401,12 @@ class RelationModel:
     # -- forward pieces -------------------------------------------------
 
     def encode_path(self, path: SdpPath, direction: str, dropout_rng=None):
-        """LSTM states for the words and relations of one path direction.
+        """(T, H) word-channel and (T-1, H) relation-channel LSTM states.
 
         The backward direction consumes the inverted path, whose flipped
         edge directions select the reverse-relation embedding rows.  With
-        a dropout rng the embedding lookups are masked (training mode).
+        a dropout rng the embedded inputs are masked (training mode), one
+        mask per channel.
         """
         if len(path.nodes) == 0:
             raise EmptyPath("cannot encode an empty path")
@@ -330,58 +414,45 @@ class RelationModel:
             raise ValueError("path carries no surface forms; extract it from a tree first")
         p = path if direction == FWD else invert_path(path)
         cfg = self.config
-
-        def maybe_drop(x, dim):
-            if dropout_rng is not None and cfg.keep_prob < 1.0:
-                return mul(x, constant(dropout_mask((dim,), cfg.keep_prob, dropout_rng)))
-            return x
-
-        word_cell = self.cells[(direction, "word")]
-        h = constant(np.zeros(cfg.word_hidden))
-        s = constant(np.zeros(cfg.word_hidden))
-        word_states = []
-        for form in p.forms:
-            x = maybe_drop(lookup_row(self.emb_word, self.word_vocab.index(form)), cfg.word_dim)
-            h, s = lstm_step(word_cell, x, h, s, cfg.lstm_variant)
-            word_states.append(h)
-
-        rel_cell = self.cells[(direction, "rel")]
-        h = constant(np.zeros(cfg.rel_hidden))
-        s = constant(np.zeros(cfg.rel_hidden))
-        rel_states = []
-        for edge in p.edges:
-            x = maybe_drop(
-                lookup_row(self.emb_rel, self.rel_vocab.row(edge.deprel, edge.direction)),
-                cfg.rel_dim,
-            )
-            h, s = lstm_step(rel_cell, x, h, s, cfg.lstm_variant)
-            rel_states.append(h)
+        words = gather_rows(self.emb_word, [self.word_vocab.index(form) for form in p.forms])
+        rels = gather_rows(
+            self.emb_rel, [self.rel_vocab.row(edge.deprel, edge.direction) for edge in p.edges]
+        )
+        if dropout_rng is not None and cfg.keep_prob < 1.0:
+            words = mul(words, constant(dropout_mask(words.shape, cfg.keep_prob, dropout_rng)))
+            rels = mul(rels, constant(dropout_mask(rels.shape, cfg.keep_prob, dropout_rng)))
+        word_states = lstm_sequence(self.cells[(direction, "word")], words, cfg.lstm_variant)
+        rel_states = lstm_sequence(self.cells[(direction, "rel")], rels, cfg.lstm_variant)
         return word_states, rel_states
 
     def pooled(self, path: SdpPath, direction: str, dropout_rng=None) -> Tensor:
         word_states, rel_states = self.encode_path(path, direction, dropout_rng)
         w_con, b_con = self.conv[direction]
-        return conv_pool(word_states, rel_states, w_con, b_con, self.config.rel_hidden)
+        return conv_pool(word_states, rel_states, w_con, b_con)
 
     def classify(self, g_fwd: Tensor, g_bwd: Tensor):
-        """Fine distributions per direction plus the coarse distribution."""
+        """Fine logits per direction plus the coarse logits."""
         wf, bf = self.fine_heads[FWD]
         wb, bb = self.fine_heads[BWD]
-        y_fwd = softmax(add(matmul(wf, g_fwd), bf))
-        y_bwd = softmax(add(matmul(wb, g_bwd), bb))
+        z_fwd = add(matmul(wf, g_fwd), bf)
+        z_bwd = add(matmul(wb, g_bwd), bb)
         wc_f, wc_b, bc = self.coarse_head
-        y_coarse = softmax(add(add(matmul(wc_f, g_fwd), matmul(wc_b, g_bwd)), bc))
-        return y_fwd, y_bwd, y_coarse
+        z_coarse = add(add(matmul(wc_f, g_fwd), matmul(wc_b, g_bwd)), bc)
+        return z_fwd, z_bwd, z_coarse
 
-    def forward(self, path: SdpPath, dropout_rng=None):
+    def logits(self, path: SdpPath, dropout_rng=None):
         g_fwd = self.pooled(path, FWD, dropout_rng)
         g_bwd = self.pooled(path, BWD, dropout_rng)
         return self.classify(g_fwd, g_bwd)
 
+    def forward(self, path: SdpPath, dropout_rng=None):
+        """Fine distributions per direction plus the coarse distribution."""
+        return tuple(softmax(z) for z in self.logits(path, dropout_rng))
+
     def _l2_filter(self, name: str) -> bool:
         if self.config.l2_include_embeddings:
             return True
-        return not name.startswith("emb/")
+        return name not in EMBEDDING_TABLES
 
     def loss(self, path: SdpPath, label: str, dropout_rng=None):
         """Joint objective: three cross-entropies plus the L2 penalty.
@@ -392,14 +463,14 @@ class RelationModel:
         t_fwd = self.schema.fine_index(label)
         t_bwd = self.schema.flip(t_fwd)
         t_coarse = self.schema.coarse_index(label)
-        y_fwd, y_bwd, y_coarse = self.forward(path, dropout_rng)
+        z_fwd, z_bwd, z_coarse = self.logits(path, dropout_rng)
         j = add(
-            add(cross_entropy(y_fwd, t_fwd), cross_entropy(y_bwd, t_bwd)),
-            cross_entropy(y_coarse, t_coarse),
+            add(softmax_cross_entropy(z_fwd, t_fwd), softmax_cross_entropy(z_bwd, t_bwd)),
+            softmax_cross_entropy(z_coarse, t_coarse),
         )
         if self.config.l2_lambda > 0.0:
-            j = add(j, self.store.l2_penalty(self.config.l2_lambda, include=self._l2_filter))
-        return j, Prediction(y_fwd.data.copy(), y_bwd.data.copy(), y_coarse.data.copy())
+            j = add(self.store.l2_penalty(self.config.l2_lambda, include=self._l2_filter), j)
+        return j, Prediction(*(softmax(z).data for z in (z_fwd, z_bwd, z_coarse)))
 
     # -- inference -------------------------------------------------------
 
@@ -425,7 +496,11 @@ class RelationModel:
 
     @classmethod
     def load(cls, path) -> "RelationModel":
+        """The model a checkpoint describes; its meta stays on model.meta."""
         tensors, meta = ckpt.load_checkpoint(path)
+        missing = [key for key in ("config", "schema", "words", "deprels") if key not in meta]
+        if missing:
+            raise ckpt.CheckpointError(f"{path}: meta has no {', '.join(missing)}")
         model = cls(
             config=ModelConfig.from_dict(meta["config"]),
             schema=LabelSchema.from_dict(meta["schema"]),
@@ -446,4 +521,5 @@ class RelationModel:
                     f"tensor {name!r}: shape {arr.shape} != expected {t.data.shape}"
                 )
             t.data[...] = arr
+        model.meta = meta
         return model

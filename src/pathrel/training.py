@@ -26,6 +26,7 @@ from .depgraph import Instance, SdpPath, entity_head
 from .labels import UnknownLabel, load_schema
 from .metrics import ConfusionMatrix
 from .model import (
+    EMBEDDING_TABLES,
     ModelConfig,
     RelationModel,
     RelationVocabulary,
@@ -192,7 +193,7 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
     fit = [prepared[i] for i in perm[config.val_size :]]
     score_set = val if val else fit
 
-    optimizer = AdaDeltaState(model.store)
+    optimizer = AdaDeltaState(model.store, row_sparse=EMBEDDING_TABLES)
     result = TrainResult(model=model)
     best_tensors = None
     use_dropout = config.model.keep_prob < 1.0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import cross_entropy, sum_squares
 
 from pathrel.autodiff import (
     NonScalarLoss,
@@ -12,17 +13,15 @@ from pathrel.autodiff import (
     backward,
     concat,
     constant,
-    cross_entropy,
     dropout_mask,
     finite_difference_check,
-    lookup_row,
+    gather_rows,
     matmul,
     max_over,
     mul,
-    scale,
     sigmoid,
     softmax,
-    sum_squares,
+    softmax_cross_entropy,
     tanh,
 )
 
@@ -51,20 +50,41 @@ class TestForwardValues:
             assert abs(y.data.sum() - 1.0) < 1e-12
 
     def test_cross_entropy_closed_form(self):
-        y = softmax(constant([0.0, 0.0]))
-        ce = cross_entropy(y, 0)
+        ce = softmax_cross_entropy(constant([0.0, 0.0]), 0)
         assert abs(float(ce.data) - math.log(2)) < 1e-12
 
     def test_softmax_ce_translation_invariant(self):
         z = np.array([0.3, -1.2, 2.0, 0.0])
-        a = cross_entropy(softmax(constant(z)), 2)
-        b = cross_entropy(softmax(constant(z + 17.0)), 2)
+        a = softmax_cross_entropy(constant(z), 2)
+        b = softmax_cross_entropy(constant(z + 17.0), 2)
         assert abs(float(a.data) - float(b.data)) < 1e-9
 
-    def test_cross_entropy_one_hot_array(self):
-        y = softmax(constant([0.0, 0.0]))
-        onehot = np.array([1.0, 0.0])
-        assert float(cross_entropy(y, onehot).data) == float(cross_entropy(y, 0).data)
+    def test_softmax_ce_matches_log_of_softmax(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            z = rng.normal(size=6) * 5
+            store = ParamStore()
+            fused = store.add("z", z)
+            ce = softmax_cross_entropy(fused, 3)
+            backward(ce)
+            ref_z = Tensor(z, requires_grad=True)
+            ref = cross_entropy(softmax(ref_z), 3)
+            backward(ref)
+            assert abs(float(ce.data) - float(ref.data)) < 1e-12
+            assert np.max(np.abs(fused.grad - ref_z.grad)) < 1e-12
+
+    def test_softmax_ce_finite_at_large_logit_gap(self):
+        # -log of an underflowed probability is inf with a NaN gradient;
+        # log-sum-exp keeps both finite
+        with np.errstate(divide="ignore"):
+            assert not np.isfinite(float(cross_entropy(softmax(constant([0.0, -1e4])), 1).data))
+        store = ParamStore()
+        logits = store.add("z", [0.0, -1e4])
+        ce = softmax_cross_entropy(logits, 1)
+        backward(ce)
+        assert float(ce.data) == 1e4
+        assert np.all(np.isfinite(logits.grad))
+        assert np.array_equal(logits.grad, [1.0, -1.0])
 
     def test_max_over_elementwise(self):
         out = max_over([constant([1.0, -1.0]), constant([0.0, 0.0])])
@@ -135,11 +155,12 @@ class TestBackward:
         assert np.array_equal(a.grad, [2.0])
         assert b.grad is None  # loser receives no contribution at all
 
-    def test_lookup_row_scatters_and_accumulates(self):
+    def test_gather_rows_scatters_and_accumulates(self):
         store = ParamStore()
         table = store.add("t", [[1.0, 2.0], [3.0, 4.0]])
-        loss = add(sum_squares(lookup_row(table, 1)), sum_squares(lookup_row(table, 1)))
-        backward(loss)
+        rows = gather_rows(table, [1, 1])
+        assert np.array_equal(rows.data, [[3.0, 4.0], [3.0, 4.0]])
+        backward(sum_squares(rows))
         assert np.array_equal(table.grad, [[0.0, 0.0], [12.0, 16.0]])
 
     def test_l2_penalty_gradient_exact(self):
@@ -167,7 +188,7 @@ class TestFiniteDifferenceAgainstOps:
 
         def loss_fn():
             h = tanh(add(matmul(w, constant(x)), b))
-            return cross_entropy(softmax(h), 1)
+            return softmax_cross_entropy(h, 1)
 
         check_store(loss_fn, store)
 
@@ -180,7 +201,7 @@ class TestFiniteDifferenceAgainstOps:
 
         def loss_fn():
             gated = mul(sigmoid(u), tanh(v))
-            pooled = max_over([gated, scale(w, 0.9)])
+            pooled = max_over([gated, mul(w, constant(np.full(5, 0.9)))])
             return sum_squares(concat([pooled, sigmoid(v)]))
 
         check_store(loss_fn, store)
@@ -189,10 +210,10 @@ class TestFiniteDifferenceAgainstOps:
         rng = np.random.default_rng(3)
         store = ParamStore()
         table = store.add("emb", rng.normal(size=(4, 3)) * 0.5)
+        weights = constant(rng.normal(size=(3, 3)))
 
         def loss_fn():
-            row = add(lookup_row(table, 2), lookup_row(table, 0))
-            return cross_entropy(softmax(row), 2)
+            return sum_squares(mul(gather_rows(table, [2, 0, 2]), weights))
 
         check_store(loss_fn, store)
 

@@ -191,6 +191,29 @@ class TestTrainEval:
         bad.write_text('{"format": "something-else"}')
         assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset)]) == 3
 
+    @pytest.mark.parametrize("damage", [
+        "no-tensors", "no-shape", "no-data", "no-config", "no-schema", "no-words", "no-deprels",
+        "bad-shape", "bad-data",
+    ])
+    def test_malformed_checkpoint_exits_3(self, tmp_path, dataset, capsys, damage):
+        ck = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)),
+                     "--train", str(dataset), "--checkpoint", str(ck)]) == 0
+        doc = json.loads(ck.read_text())
+        kind, _, key = damage.partition("-")
+        if kind == "bad":
+            doc["tensors"]["fine_fwd/b"][key] = 5 if key == "shape" else ["x"]
+        elif key == "tensors":
+            del doc["tensors"]
+        elif key in ("shape", "data"):
+            del doc["tensors"]["fine_fwd/b"][key]
+        else:
+            del doc["meta"][key]
+        ck.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
+        assert (key if kind == "no" else "fine_fwd/b") in capsys.readouterr().err
+
 
 class TestDictMatch:
     def test_standoff_output(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import logging
 
 import pytest
 
+from pathrel import data
 from pathrel.data import (
     DatasetError,
     format_path_line,
@@ -22,6 +23,7 @@ from pathrel.depgraph import (
     PathEdge,
     SdpPath,
     parse_conllu,
+    path_between,
 )
 from pathrel.labels import UnknownLabel, load_schema
 from pathrel.synth import SynthConfig, generate
@@ -126,6 +128,23 @@ class TestDatasetFiles:
         text = " ".join(rec.getMessage() for rec in caplog.records)
         assert "class histogram" in text
         assert "path-length histogram" in text
+
+    def test_no_paths_extracted_at_warning(self, tmp_path, caplog, monkeypatch):
+        p = tmp_path / "data.jsonl"
+        save_dataset(p, generate(SynthConfig(n=8, k_types=2, seed=5)))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return path_between(*args)
+
+        monkeypatch.setattr(data, "path_between", counting)
+        with caplog.at_level(logging.WARNING, logger="pathrel.data"):
+            assert len(load_dataset(p)) == 8
+        assert calls == []
+        with caplog.at_level(logging.INFO, logger="pathrel.data"):
+            load_dataset(p)
+        assert len(calls) == 8
 
     def test_empty_file_warns(self, tmp_path, caplog):
         p = tmp_path / "data.jsonl"

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from helpers import PerGateReference, per_gate_tensors
 
 from pathrel import checkpoint as ckpt
-from pathrel.autodiff import ParamStore, constant, finite_difference_check
+from pathrel.autodiff import ParamStore, backward, constant, finite_difference_check
 from pathrel.depgraph import PathEdge, SdpPath
 from pathrel.labels import BUILTIN_SCHEMAS, synth_schema
 from pathrel.model import (
@@ -115,43 +117,46 @@ class TestLstmStep:
             t.data[...] = 0.0
         return store, cell
 
+    @staticmethod
+    def step(cell, x, h, s, variant=LSTM_STANDARD):
+        z = cell.w.data[:, :1] @ np.array([x])  # the input's projection W_x x
+        return lstm_step(cell, z, np.array([h]), np.array([s]), variant)
+
     def test_all_zero_parameters_standard(self, zero_cell):
         _, cell = zero_cell
-        h, s = lstm_step(cell, constant([0.7]), constant([0.3]), constant([0.8]), LSTM_STANDARD)
+        h, s = self.step(cell, 0.7, 0.3, 0.8, LSTM_STANDARD)
         # gates collapse to sigmoid(0) = 1/2 and g = tanh(0) = 0,
         # so the state halves and h = 0.5 * tanh(s)
-        assert s.data[0] == 0.5 * 0.8
-        assert h.data[0] == 0.5 * np.tanh(0.4)
+        assert s[0] == 0.5 * 0.8
+        assert h[0] == 0.5 * np.tanh(0.4)
 
     def test_all_zero_parameters_paper_literal(self, zero_cell):
         _, cell = zero_cell
-        h, s = lstm_step(
-            cell, constant([0.7]), constant([0.3]), constant([0.8]), LSTM_PAPER_LITERAL
-        )
-        assert s.data[0] == 0.5 * 0.8
-        assert h.data[0] == np.tanh(0.4 * 0.5)
+        h, s = self.step(cell, 0.7, 0.3, 0.8, LSTM_PAPER_LITERAL)
+        assert s[0] == 0.5 * 0.8
+        assert h[0] == np.tanh(0.4 * 0.5)
 
     def test_saturated_forget_gate_preserves_state(self, zero_cell):
         store, cell = zero_cell
-        store["c/b_f"].data[...] = 40.0
-        _, s = lstm_step(cell, constant([0.7]), constant([0.3]), constant([1.0]))
-        assert abs(s.data[0] - 1.0) < 1e-6
+        store["c/b"].data[2:3] = 40.0  # the f slice of the packed g, i, f, o bias
+        _, s = self.step(cell, 0.7, 0.3, 1.0)
+        assert abs(s[0] - 1.0) < 1e-6
 
 
 class TestConvPool:
     def test_two_unit_max(self):
         w = constant(np.ones((1, 3)))
         b = constant(np.zeros(1))
-        words = [constant([1.0]), constant([-1.0]), constant([0.5])]
-        rels = [constant([0.25]), constant([-0.25])]
-        out = conv_pool(words, rels, w, b, rel_hidden=1)
+        words = constant([[1.0], [-1.0], [0.5]])
+        rels = constant([[0.25], [-0.25]])
+        out = conv_pool(words, rels, w, b)
         # units tanh(1 + 0.25 - 1) and tanh(-1 - 0.25 + 0.5); max wins
         assert out.data[0] == np.tanh(0.25)
 
     def test_single_node_pseudo_unit(self):
         w = constant(np.ones((1, 3)))
         b = constant(np.zeros(1))
-        out = conv_pool([constant([0.3])], [], w, b, rel_hidden=1)
+        out = conv_pool(constant([[0.3]]), constant(np.zeros((0, 1))), w, b)
         assert out.data[0] == np.tanh(0.6)
 
 
@@ -269,6 +274,81 @@ class TestGradients:
         assert len(records) > 50
         worst = max(records, key=lambda r: r[4])
         assert worst[4] < 1e-4, f"gradient mismatch {worst}"
+
+
+class TestPerGateOracle:
+    """The fused model against its per-gate tape formulation (tests/helpers.py)."""
+
+    PATHS = {
+        "single-node": make_path(forms=("cat",), rels=()),
+        "repeated-word": make_path(
+            forms=("cat", "chased", "cat", "park"),
+            rels=(("nsubj", "UP"), (SR_LINK, "DOWN"), ("prep", "DOWN")),
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", [LSTM_STANDARD, LSTM_PAPER_LITERAL])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("path_name", sorted(PATHS))
+    def test_loss_gradients_and_probabilities(self, variant, dropout, path_name):
+        cfg = ModelConfig(
+            word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5 if dropout else 1.0,
+            l2_lambda=1e-3, l2_include_embeddings=dropout, lstm_variant=variant,
+        )
+        model = small_model(config=cfg, seed=4)
+        reference = PerGateReference(model)
+        path, label = self.PATHS[path_name], "Rel2(e2,e1)"
+
+        rng_fused, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+        loss, pred = model.loss(path, label, dropout_rng=rng_fused if dropout else None)
+        backward(loss)
+        ref_loss, ref_pred = reference.loss(path, label, dropout_rng=rng_ref if dropout else None)
+        backward(ref_loss)
+
+        assert rng_fused.random() == rng_ref.random()  # the same dropout draws
+        assert abs(float(loss.data) - float(ref_loss.data)) < 1e-12
+        ref_grads = reference.packed_grads()
+        for name, t in model.store.items():
+            grad = t.grad if t.grad is not None else np.zeros_like(t.data)
+            assert np.max(np.abs(grad - ref_grads[name])) < 1e-12, name
+        for a, b in ((pred.y_fwd, ref_pred.y_fwd), (pred.y_bwd, ref_pred.y_bwd),
+                     (pred.y_coarse, ref_pred.y_coarse)):
+            assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_version_1_checkpoint_loads(self, tmp_path):
+        model = small_model(config=ModelConfig(word_dim=4, rel_dim=3, conv_dim=5), seed=7)
+        reference = PerGateReference(model)
+        meta = {
+            "config": model.config.to_dict(),
+            "schema": model.schema.to_dict(),
+            "words": model.word_vocab.to_list(),
+            "deprels": model.rel_vocab.to_list(),
+        }
+        doc = json.loads(ckpt.checkpoint_bytes(per_gate_tensors(model), meta))
+        doc["version"] = 1
+        assert "fwd/word_cell/w_gx" in doc["tensors"]
+        file = tmp_path / "v1.ckpt"
+        file.write_text(json.dumps(doc))
+
+        loaded = RelationModel.load(file)
+        for name, t in model.store.items():
+            assert np.array_equal(loaded.store[name].data, t.data), name
+        for path in [make_path(), *self.PATHS.values()]:
+            label, pred = loaded.predict(path)
+            ref_label, ref_pred = reference.predict(path)
+            assert label == ref_label
+            assert np.max(np.abs(pred.y_test - ref_pred.y_test)) < 1e-12
+
+    def test_version_1_checkpoint_missing_gate(self, tmp_path):
+        model = small_model()
+        tensors = per_gate_tensors(model)
+        del tensors["bwd/rel_cell/b_o"]
+        doc = json.loads(ckpt.checkpoint_bytes(tensors, {}))
+        doc["version"] = 1
+        file = tmp_path / "v1.ckpt"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ckpt.CheckpointError, match="bwd/rel_cell"):
+            ckpt.load_checkpoint(file)
 
 
 def mirror_name(name):

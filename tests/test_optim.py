@@ -1,5 +1,6 @@
 import math
 
+import helpers
 import numpy as np
 import pytest
 
@@ -111,3 +112,39 @@ class TestValidation:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             AdaDeltaState(ParamStore(), epsilon=0.0)
+
+
+class TestRowSparseOracle:
+    """Row-sparse tables against the dense rule (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("l2_include_embeddings", [False, True])
+    def test_matches_dense_rule(self, l2_include_embeddings):
+        rng = np.random.default_rng(12)
+        store = ParamStore()
+        table = store.add("emb", rng.normal(size=(10, 3)))
+        w = store.add("w", rng.normal(size=(4, 5)))
+        state = AdaDeltaState(store, row_sparse=("emb",))
+        params = {name: t.data.copy() for name, t in store.items()}
+        sq_grad = {name: np.zeros_like(x) for name, x in params.items()}
+        sq_update = {name: np.zeros_like(x) for name, x in params.items()}
+        for _ in range(50):
+            g_table = np.zeros_like(table.data)
+            rows = rng.choice(10, size=int(rng.integers(0, 4)), replace=False)
+            g_table[rows] = rng.normal(size=(len(rows), 3))
+            if l2_include_embeddings:  # the penalty's gradient reaches every row
+                g_table += 2.0 * 1e-3 * table.data
+            grads = {"emb": g_table, "w": rng.normal(size=(4, 5))}
+            for name, g in grads.items():
+                store[name].grad = g.copy()
+            adadelta_step(store, state)
+            helpers.dense_adadelta_step(params, grads, sq_grad, sq_update)
+        # the decays the table's untouched rows still owe
+        owed = (RHO ** (state.steps - state.row_step["emb"]))[:, None]
+        for got, want in ((table.data, params["emb"]),
+                          (state.sq_grad["emb"] * owed, sq_grad["emb"]),
+                          (state.sq_update["emb"] * owed, sq_update["emb"])):
+            assert np.max(np.abs(got - want)) < 1e-12
+        # dense tensors take the rule operation for operation
+        assert np.array_equal(w.data, params["w"])
+        assert np.array_equal(state.sq_grad["w"], sq_grad["w"])
+        assert np.array_equal(state.sq_update["w"], sq_update["w"])
