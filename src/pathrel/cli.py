@@ -17,21 +17,14 @@ import sys
 
 from . import __version__
 from .checkpoint import CheckpointError
-from .data import (
-    DatasetError,
-    format_path_line,
-    load_dataset,
-    load_entity_pairs,
-    path_record,
-    save_dataset,
-)
-from .depgraph import ConlluError, entity_head, parse_conllu
+from .data import DatasetError, format_paths, load_dataset, load_entity_pairs, save_dataset
+from .depgraph import ConlluError, parse_conllu
 from .dictmatch import dict_match, format_standoff
 from .labels import UnknownLabel
 from .model import RelationModel
-from .structreg import CutRule, cut_and_line, extract_sr_sdp, select_cut_nodes
+from .structreg import CutRule
 from .synth import SynthConfig, generate
-from .training import ExperimentConfig, SchemaMismatch, evaluate, train
+from .training import ExperimentConfig, SchemaMismatch, entity_path, evaluate, train
 
 
 def _add_rule_args(p: argparse.ArgumentParser) -> None:
@@ -73,22 +66,16 @@ def cmd_extract_sdp(args) -> int:
             f"{len(trees)} sentences but {len(pairs)} entity-pair lines; they must correspond 1:1"
         )
     rule = _rule_from_args(args)
-    lines = []
+    rows = []
     for ordinal, (tree, (e1, e2)) in enumerate(zip(trees, pairs)):
         for span in (e1, e2):
             if span.end > tree.n:
                 raise DatasetError(
                     f"sentence {ordinal + 1}: span [{span.start}, {span.end}] exceeds length {tree.n}"
                 )
-        cuts = select_cut_nodes(tree, rule, ordinal=ordinal)
-        rt = cut_and_line(tree, cuts)
-        h1, h2 = entity_head(tree, e1), entity_head(tree, e2)
-        path = extract_sr_sdp(rt, h1, h2)
-        if args.json:
-            lines.append(json.dumps(path_record(h1, h2, path), sort_keys=True, separators=(",", ":")))
-        else:
-            lines.append(format_path_line(h1, h2, path))
-    _write_out(args.out, "".join(line + "\n" for line in lines))
+        path = entity_path(tree, e1, e2, rule, ordinal)
+        rows.append((path.nodes[0], path.nodes[-1], path))
+    _write_out(args.out, format_paths(rows, args.json))
     return 0
 
 
@@ -142,7 +129,7 @@ def cmd_eval(args) -> int:
     if args.rule is not None:
         rule = _rule_from_args(args)
     elif "rule" in model.meta:
-        rule = CutRule.from_dict(model.meta["rule"])
+        rule = CutRule.from_dict(model.meta["rule"], source=f"{args.checkpoint}: meta rule")
     else:
         rule = CutRule()
     instances = load_dataset(args.data)

@@ -160,15 +160,19 @@ def path_record(e1_head: int, e2_head: int, path: SdpPath) -> dict:
     }
 
 
+def format_paths(rows, as_json: bool = False) -> str:
+    """One text or JSON line per (e1_head, e2_head, SdpPath) row."""
+    lines = (
+        json.dumps(path_record(*row), sort_keys=True, separators=(",", ":")) if as_json
+        else format_path_line(*row)
+        for row in rows
+    )
+    return "".join(line + "\n" for line in lines)
+
+
 def write_paths(path, rows, as_json: bool = False) -> None:
-    """rows: iterable of (e1_head, e2_head, SdpPath)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for e1_head, e2_head, sdp in rows:
-            if as_json:
-                fh.write(json.dumps(path_record(e1_head, e2_head, sdp), sort_keys=True, separators=(",", ":")))
-            else:
-                fh.write(format_path_line(e1_head, e2_head, sdp))
-            fh.write("\n")
+        fh.write(format_paths(rows, as_json))
 
 
 # ---------------------------------------------------------------------------

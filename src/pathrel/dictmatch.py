@@ -20,15 +20,17 @@ class Match:
 
 def dict_match(text: str, dictionary) -> list[Match]:
     """Non-overlapping entity mentions, leftmost-longest."""
-    entries = sorted(set(dictionary) - {""}, key=lambda e: (-len(e), e))
+    entries = set(dictionary) - {""}
+    lengths = sorted({len(e) for e in entries}, reverse=True)
     matches = []
     i = 0
     n = len(text)
     while i < n:
-        for entry in entries:
-            if text.startswith(entry, i):
-                matches.append(Match(i, i + len(entry), entry))
-                i += len(entry)
+        for k in lengths:
+            # a slice past the end is shorter than k and could equal a shorter entry
+            if i + k <= n and text[i : i + k] in entries:
+                matches.append(Match(i, i + k, text[i : i + k]))
+                i += k
                 break
         else:
             i += 1

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Document
+
 
 class UnknownLabel(ValueError):
     pass
 
 
 @dataclass(frozen=True)
-class LabelSchema:
+class LabelSchema(Document):
     name: str
     types: tuple[str, ...]
     residual: str = "Other"
@@ -105,13 +107,6 @@ class LabelSchema:
     def fine_labels(self) -> list[str]:
         return [self.fine_label(i) for i in range(self.fine_size)]
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "types": list(self.types), "residual": self.residual}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LabelSchema":
-        return cls(name=doc["name"], types=tuple(doc["types"]), residual=doc["residual"])
-
 
 # The nine directed Sanwen relation types plus Null.
 SANWEN = LabelSchema(
@@ -163,4 +158,4 @@ def load_schema(spec: str) -> LabelSchema:
     if m:
         return synth_schema(int(m.group(1)))
     with open(spec, "r", encoding="utf-8") as fh:
-        return LabelSchema.from_dict(json.load(fh))
+        return LabelSchema.from_dict(json.load(fh), source=spec)

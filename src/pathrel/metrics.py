@@ -46,17 +46,6 @@ class ConfusionMatrix:
     def accuracy(self) -> float:
         return _safe_div(float(np.trace(self.counts)), float(self.total))
 
-    # -- per fine class ---------------------------------------------------
-
-    def class_precision(self, index: int) -> float:
-        return _safe_div(float(self.counts[index, index]), float(self.counts[:, index].sum()))
-
-    def class_recall(self, index: int) -> float:
-        return _safe_div(float(self.counts[index, index]), float(self.counts[index, :].sum()))
-
-    def class_f1(self, index: int) -> float:
-        return f1_score(self.class_precision(index), self.class_recall(index))
-
     # -- per relation type (direction-sensitive) ---------------------------
 
     def _type_rows(self, type_index: int) -> tuple[int, int]:

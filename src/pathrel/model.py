@@ -31,6 +31,7 @@ from .autodiff import (
     softmax,
     softmax_cross_entropy,
 )
+from .codec import Document
 from .depgraph import SdpPath
 from .labels import LabelSchema
 from .structreg import SR_LINK, invert_path
@@ -54,7 +55,7 @@ class EmptyPath(ValueError):
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Document):
     """Architecture and training knobs.
 
     Channel hidden sizes are tied to the embedding sizes.  lstm_variant
@@ -90,24 +91,6 @@ class ModelConfig:
     @property
     def rel_hidden(self) -> int:
         return self.rel_dim
-
-    def to_dict(self) -> dict:
-        return {
-            "word_dim": self.word_dim,
-            "rel_dim": self.rel_dim,
-            "conv_dim": self.conv_dim,
-            "alpha": self.alpha,
-            "l2_lambda": self.l2_lambda,
-            "keep_prob": self.keep_prob,
-            "lstm_variant": self.lstm_variant,
-            "share_fine_heads": self.share_fine_heads,
-            "l2_include_embeddings": self.l2_include_embeddings,
-            "init_scale": self.init_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        return cls(**doc)
 
 
 class Vocabulary:
@@ -501,9 +484,12 @@ class RelationModel:
         missing = [key for key in ("config", "schema", "words", "deprels") if key not in meta]
         if missing:
             raise ckpt.CheckpointError(f"{path}: meta has no {', '.join(missing)}")
+        for key in ("words", "deprels"):
+            if not isinstance(meta[key], list) or not all(isinstance(w, str) for w in meta[key]):
+                raise ckpt.CheckpointError(f"{path}: meta {key} is not a list of strings")
         model = cls(
-            config=ModelConfig.from_dict(meta["config"]),
-            schema=LabelSchema.from_dict(meta["schema"]),
+            config=ModelConfig.from_dict(meta["config"], source=f"{path}: meta config"),
+            schema=LabelSchema.from_dict(meta["schema"], source=f"{path}: meta schema"),
             word_vocab=Vocabulary(meta["words"]),
             rel_vocab=RelationVocabulary(meta["deprels"]),
             seed=0,

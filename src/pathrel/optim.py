@@ -88,17 +88,9 @@ def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
             _dense_update(tensor.data, g, eg2, edx2, state)
             continue
         rows = np.flatnonzero(g.any(axis=1))
-        owed = state.steps - 1 - last[rows]
-        if len(rows) == len(last):  # every row moves, as when L2 covers the table
-            if owed.any():
-                decay = (state.rho ** owed)[:, None]
-                eg2 *= decay
-                edx2 *= decay
-            _dense_update(tensor.data, g, eg2, edx2, state)
-        else:
-            decay = (state.rho ** owed)[:, None]
-            x_r, eg2_r, edx2_r = tensor.data[rows], eg2[rows] * decay, edx2[rows] * decay
-            _dense_update(x_r, g[rows], eg2_r, edx2_r, state)
-            tensor.data[rows], eg2[rows], edx2[rows] = x_r, eg2_r, edx2_r
+        decay = (state.rho ** (state.steps - 1 - last[rows]))[:, None]
+        x_r, eg2_r, edx2_r = tensor.data[rows], eg2[rows] * decay, edx2[rows] * decay
+        _dense_update(x_r, g[rows], eg2_r, edx2_r, state)
+        tensor.data[rows], eg2[rows], edx2[rows] = x_r, eg2_r, edx2_r
         last[rows] = state.steps
     store.zero_grad()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .codec import Document
 from .depgraph import DependencyTree, PathEdge, SdpPath, path_between
 
 SR_LINK = "SR-LINK"
@@ -42,7 +43,7 @@ def _unit_interval(z: int) -> float:
 
 
 @dataclass(frozen=True)
-class CutRule:
+class CutRule(Document):
     """Node-selection rule for tree decomposition.
 
     variant is one of "none", "punct", "random", "prep".  Random draws
@@ -66,23 +67,6 @@ class CutRule:
         if self.variant == "prep" and not self.tag_set:
             raise ValueError("prep rule needs a non-empty tag set")
         object.__setattr__(self, "tag_set", frozenset(self.tag_set))
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "p": self.p,
-            "seed": self.seed,
-            "tag_set": sorted(self.tag_set),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CutRule":
-        return cls(
-            variant=doc.get("variant", "none"),
-            p=doc.get("p", 0.5),
-            seed=doc.get("seed", 0),
-            tag_set=frozenset(doc.get("tag_set", ("ADP", "P", "IN"))),
-        )
 
 
 def select_cut_nodes(tree: DependencyTree, rule: CutRule, ordinal: int = 0) -> set[int]:

@@ -21,8 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import backward
+from .codec import Document
 from .data import load_dataset
-from .depgraph import Instance, SdpPath, entity_head
+from .depgraph import DependencyTree, Instance, SdpPath, entity_head
 from .labels import UnknownLabel, load_schema
 from .metrics import ConfusionMatrix
 from .model import (
@@ -50,7 +51,7 @@ class PreparedExample(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Document):
     """Everything one training run depends on."""
 
     model: ModelConfig = ModelConfig()
@@ -71,32 +72,10 @@ class ExperimentConfig:
         if self.val_size < 0:
             raise ValueError("val_size must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "rule": self.rule.to_dict(),
-            "schema": self.schema,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "val_size": self.val_size,
-            "train_path": self.train_path,
-            "test_path": self.test_path,
-            "embeddings_path": self.embeddings_path,
-            "checkpoint_path": self.checkpoint_path,
-            "log_path": self.log_path,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        doc = dict(doc)
-        model = ModelConfig.from_dict(doc.pop("model", {}))
-        rule = CutRule.from_dict(doc.pop("rule", {}))
-        return cls(model=model, rule=rule, **doc)
-
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), source=str(path))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -108,10 +87,14 @@ class ExperimentConfig:
 # preprocessing
 
 
+def entity_path(tree: DependencyTree, e1, e2, rule: CutRule, ordinal: int = 0) -> SdpPath:
+    """The path between the heads of entity spans e1 and e2 once rule has cut and lined tree."""
+    rt = cut_and_line(tree, select_cut_nodes(tree, rule, ordinal=ordinal))
+    return extract_sr_sdp(rt, entity_head(tree, e1), entity_head(tree, e2))
+
+
 def prepare_example(inst: Instance, rule: CutRule, ordinal: int = 0) -> PreparedExample:
-    cuts = select_cut_nodes(inst.tree, rule, ordinal=ordinal)
-    rt = cut_and_line(inst.tree, cuts)
-    path = extract_sr_sdp(rt, entity_head(inst.tree, inst.e1), entity_head(inst.tree, inst.e2))
+    path = entity_path(inst.tree, inst.e1, inst.e2, rule, ordinal)
     return PreparedExample(path=path, label=inst.label, sid=inst.sid)
 
 

@@ -214,6 +214,51 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
         assert (key if kind == "no" else "fine_fwd/b") in capsys.readouterr().err
 
+    # each malformed document, and the field its error message must name
+    DOCUMENT_CASES = {
+        "schema-no-types": "'types'",
+        "config-unknown-key": "'bogus'",
+        "config-word-dim-text": "word_dim",
+        "meta-config-unknown-key": "'bogus'",
+        "meta-rule-string": "rule",
+        "meta-schema-no-types": "'types'",
+        "meta-words-number": "words",
+    }
+
+    @pytest.mark.parametrize("case", DOCUMENT_CASES)
+    def test_malformed_document_exits_3(self, tmp_path, dataset, capsys, case):
+        config = tiny_config_file(tmp_path)
+        ck = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--train", str(dataset),
+                     "--checkpoint", str(ck), "--rule", "prep"]) == 0
+        cfg, doc = json.loads(config.read_text()), json.loads(ck.read_text())
+        bad = tmp_path / f"{case}.json"
+        argv = ["train", "--config", str(bad), "--train", str(dataset)]
+        if case == "schema-no-types":
+            bad.write_text(json.dumps({"name": "x", "residual": "Other"}))
+            argv = ["train", "--config", str(config), "--train", str(dataset), "--schema", str(bad)]
+        elif case == "config-unknown-key":
+            bad.write_text(json.dumps({**cfg, "bogus": 1}))
+        elif case == "config-word-dim-text":
+            cfg["model"]["word_dim"] = "abc"
+            bad.write_text(json.dumps(cfg))
+        else:
+            meta = doc["meta"]
+            if case == "meta-config-unknown-key":
+                meta["config"]["bogus"] = 1
+            elif case == "meta-rule-string":
+                meta["rule"] = "prep"
+            elif case == "meta-schema-no-types":
+                del meta["schema"]["types"]
+            else:
+                meta["words"] = 5
+            bad.write_text(json.dumps(doc))
+            argv = ["eval", "--checkpoint", str(bad), "--data", str(dataset)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and self.DOCUMENT_CASES[case] in err
+
 
 class TestDictMatch:
     def test_standoff_output(self, tmp_path, capsys):
