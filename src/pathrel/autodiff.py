@@ -197,14 +197,18 @@ def max_over(parts) -> Tensor:
     return out
 
 
+def softmax_array(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis (max-shifted for stability): one row or a batch of rows."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over a 1-D logit vector (max-shifted for stability)."""
     a = _as_tensor(a)
     if a.data.ndim != 1:
         raise ShapeMismatch(f"softmax: expected 1-D logits, got shape {a.data.shape}")
-    shifted = a.data - a.data.max()
-    e = np.exp(shifted)
-    y = e / e.sum()
+    y = softmax_array(a.data)
     out = Tensor(y, _parents=(a,))
 
     def backward(g):

@@ -4,7 +4,9 @@ Subcommands: extract-sdp, synth, train, eval, dict-match.
 
 Exit codes: 0 success; 2 usage errors (from argparse); 3 malformed input
 data, files, or configuration; 4 schema mismatch between a checkpoint
-and a dataset; 1 unexpected internal failure.
+and a dataset; 1 unexpected internal failure, including the library's
+internal errors (ShapeMismatch, NonScalarLoss, EmptyPath), which are
+ValueErrors but never describe malformed input.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import logging
 import sys
 
 from . import __version__
+from .autodiff import NonScalarLoss, ShapeMismatch
 from .checkpoint import CheckpointError
 from .data import DatasetError, format_paths, load_dataset, load_entity_pairs, save_dataset
 from .depgraph import ConlluError, parse_conllu
 from .dictmatch import dict_match, format_standoff
 from .labels import UnknownLabel
-from .model import RelationModel
+from .model import EmptyPath, RelationModel
 from .structreg import CutRule
 from .synth import SynthConfig, generate
 from .training import ExperimentConfig, SchemaMismatch, entity_path, evaluate, train
@@ -234,6 +237,9 @@ def main(argv=None) -> int:
     except SchemaMismatch as err:
         print(f"schema mismatch: {err}", file=sys.stderr)
         return 4
+    except (ShapeMismatch, NonScalarLoss, EmptyPath) as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     except (DatasetError, ConlluError, UnknownLabel, CheckpointError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

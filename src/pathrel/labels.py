@@ -99,9 +99,8 @@ class LabelSchema(Document):
         dist = np.asarray(dist)
         if dist.shape != (self.fine_size,):
             raise ValueError(f"expected shape ({self.fine_size},), got {dist.shape}")
-        out = np.empty_like(dist)
-        for i in range(self.fine_size):
-            out[self.flip(i)] = dist[i]
+        out = dist.copy()  # the residual class 0 stays; 2k-1 and 2k swap, as in flip
+        out[1::2], out[2::2] = dist[2::2], dist[1::2]
         return out
 
     def fine_labels(self) -> list[str]:

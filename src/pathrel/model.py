@@ -28,7 +28,7 @@ from .autodiff import (
     matmul,
     mul,
     sigmoid_array,
-    softmax,
+    softmax_array,
     softmax_cross_entropy,
 )
 from .codec import Document
@@ -48,6 +48,9 @@ UNK = "<unk>"
 
 # the embedding tables: a training step touches only the rows of its path
 EMBEDDING_TABLES = ("emb/word", "emb/rel")
+
+# paths that predict_batch runs at once: bounds its (T, B, 4H) gate arrays
+PREDICT_BATCH = 128
 
 
 class EmptyPath(ValueError):
@@ -173,15 +176,17 @@ def _init(store: ParamStore, name: str, shape, rng, init_scale: float = 0.1) -> 
 def lstm_step(cell: LstmCell, z: np.ndarray, h_prev, s_prev, variant: str = LSTM_STANDARD):
     """One cell step from z = W_x x_t; returns (h_t, s_t).
 
-    Adds the recurrent term and the bias to z in place and leaves the gate
-    activations [g, i, f, o] in it for the backward pass.
+    z is one path's (4H,) row or a (B, 4H) batch of rows, with h_prev and
+    s_prev shaped to match.  Adds the recurrent term and the bias to z in
+    place and leaves the gate activations [g, i, f, o] in it for the
+    backward pass.
     """
     n = cell.hidden_dim
-    z += cell.w.data[:, cell.input_dim :] @ h_prev
+    z += h_prev @ cell.w.data[:, cell.input_dim :].T
     z += cell.b.data
-    np.tanh(z[:n], out=z[:n])
-    z[n:] = sigmoid_array(z[n:])
-    g, i, f, o = z[:n], z[n : 2 * n], z[2 * n : 3 * n], z[3 * n :]
+    np.tanh(z[..., :n], out=z[..., :n])
+    z[..., n:] = sigmoid_array(z[..., n:])
+    g, i, f, o = z[..., :n], z[..., n : 2 * n], z[..., 2 * n : 3 * n], z[..., 3 * n :]
     s = g * i + s_prev * f
     if variant == LSTM_STANDARD:
         h = o * np.tanh(s)
@@ -190,22 +195,35 @@ def lstm_step(cell: LstmCell, z: np.ndarray, h_prev, s_prev, variant: str = LSTM
     return h, s
 
 
+def lstm_forward(cell: LstmCell, x: np.ndarray, variant: str = LSTM_STANDARD):
+    """The recurrence over x's first (time) axis; returns (gate activations, hs, ss).
+
+    x is (T, X) for one path or (T, B, X) for B paths of equal length.  One
+    GEMM projects every input; hs and ss hold the zero start state in row 0
+    and h_t, s_t in row t+1.
+    """
+    steps, lead = x.shape[0], x.shape[:-1]
+    acts = x.reshape(-1, cell.input_dim) @ cell.w.data[:, : cell.input_dim].T
+    acts = acts.reshape(*lead, 4 * cell.hidden_dim)
+    hs = np.zeros((steps + 1, *lead[1:], cell.hidden_dim))
+    ss = np.zeros_like(hs)
+    for t in range(steps):
+        hs[t + 1], ss[t + 1] = lstm_step(cell, acts[t], hs[t], ss[t], variant)
+    return acts, hs, ss
+
+
 def lstm_sequence(cell: LstmCell, xs: Tensor, variant: str = LSTM_STANDARD) -> Tensor:
     """Every step of one channel as one tape node: the (T, H) hidden states.
 
-    One GEMM projects all inputs and lstm_step runs the recurrence.  The
-    backward pass is backpropagation through time; the packed weight
-    gradient is one GEMM, dW = dZ^T [X | H_prev].
+    lstm_forward runs the recurrence.  The backward pass is
+    backpropagation through time; the packed weight gradient is one GEMM,
+    dW = dZ^T [X | H_prev].
     """
     n, x_dim = cell.hidden_dim, cell.input_dim
     w = cell.w.data
     x = xs.data
     steps = x.shape[0]
-    acts = x @ w[:, :x_dim].T  # pre-activations, then gate activations
-    hs = np.zeros((steps + 1, n))  # row t+1 is h_t; row 0 the zero start state
-    ss = np.zeros((steps + 1, n))
-    for t in range(steps):
-        hs[t + 1], ss[t + 1] = lstm_step(cell, acts[t], hs[t], ss[t], variant)
+    acts, hs, ss = lstm_forward(cell, x, variant)
     out = Tensor(hs[1:], _parents=(xs, cell.w, cell.b))
 
     def backward(dh_out):
@@ -243,21 +261,30 @@ def lstm_sequence(cell: LstmCell, xs: Tensor, variant: str = LSTM_STANDARD) -> T
     return out
 
 
+def dependency_units(hw: np.ndarray, hr: np.ndarray) -> np.ndarray:
+    """Unit i = [word_i | rel_i | word_i+1] along the first (time) axis.
+
+    hw is (T, ..., H) and hr (T-1, ..., R).  A single-node path gives one
+    pseudo-unit [word_0 | 0 | word_0].
+    """
+    if len(hw) == 1:
+        return np.concatenate([hw, np.zeros((1, *hr.shape[1:])), hw], axis=-1)
+    return np.concatenate([hw[:-1], hr, hw[1:]], axis=-1)
+
+
 def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Tensor) -> Tensor:
     """tanh convolution over every dependency unit, then an elementwise max.
 
-    Unit i is [word_i | rel_i | word_i+1]; one GEMM scores every unit, and
-    the max keeps the first occurrence on ties.  A single-node path (both
-    entity heads identical) pools one pseudo-unit built from the word state
-    with a zero relation slot.
+    One GEMM scores every unit of dependency_units, and the max keeps the
+    first occurrence on ties.  A single-node path (both entity heads
+    identical) pools one pseudo-unit built from the word state with a zero
+    relation slot.
     """
     hw, hr = word_states.data, rel_states.data
     n_words, dim = hw.shape
     if n_words == 1:
         logger.debug("single-node path: pooling a pseudo-unit with zero relation state")
-        units = np.concatenate([hw[0], np.zeros(hr.shape[1]), hw[0]])[None, :]
-    else:
-        units = np.hstack([hw[:-1], hr, hw[1:]])
+    units = dependency_units(hw, hr)
     act = np.tanh(units @ w_con.data.T + b_con.data)
     winner = np.argmax(act, axis=0)  # first occurrence on ties
     cols = np.arange(act.shape[1])
@@ -297,6 +324,13 @@ def decode(pred: Prediction, alpha: float, schema: LabelSchema) -> str:
     """
     pred.y_test = alpha * pred.y_fwd + (1.0 - alpha) * schema.flip_distribution(pred.y_bwd)
     return schema.fine_label(int(np.argmax(pred.y_test)))
+
+
+def _check_path(path: SdpPath) -> None:
+    if len(path.nodes) == 0:
+        raise EmptyPath("cannot encode an empty path")
+    if len(path.forms) != len(path.nodes):
+        raise ValueError("path carries no surface forms; extract it from a tree first")
 
 
 def load_word_embeddings(path) -> dict[str, np.ndarray]:
@@ -391,10 +425,7 @@ class RelationModel:
         a dropout rng the embedded inputs are masked (training mode), one
         mask per channel.
         """
-        if len(path.nodes) == 0:
-            raise EmptyPath("cannot encode an empty path")
-        if len(path.forms) != len(path.nodes):
-            raise ValueError("path carries no surface forms; extract it from a tree first")
+        _check_path(path)
         p = path if direction == FWD else invert_path(path)
         cfg = self.config
         words = gather_rows(self.emb_word, [self.word_vocab.index(form) for form in p.forms])
@@ -428,10 +459,6 @@ class RelationModel:
         g_bwd = self.pooled(path, BWD, dropout_rng)
         return self.classify(g_fwd, g_bwd)
 
-    def forward(self, path: SdpPath, dropout_rng=None):
-        """Fine distributions per direction plus the coarse distribution."""
-        return tuple(softmax(z) for z in self.logits(path, dropout_rng))
-
     def _l2_filter(self, name: str) -> bool:
         if self.config.l2_include_embeddings:
             return True
@@ -453,16 +480,65 @@ class RelationModel:
         )
         if self.config.l2_lambda > 0.0:
             j = add(self.store.l2_penalty(self.config.l2_lambda, include=self._l2_filter), j)
-        return j, Prediction(*(softmax(z).data for z in (z_fwd, z_bwd, z_coarse)))
+        return j, Prediction(*(softmax_array(z.data) for z in (z_fwd, z_bwd, z_coarse)))
 
     # -- inference -------------------------------------------------------
 
     def predict(self, path: SdpPath, alpha: float | None = None):
-        """Eval-mode decode; returns (label, Prediction with y_test)."""
-        y_fwd, y_bwd, y_coarse = self.forward(path, dropout_rng=None)
-        pred = Prediction(y_fwd.data, y_bwd.data, y_coarse.data)
-        label = decode(pred, self.config.alpha if alpha is None else alpha, self.schema)
-        return label, pred
+        """Eval-mode decode of one path; returns (label, Prediction with y_test)."""
+        return self.predict_batch([path], alpha)[0]
+
+    def predict_batch(self, paths, alpha: float | None = None) -> list:
+        """Eval-mode decode of many paths without the tape, in input order.
+
+        Returns one (label, Prediction with y_test) per path.  Paths of
+        equal node count run together, at most PREDICT_BATCH at a time, so
+        nothing is padded or masked.
+        """
+        alpha = self.config.alpha if alpha is None else alpha
+        groups: dict[int, list[int]] = {}
+        for k, path in enumerate(paths):
+            _check_path(path)
+            groups.setdefault(len(path.nodes), []).append(k)
+        out = [None] * len(paths)
+        for members in groups.values():
+            for start in range(0, len(members), PREDICT_BATCH):
+                part = members[start : start + PREDICT_BATCH]
+                batch = [paths[k] for k in part]
+                g_fwd = self._pooled_batch(batch, FWD)
+                g_bwd = self._pooled_batch(batch, BWD)
+                ys = self._heads_batch(g_fwd, g_bwd)
+                for j, k in enumerate(part):
+                    pred = Prediction(*(y[j] for y in ys))
+                    out[k] = (decode(pred, alpha, self.schema), pred)
+        return out
+
+    def _pooled_batch(self, paths, direction: str) -> np.ndarray:
+        """(B, C) pooled features of B paths of equal length, time-major inside."""
+        if direction == BWD:
+            paths = [invert_path(p) for p in paths]
+        variant = self.config.lstm_variant
+        word_rows = np.array([[self.word_vocab.index(f) for f in p.forms] for p in paths]).T
+        rel_rows = np.array(
+            [[self.rel_vocab.row(e.deprel, e.direction) for e in p.edges] for p in paths],
+            dtype=np.intp,
+        ).reshape(len(paths), -1).T
+        words, rels = self.emb_word.data[word_rows], self.emb_rel.data[rel_rows]  # (T, B, D)
+        _, hw, _ = lstm_forward(self.cells[(direction, "word")], words, variant)
+        _, hr, _ = lstm_forward(self.cells[(direction, "rel")], rels, variant)
+        units = dependency_units(hw[1:], hr[1:])
+        w_con, b_con = self.conv[direction]
+        act = np.tanh(units.reshape(-1, units.shape[-1]) @ w_con.data.T + b_con.data)
+        return act.reshape(len(units), len(paths), -1).max(axis=0)
+
+    def _heads_batch(self, g_fwd: np.ndarray, g_bwd: np.ndarray):
+        """classify plus softmax on (B, C) rows: (y_fwd, y_bwd, y_coarse), each (B, classes)."""
+        (wf, bf), (wb, bb) = self.fine_heads[FWD], self.fine_heads[BWD]
+        wc_f, wc_b, bc = self.coarse_head
+        z_fwd = g_fwd @ wf.data.T + bf.data
+        z_bwd = g_bwd @ wb.data.T + bb.data
+        z_coarse = g_fwd @ wc_f.data.T + g_bwd @ wc_b.data.T + bc.data
+        return softmax_array(z_fwd), softmax_array(z_bwd), softmax_array(z_coarse)
 
     # -- persistence -------------------------------------------------------
 

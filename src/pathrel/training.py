@@ -61,7 +61,6 @@ class ExperimentConfig(Document):
     epochs: int = 10
     val_size: int = 0
     train_path: str | None = None
-    test_path: str | None = None
     embeddings_path: str | None = None
     checkpoint_path: str | None = None
     log_path: str | None = None
@@ -132,8 +131,7 @@ class TrainResult:
 
 def _score_prepared(model: RelationModel, prepared, alpha=None) -> ConfusionMatrix:
     cm = ConfusionMatrix(model.schema)
-    for ex in prepared:
-        pred, _ = model.predict(ex.path, alpha)
+    for ex, (pred, _) in zip(prepared, model.predict_batch([ex.path for ex in prepared], alpha)):
         cm.add(ex.label, pred)
     return cm
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from pathrel import cli
+from pathrel.autodiff import NonScalarLoss, ShapeMismatch
 from pathrel.cli import main
 from pathrel.data import load_dataset, parse_path_line
-from pathrel.model import ModelConfig
+from pathrel.model import EmptyPath, ModelConfig
 from pathrel.structreg import CutRule
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import ExperimentConfig, train
@@ -219,6 +221,7 @@ class TestTrainEval:
         "schema-no-types": "'types'",
         "config-unknown-key": "'bogus'",
         "config-word-dim-text": "word_dim",
+        "config-test-path": "'test_path'",
         "meta-config-unknown-key": "'bogus'",
         "meta-rule-string": "rule",
         "meta-schema-no-types": "'types'",
@@ -242,6 +245,8 @@ class TestTrainEval:
         elif case == "config-word-dim-text":
             cfg["model"]["word_dim"] = "abc"
             bad.write_text(json.dumps(cfg))
+        elif case == "config-test-path":
+            bad.write_text(json.dumps({**cfg, "test_path": "test.jsonl"}))
         else:
             meta = doc["meta"]
             if case == "meta-config-unknown-key":
@@ -258,6 +263,22 @@ class TestTrainEval:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and self.DOCUMENT_CASES[case] in err
+
+    @pytest.mark.parametrize("error", [ShapeMismatch, NonScalarLoss, EmptyPath])
+    def test_internal_error_exits_1(self, tmp_path, dataset, capsys, monkeypatch, error):
+        """The library's internal ValueErrors are failures of pathrel, not malformed input."""
+        ck = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)),
+                     "--train", str(dataset), "--checkpoint", str(ck)]) == 0
+
+        def failing_evaluate(*args, **kwargs):
+            raise error("raised inside evaluate")
+
+        monkeypatch.setattr(cli, "evaluate", failing_evaluate)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: {error.__name__}: raised inside evaluate")
 
 
 class TestDictMatch:

@@ -35,7 +35,7 @@ class TestToDict:
     def test_experiment_config_nests(self):
         assert ExperimentConfig().to_dict() == {
             "model": MODEL_DICT, "rule": RULE_DICT, "schema": "semeval", "seed": 0,
-            "epochs": 10, "val_size": 0, "train_path": None, "test_path": None,
+            "epochs": 10, "val_size": 0, "train_path": None,
             "embeddings_path": None, "checkpoint_path": None, "log_path": None,
         }
 

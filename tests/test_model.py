@@ -1,11 +1,16 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import PerGateReference, per_gate_tensors
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_acceptance import COMPARISON_GEN, COMPARISON_MODEL
 
 from pathrel import checkpoint as ckpt
+from pathrel import model as model_module
 from pathrel.autodiff import ParamStore, backward, constant, finite_difference_check
 from pathrel.depgraph import PathEdge, SdpPath
 from pathrel.labels import BUILTIN_SCHEMAS, synth_schema
@@ -15,6 +20,7 @@ from pathrel.model import (
     LSTM_PAPER_LITERAL,
     LSTM_STANDARD,
     UNK,
+    EmptyPath,
     LstmCell,
     ModelConfig,
     Prediction,
@@ -26,7 +32,9 @@ from pathrel.model import (
     load_word_embeddings,
     lstm_step,
 )
-from pathrel.structreg import SR_LINK, invert_path
+from pathrel.structreg import SR_LINK, CutRule, invert_path
+from pathrel.synth import SynthConfig, generate
+from pathrel.training import build_vocabs, prepare_paths
 
 SMALL = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=1.0, l2_lambda=0.0)
 
@@ -185,10 +193,12 @@ class TestDimensions:
 class TestForward:
     def test_distributions_normalized(self):
         model = small_model()
-        y_fwd, y_bwd, y_coarse = model.forward(make_path())
-        for y, size in ((y_fwd, 5), (y_bwd, 5), (y_coarse, 3)):
-            assert y.data.shape == (size,)
-            assert abs(y.data.sum() - 1.0) < 1e-12
+        paths = [make_path(), make_path(forms=("cat",), rels=())]
+        for _, pred in [model.predict(make_path()), *model.predict_batch(paths)]:
+            for y, size in ((pred.y_fwd, 5), (pred.y_bwd, 5), (pred.y_coarse, 3),
+                            (pred.y_test, 5)):
+                assert y.shape == (size,)
+                assert abs(y.sum() - 1.0) < 1e-12
 
     def test_uniform_loss_with_zeroed_heads(self):
         schema = BUILTIN_SCHEMAS["semeval"]
@@ -251,7 +261,9 @@ class TestForward:
         model = small_model()
         bare = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),))
         with pytest.raises(ValueError, match="surface forms"):
-            model.forward(bare)
+            model.predict(bare)
+        with pytest.raises(ValueError, match="surface forms"):
+            model.predict_batch([make_path(), bare])
 
 
 class TestGradients:
@@ -349,6 +361,103 @@ class TestPerGateOracle:
         file.write_text(json.dumps(doc))
         with pytest.raises(ckpt.CheckpointError, match="bwd/rel_cell"):
             ckpt.load_checkpoint(file)
+
+
+def assert_predictions_close(got, want, tol=1e-12):
+    """Equal labels and every distribution within tol, for (label, Prediction) pairs."""
+    (label, pred), (ref_label, ref_pred) = got, want
+    assert label == ref_label
+    for name in ("y_fwd", "y_bwd", "y_coarse", "y_test"):
+        a, b = getattr(pred, name), getattr(ref_pred, name)
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) < tol, name
+
+
+class TestPredictBatch:
+    """The tape-free batched decode against the per-gate tape (tests/helpers.py)."""
+
+    # lengths 1 to 5; five paths of three nodes, so one group spans three slices
+    PATHS = [
+        make_path(forms=("cat",), rels=()),
+        make_path(),
+        make_path(forms=("dog", "park"), rels=(("prep", "DOWN"),)),
+        make_path(forms=("park", "chased", "cat"), rels=((SR_LINK, "UP"), ("nsubj", "DOWN"))),
+        make_path(forms=("cat", "chased", "cat", "park"),
+                  rels=(("nsubj", "UP"), (SR_LINK, "DOWN"), ("prep", "DOWN"))),
+        make_path(forms=("dog",), rels=()),
+        make_path(forms=("xyzzy", "chased", "dog"), rels=(("weird", "UP"), ("dobj", "DOWN"))),
+        make_path(forms=("dog", "chased", "cat"), rels=(("dobj", "UP"), ("nsubj", "DOWN"))),
+        make_path(forms=("park", "dog", "chased", "cat", "cat2"),
+                  rels=(("prep", "UP"), ("dobj", "UP"), ("nsubj", "DOWN"), ("amod", "DOWN"))),
+        make_path(forms=("cat", "park", "dog"), rels=(("prep", "DOWN"), (SR_LINK, "UP"))),
+    ]
+
+    @pytest.fixture
+    def small_slices(self, monkeypatch):
+        monkeypatch.setattr(model_module, "PREDICT_BATCH", 2)
+
+    @pytest.mark.usefixtures("small_slices")
+    @pytest.mark.parametrize("variant", [LSTM_STANDARD, LSTM_PAPER_LITERAL])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_per_gate_reference(self, variant, shared):
+        cfg = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, lstm_variant=variant,
+                          share_fine_heads=shared, alpha=0.3)
+        model = small_model(config=cfg, seed=6)
+        reference = PerGateReference(model)
+        assert sum(len(p.nodes) == 3 for p in self.PATHS) > 2 * model_module.PREDICT_BATCH
+        for got, path in zip(model.predict_batch(self.PATHS), self.PATHS):
+            assert_predictions_close(got, reference.predict(path))
+        for got, path in zip(model.predict_batch(self.PATHS, alpha=0.9), self.PATHS):
+            assert_predictions_close(got, reference.predict(path, alpha=0.9))
+
+    @pytest.mark.usefixtures("small_slices")
+    def test_output_follows_input_order(self):
+        model = small_model(seed=2)
+        singles = [model.predict(p) for p in self.PATHS]
+        order = np.random.default_rng(0).permutation(len(self.PATHS))
+        shuffled = model.predict_batch([self.PATHS[i] for i in order])
+        for got, i in zip(shuffled, order):
+            assert_predictions_close(got, singles[i])
+
+    def test_empty_input(self):
+        assert small_model().predict_batch([]) == []
+
+    def test_empty_path_rejected(self):
+        empty = SimpleNamespace(nodes=(), edges=(), forms=(), pos=())
+        with pytest.raises(EmptyPath):
+            small_model().predict_batch([make_path(), empty])
+        with pytest.raises(EmptyPath):
+            small_model().predict(empty)
+
+    @pytest.mark.usefixtures("small_slices")
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40),
+           rule=st.sampled_from(["none", "prep"]),
+           variant=st.sampled_from([LSTM_STANDARD, LSTM_PAPER_LITERAL]))
+    def test_batched_matches_per_example_on_synth_paths(self, seed, n, rule, variant):
+        corpus = generate(SynthConfig(n=n, seed=seed, k_types=3, blocks=3, fillers=2,
+                                      prep_density=0.6, bridge_prob=0.3))
+        prepared = prepare_paths(corpus, CutRule(variant=rule))
+        words, rels = build_vocabs(prepared[: max(1, n // 2)])  # the rest sees OOV rows
+        model = RelationModel(ModelConfig(word_dim=5, rel_dim=3, conv_dim=4, lstm_variant=variant),
+                              synth_schema(3), words, rels, seed=seed)
+        paths = [ex.path for ex in prepared]
+        for got, path in zip(model.predict_batch(paths), paths):
+            assert_predictions_close(got, model.predict(path))
+
+    def test_acceptance_corpora_match_per_gate_reference(self):
+        """Acceptance 06's test set under both of its rules, at its model size."""
+        corpus = generate(SynthConfig(n=2500, seed=12, **COMPARISON_GEN))[2000:]
+        for variant in ("prep", "none"):
+            prepared = prepare_paths(corpus, CutRule(variant=variant))
+            lengths = [len(ex.path.nodes) for ex in prepared]
+            assert max(map(lengths.count, lengths)) > model_module.PREDICT_BATCH
+            words, rels = build_vocabs(prepared)
+            model = RelationModel(COMPARISON_MODEL, synth_schema(9), words, rels, seed=1)
+            reference = PerGateReference(model)
+            batched = model.predict_batch([ex.path for ex in prepared])
+            for got, ex in zip(batched[::5], prepared[::5]):
+                assert_predictions_close(got, reference.predict(ex.path))
 
 
 def mirror_name(name):
