@@ -240,22 +240,6 @@ def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
     return out
 
 
-def gather_rows(table: Tensor, rows) -> Tensor:
-    """The (T, D) rows of a 2-D table; the gradient scatter-adds back into it."""
-    if table.data.ndim != 2:
-        raise ShapeMismatch(f"gather_rows: expected a 2-D table, got {table.data.shape}")
-    rows = np.asarray(rows, dtype=np.intp)
-    out = Tensor(table.data[rows], _parents=(table,))
-
-    def backward(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, rows, g)
-
-    out._backward = backward
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reverse pass
 

@@ -21,6 +21,8 @@ import json
 
 import numpy as np
 
+from .atomic import atomic_open
+
 FORMAT_NAME = "pathrel-checkpoint"
 FORMAT_VERSION = 2
 V1_GATES = ("g", "i", "f", "o")
@@ -36,7 +38,7 @@ def checkpoint_bytes(tensors: dict[str, np.ndarray], meta: dict | None = None) -
         "version": FORMAT_VERSION,
         "meta": meta or {},
         "tensors": {
-            name: {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
+            name: {"shape": list(arr.shape), "data": np.asarray(arr, np.float64).ravel().tolist()}
             for name, arr in sorted(tensors.items())
         },
     }
@@ -44,7 +46,7 @@ def checkpoint_bytes(tensors: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(checkpoint_bytes(tensors, meta))
 
 

@@ -18,6 +18,7 @@ import logging
 import sys
 
 from . import __version__
+from .atomic import atomic_open
 from .autodiff import NonScalarLoss, ShapeMismatch
 from .checkpoint import CheckpointError
 from .data import DatasetError, format_paths, load_dataset, load_entity_pairs, save_dataset
@@ -52,7 +53,7 @@ def _write_out(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 

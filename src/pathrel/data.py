@@ -21,6 +21,7 @@ import json
 import logging
 from collections import Counter
 
+from .atomic import atomic_open
 from .depgraph import (
     ConlluError,
     EntitySpan,
@@ -75,7 +76,7 @@ def record_to_instance(doc: dict, schema: LabelSchema | None = None) -> Instance
 
 
 def save_dataset(path, instances) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
             fh.write(json.dumps(instance_to_record(inst), sort_keys=True, separators=(",", ":")))
             fh.write("\n")
@@ -171,7 +172,7 @@ def format_paths(rows, as_json: bool = False) -> str:
 
 
 def write_paths(path, rows, as_json: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(format_paths(rows, as_json))
 
 

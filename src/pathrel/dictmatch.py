@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .atomic import atomic_open
+
 
 @dataclass(frozen=True)
 class Match:
@@ -43,5 +45,5 @@ def format_standoff(matches) -> str:
 
 
 def write_standoff(path, matches) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(format_standoff(matches))

@@ -22,11 +22,8 @@ from .autodiff import (
     ParamStore,
     Tensor,
     add,
-    constant,
     dropout_mask,
-    gather_rows,
     matmul,
-    mul,
     sigmoid_array,
     softmax_array,
     softmax_cross_entropy,
@@ -34,7 +31,7 @@ from .autodiff import (
 from .codec import Document
 from .depgraph import SdpPath
 from .labels import LabelSchema
-from .structreg import SR_LINK, invert_path
+from .structreg import SR_LINK
 
 logger = logging.getLogger(__name__)
 
@@ -195,13 +192,16 @@ def lstm_step(cell: LstmCell, z: np.ndarray, h_prev, s_prev, variant: str = LSTM
     return h, s
 
 
-def lstm_forward(cell: LstmCell, x: np.ndarray, variant: str = LSTM_STANDARD):
-    """The recurrence over x's first (time) axis; returns (gate activations, hs, ss).
+def channel_forward(cell: LstmCell, table: np.ndarray, rows, mask=None, variant=LSTM_STANDARD):
+    """Embed, mask and recur over rows' first (time) axis; returns (x, gate activations, hs, ss).
 
-    x is (T, X) for one path or (T, B, X) for B paths of equal length.  One
-    GEMM projects every input; hs and ss hold the zero start state in row 0
-    and h_t, s_t in row t+1.
+    rows is (T,) for one path or (T, B) for B paths of equal length, and
+    mask, if any, matches x = table[rows].  One GEMM projects every input;
+    hs and ss hold the zero start state in row 0 and h_t, s_t in row t+1.
     """
+    x = table[rows]
+    if mask is not None:
+        x *= mask
     steps, lead = x.shape[0], x.shape[:-1]
     acts = x.reshape(-1, cell.input_dim) @ cell.w.data[:, : cell.input_dim].T
     acts = acts.reshape(*lead, 4 * cell.hidden_dim)
@@ -209,22 +209,21 @@ def lstm_forward(cell: LstmCell, x: np.ndarray, variant: str = LSTM_STANDARD):
     ss = np.zeros_like(hs)
     for t in range(steps):
         hs[t + 1], ss[t + 1] = lstm_step(cell, acts[t], hs[t], ss[t], variant)
-    return acts, hs, ss
+    return x, acts, hs, ss
 
 
-def lstm_sequence(cell: LstmCell, xs: Tensor, variant: str = LSTM_STANDARD) -> Tensor:
-    """Every step of one channel as one tape node: the (T, H) hidden states.
+def lstm_channel(cell: LstmCell, table: Tensor, rows, mask=None, variant=LSTM_STANDARD) -> Tensor:
+    """channel_forward over one path as one tape node: the (T, H) hidden states.
 
-    lstm_forward runs the recurrence.  The backward pass is
-    backpropagation through time; the packed weight gradient is one GEMM,
-    dW = dZ^T [X | H_prev].
+    The backward pass is backpropagation through time; the packed weight
+    gradient is one GEMM, dW = dZ^T [X | H_prev], and (dZ W_x) * mask
+    scatter-adds into the table's gradient in row order.
     """
     n, x_dim = cell.hidden_dim, cell.input_dim
     w = cell.w.data
-    x = xs.data
+    x, acts, hs, ss = channel_forward(cell, table.data, rows, mask, variant)
     steps = x.shape[0]
-    acts, hs, ss = lstm_forward(cell, x, variant)
-    out = Tensor(hs[1:], _parents=(xs, cell.w, cell.b))
+    out = Tensor(hs[1:], _parents=(table, cell.w, cell.b))
 
     def backward(dh_out):
         gates = acts.reshape(steps, 4, n)
@@ -253,7 +252,12 @@ def lstm_sequence(cell: LstmCell, xs: Tensor, variant: str = LSTM_STANDARD) -> T
             if t:
                 dh_next = w_h_t @ dz[t].reshape(-1)
         dz = dz.reshape(steps, 4 * n)
-        xs.add_grad(dz @ w[:, :x_dim], fresh=True)
+        dx = dz @ w[:, :x_dim]
+        if mask is not None:
+            dx *= mask
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, rows, dx)
         cell.w.add_grad(dz.T @ np.hstack([x, hs[:-1]]), fresh=True)
         cell.b.add_grad(dz.sum(axis=0), fresh=True)
 
@@ -261,34 +265,35 @@ def lstm_sequence(cell: LstmCell, xs: Tensor, variant: str = LSTM_STANDARD) -> T
     return out
 
 
-def dependency_units(hw: np.ndarray, hr: np.ndarray) -> np.ndarray:
-    """Unit i = [word_i | rel_i | word_i+1] along the first (time) axis.
+def conv_forward(hw: np.ndarray, hr: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """tanh convolution over every dependency unit, then the max over units.
 
-    hw is (T, ..., H) and hr (T-1, ..., R).  A single-node path gives one
-    pseudo-unit [word_0 | 0 | word_0].
+    hw is (T, ..., H) and hr (T-1, ..., R).  Unit i = [word_i | rel_i |
+    word_i+1]; a single-node path gives one pseudo-unit [word_0 | 0 |
+    word_0].  One GEMM scores every unit.  Returns (units, act, pooled).
     """
     if len(hw) == 1:
-        return np.concatenate([hw, np.zeros((1, *hr.shape[1:])), hw], axis=-1)
-    return np.concatenate([hw[:-1], hr, hw[1:]], axis=-1)
+        units = np.concatenate([hw, np.zeros((1, *hr.shape[1:])), hw], axis=-1)
+    else:
+        units = np.concatenate([hw[:-1], hr, hw[1:]], axis=-1)
+    act = np.tanh(units.reshape(-1, units.shape[-1]) @ w.T + b).reshape(*units.shape[:-1], -1)
+    return units, act, act.max(axis=0)
 
 
 def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Tensor) -> Tensor:
-    """tanh convolution over every dependency unit, then an elementwise max.
+    """conv_forward over one path's states as one tape node: its (C,) pooled features.
 
-    One GEMM scores every unit of dependency_units, and the max keeps the
-    first occurrence on ties.  A single-node path (both entity heads
-    identical) pools one pseudo-unit built from the word state with a zero
-    relation slot.
+    A single-node path (both entity heads identical) pools one pseudo-unit
+    built from the word state with a zero relation slot.
     """
-    hw, hr = word_states.data, rel_states.data
+    hw = word_states.data
     n_words, dim = hw.shape
     if n_words == 1:
         logger.debug("single-node path: pooling a pseudo-unit with zero relation state")
-    units = dependency_units(hw, hr)
-    act = np.tanh(units @ w_con.data.T + b_con.data)
-    winner = np.argmax(act, axis=0)  # first occurrence on ties
+    units, act, pooled = conv_forward(hw, rel_states.data, w_con.data, b_con.data)
+    winner = np.argmax(act, axis=0)  # the max's first occurrence takes the gradient
     cols = np.arange(act.shape[1])
-    out = Tensor(act[winner, cols], _parents=(word_states, rel_states, w_con, b_con))
+    out = Tensor(pooled, _parents=(word_states, rel_states, w_con, b_con))
 
     def backward(g):
         dpre = np.zeros_like(act)
@@ -417,32 +422,38 @@ class RelationModel:
 
     # -- forward pieces -------------------------------------------------
 
+    def _rows(self, path: SdpPath, direction: str):
+        """The path's word and relation embedding rows, read in direction.
+
+        The backward rows are the inverted path's: both reversed, and each
+        known relation's UP and DOWN rows (2i, 2i+1) swapped.
+        """
+        _check_path(path)
+        words = [self.word_vocab.index(form) for form in path.forms]
+        rels = [self.rel_vocab.row(edge.deprel, edge.direction) for edge in path.edges]
+        if direction == BWD:
+            unk = self.rel_vocab.table_size - 1
+            words, rels = words[::-1], [r if r == unk else r ^ 1 for r in reversed(rels)]
+        return words, rels
+
     def encode_path(self, path: SdpPath, direction: str, dropout_rng=None):
         """(T, H) word-channel and (T-1, H) relation-channel LSTM states.
 
-        The backward direction consumes the inverted path, whose flipped
-        edge directions select the reverse-relation embedding rows.  With
-        a dropout rng the embedded inputs are masked (training mode), one
-        mask per channel.
+        Each channel is one lstm_channel node over the rows _rows reads in
+        direction.  With a dropout rng the embedded inputs are masked
+        (training mode), one mask per channel, the word mask drawn first.
         """
-        _check_path(path)
-        p = path if direction == FWD else invert_path(path)
         cfg = self.config
-        words = gather_rows(self.emb_word, [self.word_vocab.index(form) for form in p.forms])
-        rels = gather_rows(
-            self.emb_rel, [self.rel_vocab.row(edge.deprel, edge.direction) for edge in p.edges]
-        )
-        if dropout_rng is not None and cfg.keep_prob < 1.0:
-            words = mul(words, constant(dropout_mask(words.shape, cfg.keep_prob, dropout_rng)))
-            rels = mul(rels, constant(dropout_mask(rels.shape, cfg.keep_prob, dropout_rng)))
-        word_states = lstm_sequence(self.cells[(direction, "word")], words, cfg.lstm_variant)
-        rel_states = lstm_sequence(self.cells[(direction, "rel")], rels, cfg.lstm_variant)
-        return word_states, rel_states
-
-    def pooled(self, path: SdpPath, direction: str, dropout_rng=None) -> Tensor:
-        word_states, rel_states = self.encode_path(path, direction, dropout_rng)
-        w_con, b_con = self.conv[direction]
-        return conv_pool(word_states, rel_states, w_con, b_con)
+        states = []
+        for channel, table, rows in zip(
+            ("word", "rel"), (self.emb_word, self.emb_rel), self._rows(path, direction)
+        ):
+            mask = None
+            if dropout_rng is not None and cfg.keep_prob < 1.0:
+                mask = dropout_mask((len(rows), table.shape[1]), cfg.keep_prob, dropout_rng)
+            cell = self.cells[(direction, channel)]
+            states.append(lstm_channel(cell, table, rows, mask, cfg.lstm_variant))
+        return tuple(states)
 
     def classify(self, g_fwd: Tensor, g_bwd: Tensor):
         """Fine logits per direction plus the coarse logits."""
@@ -453,11 +464,6 @@ class RelationModel:
         wc_f, wc_b, bc = self.coarse_head
         z_coarse = add(add(matmul(wc_f, g_fwd), matmul(wc_b, g_bwd)), bc)
         return z_fwd, z_bwd, z_coarse
-
-    def logits(self, path: SdpPath, dropout_rng=None):
-        g_fwd = self.pooled(path, FWD, dropout_rng)
-        g_bwd = self.pooled(path, BWD, dropout_rng)
-        return self.classify(g_fwd, g_bwd)
 
     def _l2_filter(self, name: str) -> bool:
         if self.config.l2_include_embeddings:
@@ -473,7 +479,10 @@ class RelationModel:
         t_fwd = self.schema.fine_index(label)
         t_bwd = self.schema.flip(t_fwd)
         t_coarse = self.schema.coarse_index(label)
-        z_fwd, z_bwd, z_coarse = self.logits(path, dropout_rng)
+        g_fwd, g_bwd = (
+            conv_pool(*self.encode_path(path, d, dropout_rng), *self.conv[d]) for d in (FWD, BWD)
+        )
+        z_fwd, z_bwd, z_coarse = self.classify(g_fwd, g_bwd)
         j = add(
             add(softmax_cross_entropy(z_fwd, t_fwd), softmax_cross_entropy(z_bwd, t_bwd)),
             softmax_cross_entropy(z_coarse, t_coarse),
@@ -493,12 +502,12 @@ class RelationModel:
 
         Returns one (label, Prediction with y_test) per path.  Paths of
         equal node count run together, at most PREDICT_BATCH at a time, so
-        nothing is padded or masked.
+        nothing is padded or masked.  Each direction runs the tape nodes'
+        forwards, channel_forward and conv_forward, on the whole slice.
         """
         alpha = self.config.alpha if alpha is None else alpha
         groups: dict[int, list[int]] = {}
         for k, path in enumerate(paths):
-            _check_path(path)
             groups.setdefault(len(path.nodes), []).append(k)
         out = [None] * len(paths)
         for members in groups.values():
@@ -515,21 +524,14 @@ class RelationModel:
 
     def _pooled_batch(self, paths, direction: str) -> np.ndarray:
         """(B, C) pooled features of B paths of equal length, time-major inside."""
-        if direction == BWD:
-            paths = [invert_path(p) for p in paths]
+        words, rels = zip(*(self._rows(p, direction) for p in paths))
         variant = self.config.lstm_variant
-        word_rows = np.array([[self.word_vocab.index(f) for f in p.forms] for p in paths]).T
-        rel_rows = np.array(
-            [[self.rel_vocab.row(e.deprel, e.direction) for e in p.edges] for p in paths],
-            dtype=np.intp,
-        ).reshape(len(paths), -1).T
-        words, rels = self.emb_word.data[word_rows], self.emb_rel.data[rel_rows]  # (T, B, D)
-        _, hw, _ = lstm_forward(self.cells[(direction, "word")], words, variant)
-        _, hr, _ = lstm_forward(self.cells[(direction, "rel")], rels, variant)
-        units = dependency_units(hw[1:], hr[1:])
+        hw = channel_forward(self.cells[(direction, "word")], self.emb_word.data,
+                             np.array(words, dtype=np.intp).T, variant=variant)[2]
+        hr = channel_forward(self.cells[(direction, "rel")], self.emb_rel.data,
+                             np.array(rels, dtype=np.intp).T, variant=variant)[2]
         w_con, b_con = self.conv[direction]
-        act = np.tanh(units.reshape(-1, units.shape[-1]) @ w_con.data.T + b_con.data)
-        return act.reshape(len(units), len(paths), -1).max(axis=0)
+        return conv_forward(hw[1:], hr[1:], w_con.data, b_con.data)[2]
 
     def _heads_batch(self, g_fwd: np.ndarray, g_bwd: np.ndarray):
         """classify plus softmax on (B, C) rows: (y_fwd, y_bwd, y_coarse), each (B, classes)."""

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_open
 from .autodiff import backward
 from .codec import Document
 from .data import load_dataset
@@ -42,6 +44,10 @@ logger = logging.getLogger(__name__)
 
 class SchemaMismatch(ValueError):
     pass
+
+
+class NonFiniteError(ValueError):
+    """Training reached a NaN or infinite loss or parameter; nothing was written."""
 
 
 class PreparedExample(NamedTuple):
@@ -77,7 +83,7 @@ class ExperimentConfig(Document):
             return cls.from_dict(json.load(fh), source=str(path))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -140,8 +146,10 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
     """Run one experiment; returns the best-validation model.
 
     The model is restored to the epoch with the highest validation
-    macro-F1 (earliest on ties) before the checkpoint is written.  With
-    val_size = 0 the training set itself is scored instead.
+    macro-F1 (the later epoch on ties) before the checkpoint is written.  With
+    val_size = 0 the training set itself is scored instead.  A loss that
+    is not finite, or a parameter that is not at the end of an epoch,
+    raises NonFiniteError before anything is written.
     """
     schema = load_schema(config.schema)
     if train_instances is None:
@@ -184,9 +192,16 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
         for i in order:
             ex = fit[int(i)]
             loss, _ = model.loss(ex.path, ex.label, dropout_rng=master if use_dropout else None)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                ordinal = int(perm[config.val_size + int(i)])
+                raise NonFiniteError(f"epoch {epoch}: instance {ex.sid or ordinal}: loss is {value}")
             backward(loss)
             adadelta_step(model.store, optimizer)
-            total += float(loss.data)
+            total += value
+        bad = [name for name, t in model.store.items() if not np.isfinite(t.data).all()]
+        if bad:
+            raise NonFiniteError(f"epoch {epoch}: parameters not finite: {', '.join(bad)}")
         mean_loss = total / len(fit)
         f1 = _score_prepared(model, score_set).macro_f1()
         result.history.append({"epoch": epoch, "loss": mean_loss, "macro_f1": f1})
@@ -203,7 +218,7 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
     if config.checkpoint_path:
         model.save(config.checkpoint_path, extra_meta={"rule": config.rule.to_dict()})
     if config.log_path:
-        with open(config.log_path, "w", encoding="utf-8") as fh:
+        with atomic_open(config.log_path, "w", encoding="utf-8") as fh:
             for row in result.history:
                 fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
                 fh.write("\n")

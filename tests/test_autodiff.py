@@ -15,7 +15,6 @@ from pathrel.autodiff import (
     constant,
     dropout_mask,
     finite_difference_check,
-    gather_rows,
     matmul,
     max_over,
     mul,
@@ -155,14 +154,6 @@ class TestBackward:
         assert np.array_equal(a.grad, [2.0])
         assert b.grad is None  # loser receives no contribution at all
 
-    def test_gather_rows_scatters_and_accumulates(self):
-        store = ParamStore()
-        table = store.add("t", [[1.0, 2.0], [3.0, 4.0]])
-        rows = gather_rows(table, [1, 1])
-        assert np.array_equal(rows.data, [[3.0, 4.0], [3.0, 4.0]])
-        backward(sum_squares(rows))
-        assert np.array_equal(table.grad, [[0.0, 0.0], [12.0, 16.0]])
-
     def test_l2_penalty_gradient_exact(self):
         store = ParamStore()
         w = store.add("w", [[0.5, -2.0], [3.0, 0.25]])
@@ -203,17 +194,6 @@ class TestFiniteDifferenceAgainstOps:
             gated = mul(sigmoid(u), tanh(v))
             pooled = max_over([gated, mul(w, constant(np.full(5, 0.9)))])
             return sum_squares(concat([pooled, sigmoid(v)]))
-
-        check_store(loss_fn, store)
-
-    def test_embedding_lookup(self):
-        rng = np.random.default_rng(3)
-        store = ParamStore()
-        table = store.add("emb", rng.normal(size=(4, 3)) * 0.5)
-        weights = constant(rng.normal(size=(3, 3)))
-
-        def loss_fn():
-            return sum_squares(mul(gather_rows(table, [2, 0, 2]), weights))
 
         check_store(loss_fn, store)
 

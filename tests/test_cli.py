@@ -9,7 +9,7 @@ from pathrel.data import load_dataset, parse_path_line
 from pathrel.model import EmptyPath, ModelConfig
 from pathrel.structreg import CutRule
 from pathrel.synth import SynthConfig, generate
-from pathrel.training import ExperimentConfig, train
+from pathrel.training import ExperimentConfig, entity_path, train
 
 CONLLU = (
     "1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
@@ -280,6 +280,21 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith(f"internal error: {error.__name__}: raised inside evaluate")
 
+
+    def test_non_finite_loss_exits_3_and_writes_nothing(self, tmp_path, dataset, capsys):
+        """A NaN embedding for a training word makes the first loss NaN."""
+        forms = [f for inst in load_dataset(dataset) for f in
+                 entity_path(inst.tree, inst.e1, inst.e2, CutRule()).forms]
+        word = max(set(forms), key=forms.count)
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"{word} nan nan nan nan nan nan\n", encoding="utf-8")
+        ck, log = tmp_path / "m.ckpt", tmp_path / "m.log"
+        capsys.readouterr()
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
+                     "--embeddings", str(emb), "--checkpoint", str(ck), "--log", str(log)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 1: instance ") and "loss is nan" in err
+        assert not ck.exists() and not log.exists()
 
 class TestDictMatch:
     def test_standoff_output(self, tmp_path, capsys):

@@ -4,14 +4,21 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import PerGateReference, per_gate_tensors
+from helpers import PerGateReference, per_gate_tensors, sum_squares
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import COMPARISON_GEN, COMPARISON_MODEL
 
 from pathrel import checkpoint as ckpt
 from pathrel import model as model_module
-from pathrel.autodiff import ParamStore, backward, constant, finite_difference_check
+from pathrel.autodiff import (
+    ParamStore,
+    add,
+    backward,
+    constant,
+    dropout_mask,
+    finite_difference_check,
+)
 from pathrel.depgraph import PathEdge, SdpPath
 from pathrel.labels import BUILTIN_SCHEMAS, synth_schema
 from pathrel.model import (
@@ -30,6 +37,7 @@ from pathrel.model import (
     conv_pool,
     decode,
     load_word_embeddings,
+    lstm_channel,
     lstm_step,
 )
 from pathrel.structreg import SR_LINK, CutRule, invert_path
@@ -166,6 +174,91 @@ class TestConvPool:
         b = constant(np.zeros(1))
         out = conv_pool(constant([[0.3]]), constant(np.zeros((0, 1))), w, b)
         assert out.data[0] == np.tanh(0.6)
+
+
+PATH_FORMS = ("cat", "chased", "dog", "park", "xyzzy")  # xyzzy is out of vocabulary
+PATH_RELS = ("nsubj", "dobj", "prep", SR_LINK, "weird")  # weird is unseen: the UNK row
+
+
+@st.composite
+def sdp_paths(draw):
+    n = draw(st.integers(1, 8))
+    return make_path(
+        forms=draw(st.lists(st.sampled_from(PATH_FORMS), min_size=n, max_size=n)),
+        rels=draw(st.lists(st.tuples(st.sampled_from(PATH_RELS), st.sampled_from(["UP", "DOWN"])),
+                           min_size=n - 1, max_size=n - 1)),
+    )
+
+
+class TestRows:
+    @staticmethod
+    def read_off(model, path):
+        return (
+            [model.word_vocab.index(form) for form in path.forms],
+            [model.rel_vocab.row(edge.deprel, edge.direction) for edge in path.edges],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=sdp_paths())
+    def test_backward_rows_are_the_inverted_paths(self, path):
+        model = small_model()
+        for direction, oracle in ((FWD, path), (BWD, invert_path(path))):
+            words, rels = model._rows(path, direction)
+            assert (words, rels) == self.read_off(model, oracle)
+
+    def test_unseen_relation_keeps_the_unk_row(self):
+        model = small_model()
+        path = make_path(rels=(("weird", "UP"), (SR_LINK, "DOWN")))
+        unk, link_down = model.rel_vocab.table_size - 1, model.rel_vocab.row(SR_LINK, "DOWN")
+        assert model._rows(path, BWD)[1] == [link_down - 1, unk]
+
+
+class TestLstmChannel:
+    """One channel node against the per-gate tape: per-step lookups, masks and cells."""
+
+    PATH = make_path(forms=("cat", "chased", "cat", "park", "cat"),
+                     rels=(("nsubj", "UP"), (SR_LINK, "DOWN"), ("prep", "DOWN"), ("dobj", "UP")))
+
+    @pytest.mark.parametrize("variant", [LSTM_STANDARD, LSTM_PAPER_LITERAL])
+    @pytest.mark.parametrize("direction", [FWD, BWD])
+    def test_table_gradient_matches_per_gate_reference(self, variant, direction):
+        cfg = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5, lstm_variant=variant)
+        model = small_model(config=cfg, seed=9)
+        reference = PerGateReference(model)
+        rows = model._rows(self.PATH, direction)[0]
+        assert len(set(rows)) < len(rows)  # a repeated word accumulates
+
+        rng_node, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        mask = dropout_mask((len(rows), cfg.word_dim), cfg.keep_prob, rng_node)
+        states = lstm_channel(model.cells[(direction, "word")], model.emb_word, rows, mask, variant)
+        backward(sum_squares(states))
+        ref_states = reference._channel(reference._cell(direction, "word"),
+                                        reference.store["emb/word"], rows, cfg.word_dim, rng_ref)
+        ref_loss = sum_squares(ref_states[0])
+        for h in ref_states[1:]:
+            ref_loss = add(ref_loss, sum_squares(h))
+        backward(ref_loss)
+
+        assert np.max(np.abs(states.data - np.stack([h.data for h in ref_states]))) < 1e-12
+        ref_grads = reference.packed_grads()
+        for name in ("emb/word", f"{direction}/word_cell/w", f"{direction}/word_cell/b"):
+            assert np.max(np.abs(model.store[name].grad - ref_grads[name])) < 1e-12, name
+
+    @pytest.mark.parametrize("variant", [LSTM_STANDARD, LSTM_PAPER_LITERAL])
+    def test_finite_differences_with_repeated_rows_and_mask(self, variant):
+        model = small_model(seed=3)
+        rows = [2, 0, 2]
+        mask = dropout_mask((3, model.config.word_dim), 0.5, 11)
+        cell = model.cells[(FWD, "word")]
+
+        def loss_fn():
+            return sum_squares(lstm_channel(cell, model.emb_word, rows, mask, variant))
+
+        names = ["emb/word", "fwd/word_cell/w", "fwd/word_cell/b"]
+        records = finite_difference_check(loss_fn, model.store, max_coords=8, rng=2, names=names)
+        assert {r[0] for r in records} == set(names)
+        worst = max(records, key=lambda r: r[4])
+        assert worst[4] < 1e-4, f"gradient mismatch {worst}"
 
 
 class TestDimensions:

@@ -9,8 +9,10 @@ from pathrel.depgraph import DependencyTree, EntitySpan, Instance, Token, path_b
 from pathrel.model import ModelConfig
 from pathrel.structreg import CutRule, cut_and_line, extract_sr_sdp
 from pathrel.synth import SynthConfig, generate
+from pathrel import training
 from pathrel.training import (
     ExperimentConfig,
+    NonFiniteError,
     SchemaMismatch,
     build_vocabs,
     evaluate,
@@ -138,6 +140,21 @@ class TestTrainLoop:
         res = train(tiny_config(train_path=str(data)), train_instances=None)
         assert len(res.history) == 2
 
+
+    def test_non_finite_parameter_stops_the_epoch(self, tmp_path, monkeypatch):
+        """A step that leaves a parameter NaN stops train before scoring or writing."""
+        step = training.adadelta_step
+
+        def poisoning_step(store, state):
+            step(store, state)
+            store["coarse/b"].data[0] = np.nan
+
+        monkeypatch.setattr(training, "adadelta_step", poisoning_step)
+        ck, log = tmp_path / "m.ckpt", tmp_path / "m.log"
+        cfg = tiny_config(val_size=1, checkpoint_path=str(ck), log_path=str(log))
+        with pytest.raises(NonFiniteError, match="epoch 1: parameters not finite: coarse/b"):
+            train(cfg, train_instances=tiny_corpus(2))
+        assert not ck.exists() and not log.exists()
 
 class TestDeterminism:
     def test_same_seed_byte_identical_outputs(self, tmp_path):
