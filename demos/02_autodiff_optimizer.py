@@ -11,12 +11,12 @@ import numpy as np
 
 from pathrel.autodiff import (
     ParamStore,
+    Tensor,
     add,
     backward,
-    constant,
     finite_difference_check,
     matmul,
-    softmax,
+    softmax_array,
     softmax_cross_entropy,
 )
 from pathrel.optim import AdaDeltaState, adadelta_step
@@ -35,9 +35,9 @@ store.add("w", np.zeros((2, 3)))
 
 
 def batch_loss():
-    total = constant(0.0)
+    total = Tensor(0.0)
     for x, y in zip(POINTS, LABELS):
-        total = add(total, softmax_cross_entropy(matmul(store["w"], constant(x)), y))
+        total = add(total, softmax_cross_entropy(matmul(store["w"], Tensor(x)), y))
     return total
 
 
@@ -61,5 +61,5 @@ for step in range(1, 201):
     if step % 40 == 0 or step == 1:
         print(f"step {step:3d}: loss {float(loss.data):.6f}")
 
-dist = softmax(matmul(store["w"], constant(POINTS[0])))
-print("class distribution for the first point:", np.round(dist.data, 4))
+dist = softmax_array(store["w"].data @ POINTS[0])
+print("class distribution for the first point:", np.round(dist, 4))

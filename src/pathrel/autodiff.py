@@ -6,8 +6,10 @@ accumulates gradients into leaf tensors.  Gradients add up across
 backward calls until explicitly zeroed, so one parameter store can
 collect a whole batch.
 
-numpy supplies the array arithmetic only; the tape, the ops' derivative
-rules, dropout, and the finite-difference checker live here.
+numpy supplies the array arithmetic only; the tape, dropout, the
+finite-difference checker and a small op set (matmul, add and
+softmax_cross_entropy) live here.  The relation model records its own
+fused nodes (model.py), each a numpy forward plus its backward closure.
 """
 
 from __future__ import annotations
@@ -59,18 +61,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
 
-def constant(data) -> Tensor:
-    """A tensor outside the differentiation tape."""
-    return Tensor(data)
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _require_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
 
 
 # ---------------------------------------------------------------------------
@@ -98,58 +90,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatch(f"add: shapes {a.data.shape} and {b.data.shape} differ")
     out = Tensor(a.data + b.data, _parents=(a, b))
 
     def backward(g):
         a.add_grad(g)
         b.add_grad(g)
-
-    out._backward = backward
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "mul")
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
-    def backward(g):
-        a.add_grad(g * b.data)
-        b.add_grad(g * a.data)
-
-    out._backward = backward
-    return out
-
-
-def concat(parts) -> Tensor:
-    """Concatenate 1-D tensors."""
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeMismatch("concat: no inputs")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeMismatch(f"concat: expected 1-D inputs, got shape {p.data.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts]), _parents=tuple(parts))
-    sizes = [p.data.shape[0] for p in parts]
-
-    def backward(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            p.add_grad(g[offset : offset + size])
-            offset += size
-
-    out._backward = backward
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.tanh(a.data), _parents=(a,))
-
-    def backward(g):
-        a.add_grad(g * (1.0 - out.data**2))
 
     out._backward = backward
     return out
@@ -161,82 +108,32 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(sigmoid_array(a.data), _parents=(a,))
-
-    def backward(g):
-        a.add_grad(g * out.data * (1.0 - out.data))
-
-    out._backward = backward
-    return out
-
-
-def max_over(parts) -> Tensor:
-    """Elementwise max over a sequence of same-shape 1-D tensors.
-
-    The gradient routes entirely to the position holding the max; ties go
-    to the first occurrence.
-    """
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeMismatch("max_over: no inputs")
-    for p in parts[1:]:
-        _require_same_shape(parts[0], p, "max_over")
-    stacked = np.stack([p.data for p in parts])
-    winner = np.argmax(stacked, axis=0)  # first occurrence on ties
-    out = Tensor(stacked[winner, np.arange(stacked.shape[1])], _parents=tuple(parts))
-
-    def backward(g):
-        for k, p in enumerate(parts):
-            mask = winner == k
-            if mask.any():
-                p.add_grad(np.where(mask, g, 0.0))
-
-    out._backward = backward
-    return out
-
-
 def softmax_array(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis (max-shifted for stability): one row or a batch of rows."""
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over a 1-D logit vector (max-shifted for stability)."""
-    a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeMismatch(f"softmax: expected 1-D logits, got shape {a.data.shape}")
-    y = softmax_array(a.data)
-    out = Tensor(y, _parents=(a,))
+def cross_entropy_array(z: np.ndarray, target: int):
+    """(-log softmax(z)[target], softmax(z) - onehot(target)) for 1-D logits z.
 
-    def backward(g):
-        a.add_grad(y * (g - np.dot(g, y)))
-
-    out._backward = backward
-    return out
+    Computed by log-sum-exp, so both stay finite for any finite logits.
+    """
+    shifted = z - z.max()
+    lse = np.log(np.exp(shifted).sum())
+    grad = np.exp(shifted - lse)
+    grad[target] -= 1.0
+    return lse - shifted[target], grad
 
 
 def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target], by log-sum-exp; finite for any finite logits.
-
-    The gradient is softmax(logits) - onehot(target).
-    """
+    """-log softmax(logits)[target]; its gradient is softmax(logits) - onehot(target)."""
     logits = _as_tensor(logits)
     if logits.data.ndim != 1:
         raise ShapeMismatch(f"softmax_cross_entropy: expected 1-D logits, got {logits.data.shape}")
-    target = int(target)
-    shifted = logits.data - logits.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    out = Tensor(lse - shifted[target], _parents=(logits,))
-
-    def backward(g):
-        grad = np.exp(shifted - lse)
-        grad[target] -= 1.0
-        logits.add_grad(g * grad)
-
-    out._backward = backward
+    value, grad = cross_entropy_array(logits.data, int(target))
+    out = Tensor(value, _parents=(logits,))
+    out._backward = lambda g: logits.add_grad(g * grad)
     return out
 
 

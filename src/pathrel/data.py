@@ -56,22 +56,32 @@ def instance_to_record(inst: Instance) -> dict:
     }
 
 
+def _span(doc: dict, key: str) -> EntitySpan:
+    span = doc[key]
+    # JSON integers only: bool is an int subclass, and int() would take floats and digit strings
+    if not (isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)):
+        raise DatasetError(f"{key} must be two integers, got {json.dumps(span)}")
+    return EntitySpan(*span, key)
+
+
 def record_to_instance(doc: dict, schema: LabelSchema | None = None) -> Instance:
     missing = {"id", "conllu", "e1", "e2", "label"} - set(doc)
     if missing:
         raise DatasetError(f"record missing keys {sorted(missing)}")
+    for key in ("id", "conllu", "label"):
+        if not isinstance(doc[key], str):
+            raise DatasetError(f"{key} must be a string, got {json.dumps(doc[key])}")
     trees = parse_conllu(doc["conllu"])
     if len(trees) != 1:
         raise DatasetError(f"record must hold exactly one sentence, got {len(trees)}")
     if schema is not None:
         schema.fine_index(doc["label"])  # raises UnknownLabel
-    (s1, t1), (s2, t2) = doc["e1"], doc["e2"]
     return Instance(
         tree=trees[0],
-        e1=EntitySpan(int(s1), int(t1), "e1"),
-        e2=EntitySpan(int(s2), int(t2), "e2"),
+        e1=_span(doc, "e1"),
+        e2=_span(doc, "e2"),
         label=doc["label"],
-        sid=str(doc["id"]) or None,
+        sid=doc["id"] or None,
     )
 
 
@@ -169,11 +179,6 @@ def format_paths(rows, as_json: bool = False) -> str:
         for row in rows
     )
     return "".join(line + "\n" for line in lines)
-
-
-def write_paths(path, rows, as_json: bool = False) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_paths(rows, as_json))
 
 
 # ---------------------------------------------------------------------------

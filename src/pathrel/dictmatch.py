@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atomic import atomic_open
-
 
 @dataclass(frozen=True)
 class Match:
@@ -43,7 +41,3 @@ def format_standoff(matches) -> str:
     """One `start<TAB>end<TAB>surface` line per match."""
     return "".join(f"{m.start}\t{m.end}\t{m.surface}\n" for m in matches)
 
-
-def write_standoff(path, matches) -> None:
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_standoff(matches))

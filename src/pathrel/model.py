@@ -22,11 +22,10 @@ from .autodiff import (
     ParamStore,
     Tensor,
     add,
+    cross_entropy_array,
     dropout_mask,
-    matmul,
     sigmoid_array,
     softmax_array,
-    softmax_cross_entropy,
 )
 from .codec import Document
 from .depgraph import SdpPath
@@ -339,14 +338,30 @@ def _check_path(path: SdpPath) -> None:
 
 
 def load_word_embeddings(path) -> dict[str, np.ndarray]:
-    """Text embeddings, one `word v1 v2 ... vd` line per word."""
+    """Text embeddings, one `word v1 v2 ... vd` line per word.
+
+    Every vector must be finite and as long as the first one; a line that
+    breaks either rule raises ValueError naming `file:line`.
+    """
     table = {}
+    dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:
                 raise ValueError(f"{path}:{line_no}: expected `word v1 ... vd`")
-            table[parts[0]] = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
+            try:
+                vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
+            except ValueError as err:
+                raise ValueError(f"{path}:{line_no}: {err}") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} is not finite")
+            if dim is None:
+                dim = len(vec)
+            elif len(vec) != dim:
+                raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} has {len(vec)} "
+                                 f"values, the first vector {dim}")
+            table[parts[0]] = vec
     return table
 
 
@@ -455,15 +470,45 @@ class RelationModel:
             states.append(lstm_channel(cell, table, rows, mask, cfg.lstm_variant))
         return tuple(states)
 
-    def classify(self, g_fwd: Tensor, g_bwd: Tensor):
-        """Fine logits per direction plus the coarse logits."""
-        wf, bf = self.fine_heads[FWD]
-        wb, bb = self.fine_heads[BWD]
-        z_fwd = add(matmul(wf, g_fwd), bf)
-        z_bwd = add(matmul(wb, g_bwd), bb)
+    def classify(self, g_fwd: np.ndarray, g_bwd: np.ndarray):
+        """(z_fwd, z_bwd, z_coarse) logits from (C,) or (B, C) pooled rows."""
+        (wf, bf), (wb, bb) = self.fine_heads[FWD], self.fine_heads[BWD]
         wc_f, wc_b, bc = self.coarse_head
-        z_coarse = add(add(matmul(wc_f, g_fwd), matmul(wc_b, g_bwd)), bc)
+        z_fwd = g_fwd @ wf.data.T + bf.data
+        z_bwd = g_bwd @ wb.data.T + bb.data
+        z_coarse = (g_fwd @ wc_f.data.T + g_bwd @ wc_b.data.T) + bc.data
         return z_fwd, z_bwd, z_coarse
+
+    def heads_loss(self, g_fwd: Tensor, g_bwd: Tensor, targets):
+        """The three cross-entropies over classify as one tape node; returns (node, logits).
+
+        targets are the (fine forward, fine backward, coarse) class
+        indices.  The backward is softmax - onehot per head, then
+        outer(dz, g) into each head weight and W^T dz into the pooled
+        features, fine forward head first, then fine backward, then
+        coarse: the order a shared fine head accumulates in.
+        """
+        (wf, bf), (wb, bb) = self.fine_heads[FWD], self.fine_heads[BWD]
+        wc_f, wc_b, bc = self.coarse_head
+        logits = self.classify(g_fwd.data, g_bwd.data)
+        (ce_f, dz_f), (ce_b, dz_b), (ce_c, dz_c) = map(cross_entropy_array, logits, targets)
+        weights = dict.fromkeys((wf, bf, wb, bb, wc_f, wc_b, bc))  # a shared head once
+        out = Tensor((ce_f + ce_b) + ce_c, _parents=(g_fwd, g_bwd, *weights))
+
+        def backward(g):
+            df, db, dc = g * dz_f, g * dz_b, g * dz_c
+            wf.add_grad(np.outer(df, g_fwd.data), fresh=True)
+            bf.add_grad(df)
+            wb.add_grad(np.outer(db, g_bwd.data), fresh=True)
+            bb.add_grad(db)
+            wc_f.add_grad(np.outer(dc, g_fwd.data), fresh=True)
+            wc_b.add_grad(np.outer(dc, g_bwd.data), fresh=True)
+            bc.add_grad(dc)
+            g_fwd.add_grad(wf.data.T @ df + wc_f.data.T @ dc, fresh=True)
+            g_bwd.add_grad(wb.data.T @ db + wc_b.data.T @ dc, fresh=True)
+
+        out._backward = backward
+        return out, logits
 
     def _l2_filter(self, name: str) -> bool:
         if self.config.l2_include_embeddings:
@@ -477,19 +522,14 @@ class RelationModel:
         mirroring the inverted input path.  Returns (loss, Prediction).
         """
         t_fwd = self.schema.fine_index(label)
-        t_bwd = self.schema.flip(t_fwd)
-        t_coarse = self.schema.coarse_index(label)
+        targets = (t_fwd, self.schema.flip(t_fwd), self.schema.coarse_index(label))
         g_fwd, g_bwd = (
             conv_pool(*self.encode_path(path, d, dropout_rng), *self.conv[d]) for d in (FWD, BWD)
         )
-        z_fwd, z_bwd, z_coarse = self.classify(g_fwd, g_bwd)
-        j = add(
-            add(softmax_cross_entropy(z_fwd, t_fwd), softmax_cross_entropy(z_bwd, t_bwd)),
-            softmax_cross_entropy(z_coarse, t_coarse),
-        )
+        j, logits = self.heads_loss(g_fwd, g_bwd, targets)
         if self.config.l2_lambda > 0.0:
             j = add(self.store.l2_penalty(self.config.l2_lambda, include=self._l2_filter), j)
-        return j, Prediction(*(softmax_array(z.data) for z in (z_fwd, z_bwd, z_coarse)))
+        return j, Prediction(*map(softmax_array, logits))
 
     # -- inference -------------------------------------------------------
 
@@ -503,7 +543,8 @@ class RelationModel:
         Returns one (label, Prediction with y_test) per path.  Paths of
         equal node count run together, at most PREDICT_BATCH at a time, so
         nothing is padded or masked.  Each direction runs the tape nodes'
-        forwards, channel_forward and conv_forward, on the whole slice.
+        forwards, channel_forward and conv_forward, on the whole slice, and
+        classify scores the slice's pooled rows.
         """
         alpha = self.config.alpha if alpha is None else alpha
         groups: dict[int, list[int]] = {}
@@ -516,7 +557,7 @@ class RelationModel:
                 batch = [paths[k] for k in part]
                 g_fwd = self._pooled_batch(batch, FWD)
                 g_bwd = self._pooled_batch(batch, BWD)
-                ys = self._heads_batch(g_fwd, g_bwd)
+                ys = [softmax_array(z) for z in self.classify(g_fwd, g_bwd)]
                 for j, k in enumerate(part):
                     pred = Prediction(*(y[j] for y in ys))
                     out[k] = (decode(pred, alpha, self.schema), pred)
@@ -532,15 +573,6 @@ class RelationModel:
                              np.array(rels, dtype=np.intp).T, variant=variant)[2]
         w_con, b_con = self.conv[direction]
         return conv_forward(hw[1:], hr[1:], w_con.data, b_con.data)[2]
-
-    def _heads_batch(self, g_fwd: np.ndarray, g_bwd: np.ndarray):
-        """classify plus softmax on (B, C) rows: (y_fwd, y_bwd, y_coarse), each (B, classes)."""
-        (wf, bf), (wb, bb) = self.fine_heads[FWD], self.fine_heads[BWD]
-        wc_f, wc_b, bc = self.coarse_head
-        z_fwd = g_fwd @ wf.data.T + bf.data
-        z_bwd = g_bwd @ wb.data.T + bb.data
-        z_coarse = g_fwd @ wc_f.data.T + g_bwd @ wc_b.data.T + bc.data
-        return softmax_array(z_fwd), softmax_array(z_bwd), softmax_array(z_coarse)
 
     # -- persistence -------------------------------------------------------
 

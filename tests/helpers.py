@@ -5,7 +5,9 @@ from breadth-first search over an undirected adjacency list, partitions
 from direct upward walks, and tree checks from union-find.  The relation
 model's oracle is its per-gate formulation: one tape node per gate
 product and step, plain cross-entropy of a softmax, an L2 graph over
-every parameter, and the dense AdaDelta rule.
+every parameter, and the dense AdaDelta rule.  The elementwise tape ops
+it is built from (mul, concat, tanh, sigmoid, max_over, softmax) live
+here, since the library itself records fused nodes instead.
 """
 
 from collections import deque
@@ -17,15 +19,10 @@ from pathrel.autodiff import (
     ParamStore,
     Tensor,
     add,
-    concat,
-    constant,
     dropout_mask,
     matmul,
-    max_over,
-    mul,
-    sigmoid,
-    softmax,
-    tanh,
+    sigmoid_array,
+    softmax_array,
 )
 from pathrel.depgraph import DependencyTree, Token
 from pathrel.model import BWD, FWD, LSTM_STANDARD, Prediction, decode
@@ -154,6 +151,68 @@ def check_lined_tree(tree, rt):
 
 
 # ---------------------------------------------------------------------------
+# elementwise tape ops for the per-gate oracle
+
+
+def _node(data, parents, backward) -> Tensor:
+    out = Tensor(data, _parents=parents)
+    out._backward = backward
+    return out
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of same-shape tensors."""
+
+    def backward(g):
+        a.add_grad(g * b.data)
+        b.add_grad(g * a.data)
+
+    return _node(a.data * b.data, (a, b), backward)
+
+
+def concat(parts) -> Tensor:
+    """Concatenate 1-D tensors."""
+    bounds = np.cumsum([0] + [p.data.shape[0] for p in parts])
+
+    def backward(g):
+        for p, lo, hi in zip(parts, bounds, bounds[1:]):
+            p.add_grad(g[lo:hi])
+
+    return _node(np.concatenate([p.data for p in parts]), tuple(parts), backward)
+
+
+def tanh(a: Tensor) -> Tensor:
+    y = np.tanh(a.data)
+    return _node(y, (a,), lambda g: a.add_grad(g * (1.0 - y**2)))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = sigmoid_array(a.data)
+    return _node(y, (a,), lambda g: a.add_grad(g * y * (1.0 - y)))
+
+
+def max_over(parts) -> Tensor:
+    """Elementwise max over same-shape 1-D tensors; the gradient goes to the
+    first position holding the max."""
+    stacked = np.stack([p.data for p in parts])
+    winner = np.argmax(stacked, axis=0)  # first occurrence on ties
+
+    def backward(g):
+        for k, p in enumerate(parts):
+            mask = winner == k
+            if mask.any():
+                p.add_grad(np.where(mask, g, 0.0))
+
+    return _node(stacked[winner, np.arange(stacked.shape[1])], tuple(parts), backward)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over a 1-D logit vector."""
+    y = softmax_array(a.data)
+    return _node(y, (a,), lambda g: a.add_grad(y * (g - np.dot(g, y))))
+
+
+# ---------------------------------------------------------------------------
 # the relation model as one tape node per gate and step
 
 GATES = ("g", "i", "f", "o")
@@ -250,12 +309,12 @@ class PerGateReference:
 
     def _channel(self, cell, table, rows, dim, dropout_rng):
         cfg = self.model.config
-        h = s = constant(np.zeros(dim))
+        h = s = Tensor(np.zeros(dim))
         states = []
         for row in rows:
             x = lookup_row(table, row)
             if dropout_rng is not None and cfg.keep_prob < 1.0:
-                x = mul(x, constant(dropout_mask((dim,), cfg.keep_prob, dropout_rng)))
+                x = mul(x, Tensor(dropout_mask((dim,), cfg.keep_prob, dropout_rng)))
             h, s = self._step(cell, x, h, s, cfg.lstm_variant)
             states.append(h)
         return states
@@ -273,7 +332,7 @@ class PerGateReference:
         )
         w_con, b_con = self.store[f"{direction}/conv/w"], self.store[f"{direction}/conv/b"]
         if len(words) == 1:
-            units = [concat([words[0], constant(np.zeros(m.config.rel_dim)), words[0]])]
+            units = [concat([words[0], Tensor(np.zeros(m.config.rel_dim)), words[0]])]
         else:
             units = [concat([words[i], r, words[i + 1]]) for i, r in enumerate(rels)]
         return max_over([tanh(add(matmul(w_con, u), b_con)) for u in units])

@@ -6,7 +6,6 @@ import pytest
 from pathrel.atomic import atomic_open
 from pathrel.checkpoint import load_checkpoint, save_checkpoint
 from pathrel.data import save_dataset
-from pathrel.dictmatch import Match, write_standoff
 from pathrel.synth import SynthConfig, generate
 
 OLD = b"the previous artifact\n"
@@ -32,9 +31,6 @@ WRITERS = {
     "atomic_open": _write_then_fail,
     "save_dataset": lambda path: save_dataset(
         path, failing_after_one(generate(SynthConfig(n=3, k_types=2, seed=1)))
-    ),
-    "write_standoff": lambda path: write_standoff(
-        path, failing_after_one([Match(0, 2, "ab"), Match(3, 5, "cd")])
     ),
     "save_checkpoint": lambda path: save_checkpoint(path, {"w": np.ones(3)}, {"bad": Interrupted()}),
 }

@@ -99,7 +99,7 @@ class TestValidation:
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_bytes(checkpoint_bytes(TENSORS)[:-20])
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(CheckpointError, match=rf"{p.name}: not UTF-8 JSON"):
             load_checkpoint(p)
 
     def test_missing_file(self, tmp_path):

@@ -1,8 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from pathrel import cli
+from pathrel import cli, training
 from pathrel.autodiff import NonScalarLoss, ShapeMismatch
 from pathrel.cli import main
 from pathrel.data import load_dataset, parse_path_line
@@ -281,13 +283,19 @@ class TestTrainEval:
         assert err.startswith(f"internal error: {error.__name__}: raised inside evaluate")
 
 
-    def test_non_finite_loss_exits_3_and_writes_nothing(self, tmp_path, dataset, capsys):
-        """A NaN embedding for a training word makes the first loss NaN."""
+    def test_non_finite_loss_exits_3_and_writes_nothing(self, tmp_path, dataset, capsys,
+                                                         monkeypatch):
+        """A NaN embedding for a training word makes the first loss NaN.
+
+        The embeddings reader refuses NaN, so the table is handed to train past it.
+        """
         forms = [f for inst in load_dataset(dataset) for f in
                  entity_path(inst.tree, inst.e1, inst.e2, CutRule()).forms]
         word = max(set(forms), key=forms.count)
         emb = tmp_path / "emb.txt"
-        emb.write_text(f"{word} nan nan nan nan nan nan\n", encoding="utf-8")
+        emb.write_text(f"{word} 0 0 0 0 0 0\n", encoding="utf-8")
+        monkeypatch.setattr(training, "load_word_embeddings",
+                            lambda path: {word: np.full(6, np.nan)})
         ck, log = tmp_path / "m.ckpt", tmp_path / "m.log"
         capsys.readouterr()
         assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
@@ -295,6 +303,73 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: epoch 1: instance ") and "loss is nan" in err
         assert not ck.exists() and not log.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("id", 5, id="id-int"),
+        pytest.param("conllu", 5, id="conllu-int"),
+        pytest.param("label", 5, id="label-int"),
+        pytest.param("label", None, id="label-null"),
+        pytest.param("e1", [1.7, 1], id="e1-float"),
+        pytest.param("e1", ["1", "1"], id="e1-strings"),
+        pytest.param("e2", [True, True], id="e2-bools"),
+        pytest.param("e2", [1], id="e2-one-int"),
+        pytest.param("e2", 1, id="e2-int"),
+    ])
+    def test_mistyped_record_exits_3(self, tmp_path, dataset, capsys, command, field, value):
+        """A record field of the wrong JSON type names the file and the line."""
+        config = tiny_config_file(tmp_path)
+        ck = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--train", str(dataset),
+                     "--checkpoint", str(ck)]) == 0
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[2])
+        doc[field] = value
+        lines[2] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = (["train", "--config", str(config), "--train", str(bad)] if command == "train"
+                else ["eval", "--checkpoint", str(ck), "--data", str(bad)])
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:3: {field} must be" in err
+
+    @pytest.mark.parametrize("vectors, line", [
+        pytest.param("cat 0.5 0.5 0.5 0.5 0.5 0.5\nzzz nan 0 0 0 0 0\n", 2, id="nan"),
+        pytest.param("zzz 0 0 0 inf 0 0\n", 1, id="inf"),
+        pytest.param("cat 0.5 0.5 0.5 0.5 0.5 0.5\ndog 1 2 3\n", 2, id="ragged"),
+    ])
+    def test_malformed_embeddings_exit_3(self, tmp_path, dataset, capsys, vectors, line):
+        """NaN, infinite and ragged vectors are refused at load, even for unused words."""
+        emb = tmp_path / "emb.txt"
+        emb.write_text(vectors, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
+                     "--embeddings", str(emb)]) == 3
+        assert f"{emb}:{line}: vector for" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["not-utf8", "not-json", "nan-string", "nan", "infinity"])
+    def test_unreadable_or_non_finite_checkpoint_exits_3(self, tmp_path, dataset, capsys, damage):
+        ck = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)),
+                     "--train", str(dataset), "--checkpoint", str(ck)]) == 0
+        if damage == "not-utf8":
+            ck.write_bytes(b"\xff\xfe" + ck.read_bytes())
+        elif damage == "not-json":
+            ck.write_bytes(ck.read_bytes()[:-1])
+        else:
+            doc = json.loads(ck.read_text())
+            value = {"nan-string": "NaN", "nan": math.nan, "infinity": math.inf}[damage]
+            doc["tensors"]["coarse/b"]["data"][0] = value
+            ck.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ck}: ")
+        if damage not in ("not-utf8", "not-json"):
+            assert "'coarse/b' holds a NaN or infinite value" in err
+
 
 class TestDictMatch:
     def test_standoff_output(self, tmp_path, capsys):

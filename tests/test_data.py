@@ -7,6 +7,7 @@ from pathrel import data
 from pathrel.data import (
     DatasetError,
     format_path_line,
+    format_paths,
     instance_to_record,
     load_dataset,
     load_entity_pairs,
@@ -14,7 +15,6 @@ from pathrel.data import (
     path_record,
     record_to_instance,
     save_dataset,
-    write_paths,
 )
 from pathrel.depgraph import (
     ConlluError,
@@ -183,13 +183,12 @@ class TestPathFiles:
         with pytest.raises(DatasetError, match="rel:nsubj"):
             parse_path_line("1 2\ttok:1 rel:nsubj tok:2")
 
-    def test_write_text_and_json(self, tmp_path):
+    def test_write_text_and_json(self):
         rows = [(3, 8, self.PATH)]
-        pt, pj = tmp_path / "p.txt", tmp_path / "p.jsonl"
-        write_paths(pt, rows)
-        write_paths(pj, rows, as_json=True)
-        assert pt.read_text() == "3 8\ttok:3 UP:nsubj tok:5 DOWN:dobj tok:8\n"
-        doc = json.loads(pj.read_text())
+        assert format_paths(rows) == "3 8\ttok:3 UP:nsubj tok:5 DOWN:dobj tok:8\n"
+        text = format_paths(rows, as_json=True)
+        assert text.endswith("\n") and text.count("\n") == 1
+        doc = json.loads(text)
         assert doc == path_record(3, 8, self.PATH)
         assert doc["forms"] == ["a", "b", "c"]
         assert doc["edges"] == [["nsubj", "UP"], ["dobj", "DOWN"]]

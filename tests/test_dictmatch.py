@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathrel.dictmatch import Match, dict_match, format_standoff, write_standoff
+from pathrel.dictmatch import Match, dict_match, format_standoff
 
 
 def oracle_match(text, dictionary):
@@ -85,8 +85,3 @@ class TestStandoff:
 
     def test_empty(self):
         assert format_standoff([]) == ""
-
-    def test_write(self, tmp_path):
-        p = tmp_path / "out.tsv"
-        write_standoff(p, [Match(1, 3, "yz")])
-        assert p.read_text(encoding="utf-8") == "1\t3\tyz\n"

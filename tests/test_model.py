@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -13,12 +14,13 @@ from pathrel import checkpoint as ckpt
 from pathrel import model as model_module
 from pathrel.autodiff import (
     ParamStore,
+    Tensor,
     add,
     backward,
-    constant,
     dropout_mask,
     finite_difference_check,
 )
+from pathrel.cli import main
 from pathrel.depgraph import PathEdge, SdpPath
 from pathrel.labels import BUILTIN_SCHEMAS, synth_schema
 from pathrel.model import (
@@ -161,18 +163,18 @@ class TestLstmStep:
 
 class TestConvPool:
     def test_two_unit_max(self):
-        w = constant(np.ones((1, 3)))
-        b = constant(np.zeros(1))
-        words = constant([[1.0], [-1.0], [0.5]])
-        rels = constant([[0.25], [-0.25]])
+        w = Tensor(np.ones((1, 3)))
+        b = Tensor(np.zeros(1))
+        words = Tensor([[1.0], [-1.0], [0.5]])
+        rels = Tensor([[0.25], [-0.25]])
         out = conv_pool(words, rels, w, b)
         # units tanh(1 + 0.25 - 1) and tanh(-1 - 0.25 + 0.5); max wins
         assert out.data[0] == np.tanh(0.25)
 
     def test_single_node_pseudo_unit(self):
-        w = constant(np.ones((1, 3)))
-        b = constant(np.zeros(1))
-        out = conv_pool(constant([[0.3]]), constant(np.zeros((0, 1))), w, b)
+        w = Tensor(np.ones((1, 3)))
+        b = Tensor(np.zeros(1))
+        out = conv_pool(Tensor([[0.3]]), Tensor(np.zeros((0, 1))), w, b)
         assert out.data[0] == np.tanh(0.6)
 
 
@@ -317,6 +319,24 @@ class TestForward:
         b, _ = model.loss(make_path(rels=(("weird2", "DOWN"), ("dobj", "DOWN"))), "Rel1(e1,e2)")
         assert float(a.data) == float(b.data)
 
+    @pytest.mark.parametrize("shared, l2_lambda, size", [
+        (False, 1e-5, 30), (False, 0.0, 28), (True, 1e-5, 28), (True, 0.0, 26),
+    ])
+    def test_tape_holds_one_heads_node(self, shared, l2_lambda, size):
+        """Leaves (21 with separate fine heads), 4 channels, 2 conv nodes,
+        the heads node, and with L2 its node and one add."""
+        cfg = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, l2_lambda=l2_lambda,
+                          share_fine_heads=shared)
+        loss, _ = small_model(config=cfg).loss(make_path(), "Rel1(e1,e2)",
+                                               dropout_rng=np.random.default_rng(0))
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(seen) == size
+
     def test_l2_term_added(self):
         base = small_model()
         lam = 1e-3
@@ -396,33 +416,41 @@ class TestPerGateOracle:
     @pytest.mark.parametrize("dropout", [False, True])
     @pytest.mark.parametrize("path_name", sorted(PATHS))
     def test_loss_gradients_and_probabilities(self, variant, dropout, path_name):
-        cfg = ModelConfig(
-            word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5 if dropout else 1.0,
-            l2_lambda=1e-3, l2_include_embeddings=dropout, lstm_variant=variant,
-        )
-        model = small_model(config=cfg, seed=4)
-        reference = PerGateReference(model)
+        """Each case runs separate and shared fine heads, with and without L2.
+
+        A shared head takes both fine heads' gradients on top of the L2
+        term's, so the heads node's order of accumulation shows here.
+        """
         path, label = self.PATHS[path_name], "Rel2(e2,e1)"
+        for shared, l2_lambda in itertools.product((False, True), (0.0, 1e-3)):
+            cfg = ModelConfig(
+                word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5 if dropout else 1.0,
+                l2_lambda=l2_lambda, l2_include_embeddings=dropout, lstm_variant=variant,
+                share_fine_heads=shared,
+            )
+            model = small_model(config=cfg, seed=4)
+            reference = PerGateReference(model)
 
-        rng_fused, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
-        loss, pred = model.loss(path, label, dropout_rng=rng_fused if dropout else None)
-        backward(loss)
-        ref_loss, ref_pred = reference.loss(path, label, dropout_rng=rng_ref if dropout else None)
-        backward(ref_loss)
+            rng_fused, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+            loss, pred = model.loss(path, label, dropout_rng=rng_fused if dropout else None)
+            backward(loss)
+            ref_loss, ref_pred = reference.loss(path, label, dropout_rng=rng_ref if dropout else None)
+            backward(ref_loss)
 
-        assert rng_fused.random() == rng_ref.random()  # the same dropout draws
-        assert abs(float(loss.data) - float(ref_loss.data)) < 1e-12
-        ref_grads = reference.packed_grads()
-        for name, t in model.store.items():
-            grad = t.grad if t.grad is not None else np.zeros_like(t.data)
-            assert np.max(np.abs(grad - ref_grads[name])) < 1e-12, name
-        for a, b in ((pred.y_fwd, ref_pred.y_fwd), (pred.y_bwd, ref_pred.y_bwd),
-                     (pred.y_coarse, ref_pred.y_coarse)):
-            assert np.max(np.abs(a - b)) < 1e-12
+            case = f"shared={shared} l2_lambda={l2_lambda}"
+            assert rng_fused.random() == rng_ref.random(), case  # the same dropout draws
+            assert abs(float(loss.data) - float(ref_loss.data)) < 1e-12, case
+            ref_grads = reference.packed_grads()
+            for name, t in model.store.items():
+                grad = t.grad if t.grad is not None else np.zeros_like(t.data)
+                assert np.max(np.abs(grad - ref_grads[name])) < 1e-12, (case, name)
+            for a, b in ((pred.y_fwd, ref_pred.y_fwd), (pred.y_bwd, ref_pred.y_bwd),
+                         (pred.y_coarse, ref_pred.y_coarse)):
+                assert np.max(np.abs(a - b)) < 1e-12, case
 
-    def test_version_1_checkpoint_loads(self, tmp_path):
-        model = small_model(config=ModelConfig(word_dim=4, rel_dim=3, conv_dim=5), seed=7)
-        reference = PerGateReference(model)
+    def test_version_1_checkpoint_exits_3(self, tmp_path, capsys):
+        """Version 1 stored per-gate cell tensors; only version 2 is read."""
+        model = small_model()
         meta = {
             "config": model.config.to_dict(),
             "schema": model.schema.to_dict(),
@@ -431,29 +459,11 @@ class TestPerGateOracle:
         }
         doc = json.loads(ckpt.checkpoint_bytes(per_gate_tensors(model), meta))
         doc["version"] = 1
-        assert "fwd/word_cell/w_gx" in doc["tensors"]
         file = tmp_path / "v1.ckpt"
         file.write_text(json.dumps(doc))
-
-        loaded = RelationModel.load(file)
-        for name, t in model.store.items():
-            assert np.array_equal(loaded.store[name].data, t.data), name
-        for path in [make_path(), *self.PATHS.values()]:
-            label, pred = loaded.predict(path)
-            ref_label, ref_pred = reference.predict(path)
-            assert label == ref_label
-            assert np.max(np.abs(pred.y_test - ref_pred.y_test)) < 1e-12
-
-    def test_version_1_checkpoint_missing_gate(self, tmp_path):
-        model = small_model()
-        tensors = per_gate_tensors(model)
-        del tensors["bwd/rel_cell/b_o"]
-        doc = json.loads(ckpt.checkpoint_bytes(tensors, {}))
-        doc["version"] = 1
-        file = tmp_path / "v1.ckpt"
-        file.write_text(json.dumps(doc))
-        with pytest.raises(ckpt.CheckpointError, match="bwd/rel_cell"):
-            ckpt.load_checkpoint(file)
+        assert main(["eval", "--checkpoint", str(file), "--data", str(tmp_path / "d.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert "unsupported version 1" in err and str(file) in err
 
 
 def assert_predictions_close(got, want, tol=1e-12):

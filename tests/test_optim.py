@@ -4,7 +4,7 @@ import helpers
 import numpy as np
 import pytest
 
-from pathrel.autodiff import ParamStore, backward, mul
+from pathrel.autodiff import ParamStore, backward
 from pathrel.optim import AdaDeltaState, adadelta_step
 
 # First update with rho=0.95, eps=1e-6, gradient 1, derived by hand from the
@@ -78,7 +78,7 @@ class TestOptimization:
         state = AdaDeltaState(store)
         values = []
         for _ in range(100):
-            loss = mul(x, x)
+            loss = helpers.mul(x, x)
             values.append(float(loss.data))
             backward(loss)
             adadelta_step(store, state)
