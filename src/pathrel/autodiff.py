@@ -2,9 +2,9 @@
 
 Every forward op records its inputs and a backward closure on the value
 it returns; backward() walks that tape in reverse topological order and
-accumulates gradients into leaf tensors.  Gradients add up across
-backward calls until explicitly zeroed, so one parameter store can
-collect a whole batch.
+accumulates gradients into leaf tensors.  A parameter owns its gradient
+array from the start, zeroed; gradients add up across backward calls
+until the optimizer or ParamStore.zero_grad zeroes them.
 
 numpy supplies the array arithmetic only; the tape, dropout, the
 finite-difference checker and a small op set (matmul, add and
@@ -13,6 +13,8 @@ fused nodes (model.py), each a numpy forward plus its backward closure.
 """
 
 from __future__ import annotations
+
+import mmap
 
 import numpy as np
 
@@ -28,12 +30,11 @@ class NonScalarLoss(ValueError):
 class Tensor:
     """A float64 array plus the tape bookkeeping for reverse mode."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = _parents
         self._backward = _backward
 
@@ -41,24 +42,15 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def add_grad(self, g, fresh: bool = False):
-        """Accumulate g into the gradient slot.
-
-        fresh=True hands over an array that nothing else references: an
-        empty slot then takes it as is instead of a copy.
-        """
-        if self.grad is not None:
-            self.grad += g
-        elif fresh:
-            self.grad = g
-        else:
+    def add_grad(self, g):
+        """Accumulate g into the gradient; an empty slot takes a copy."""
+        if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
-
-    def zero_grad(self):
-        self.grad = None
+        else:
+            self.grad += g
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def _as_tensor(x) -> Tensor:
@@ -142,11 +134,11 @@ def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable tensor's grad slot.
+    """Accumulate d(loss)/d(leaf) into every reachable leaf's gradient.
 
-    Leaf gradients (requires_grad tensors, e.g. ParamStore entries) add up
-    across backward calls until zeroed; tape-internal gradients are
-    transient and reset on every call.
+    Leaf gradients (ParamStore entries and constants) add up across
+    backward calls until zeroed; the gradients of recorded nodes (those
+    with a backward closure) are transient and reset on every call.
     """
     if loss.data.shape != ():
         raise NonScalarLoss(f"loss must be a scalar, got shape {loss.data.shape}")
@@ -166,7 +158,7 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
     for node in order:
-        if not node.requires_grad:
+        if node._backward is not None:
             node.grad = None
     loss.add_grad(np.asarray(1.0))
     for node in reversed(order):
@@ -179,7 +171,7 @@ def backward(loss: Tensor) -> None:
 
 
 class ParamStore:
-    """Named trainable tensors with matching gradient slots."""
+    """Named trainable tensors, each owning a zeroed gradient of its shape."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -187,7 +179,11 @@ class ParamStore:
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise ValueError(f"parameter {name!r} already registered")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+        t = Tensor(np.array(data, dtype=np.float64))
+        # anonymous pages, mapped on first write, so an eval-only model never touches
+        # them; np.zeros may reuse freed heap memory, which calloc must clear
+        buf = mmap.mmap(-1, max(t.data.nbytes, 1))
+        t.grad = np.frombuffer(buf, np.float64, t.data.size).reshape(t.data.shape)
         self._params[name] = t
         return t
 
@@ -205,7 +201,7 @@ class ParamStore:
 
     def zero_grad(self):
         for t in self._params.values():
-            t.zero_grad()
+            t.grad.fill(0.0)
 
     def l2_penalty(self, weight: float, include=None) -> Tensor:
         """weight * sum of squared entries over the selected parameters.
@@ -224,7 +220,7 @@ class ParamStore:
         def backward(g):
             c = 2.0 * weight * g
             for t in params:
-                t.add_grad(c * t.data, fresh=True)
+                t.add_grad(c * t.data)
 
         out._backward = backward
         return out
@@ -263,10 +259,7 @@ def finite_difference_check(loss_fn, store: ParamStore, h=1e-5, max_coords=5, rn
     store.zero_grad()
     loss = loss_fn()
     backward(loss)
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for name, t in store.items()
-    }
+    analytic = {name: t.grad.copy() for name, t in store.items()}
 
     records = []
     for name, tensor in store.items():

@@ -16,6 +16,7 @@ and any NaN or infinite value, naming the file.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -69,12 +70,18 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     for name, spec in doc["tensors"].items():
         if not isinstance(spec, dict) or "shape" not in spec or "data" not in spec:
             raise CheckpointError(f"{path}: tensor {name!r} needs a shape and data")
+        shape = spec["shape"]
+        # JSON integers only: bool is an int subclass, and int() would take floats and digit strings
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(
+                f"{path}: tensor {name!r}: shape must be non-negative integers, got {json.dumps(shape)}"
+            )
+        shape = tuple(shape)
         try:
             arr = np.asarray(spec["data"], dtype=np.float64)
-            shape = tuple(int(d) for d in spec["shape"])
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"{path}: tensor {name!r}: {err}") from None
-        if arr.size != int(np.prod(shape)):
+        if arr.size != math.prod(shape):
             raise CheckpointError(f"{path}: tensor {name!r} data length {arr.size} != shape {shape}")
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")

@@ -20,11 +20,9 @@ import sys
 from . import __version__
 from .atomic import atomic_open
 from .autodiff import NonScalarLoss, ShapeMismatch
-from .checkpoint import CheckpointError
 from .data import DatasetError, format_paths, load_dataset, load_entity_pairs, save_dataset
 from .depgraph import ConlluError, parse_conllu
 from .dictmatch import dict_match, format_standoff
-from .labels import UnknownLabel
 from .model import EmptyPath, RelationModel
 from .structreg import CutRule
 from .synth import SynthConfig, generate
@@ -63,20 +61,21 @@ def _write_out(path: str | None, text: str) -> None:
 
 def cmd_extract_sdp(args) -> int:
     with open(args.conllu, "r", encoding="utf-8") as fh:
-        trees = parse_conllu(fh.read())
+        try:
+            trees = parse_conllu(fh.read())
+        except ConlluError as err:
+            raise type(err)(f"{args.conllu}: {err}") from None
     pairs = load_entity_pairs(args.pairs)
     if len(pairs) != len(trees):
-        raise DatasetError(
-            f"{len(trees)} sentences but {len(pairs)} entity-pair lines; they must correspond 1:1"
-        )
+        raise DatasetError(f"{args.pairs}: {len(pairs)} entity-pair lines but {args.conllu} has "
+                           f"{len(trees)} sentences; they must correspond 1:1")
     rule = _rule_from_args(args)
     rows = []
     for ordinal, (tree, (e1, e2)) in enumerate(zip(trees, pairs)):
         for span in (e1, e2):
             if span.end > tree.n:
-                raise DatasetError(
-                    f"sentence {ordinal + 1}: span [{span.start}, {span.end}] exceeds length {tree.n}"
-                )
+                raise DatasetError(f"{args.pairs}: sentence {ordinal + 1}: span "
+                                   f"[{span.start}, {span.end}] exceeds length {tree.n}")
         path = entity_path(tree, e1, e2, rule, ordinal)
         rows.append((path.nodes[0], path.nodes[-1], path))
     _write_out(args.out, format_paths(rows, args.json))
@@ -241,7 +240,7 @@ def main(argv=None) -> int:
     except (ShapeMismatch, NonScalarLoss, EmptyPath) as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    except (DatasetError, ConlluError, UnknownLabel, CheckpointError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except Exception as err:  # pragma: no cover - safety net

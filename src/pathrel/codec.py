@@ -4,6 +4,7 @@ cut rule, the label schema, the model config and the experiment config."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import typing
 
@@ -35,7 +36,7 @@ def _matches(value, hint) -> bool:
 
 
 class Document:
-    """to_dict/from_dict for a dataclass whose fields are JSON values or Documents.
+    """to_dict/from_dict/load for a dataclass whose fields are JSON values or Documents.
 
     to_dict writes tuples as lists, frozensets as sorted lists and nested
     documents as dicts.  from_dict rejects a non-object, an unknown or
@@ -43,6 +44,16 @@ class Document:
     refuses with a DocumentError that names source (a file name, if
     given), the document and the field.  Absent fields take their defaults.
     """
+
+    @classmethod
+    def load(cls, path):
+        """from_dict over a JSON file; a file that is not JSON raises a DocumentError naming it."""
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as err:  # UnicodeDecodeError and JSONDecodeError alike
+                raise DocumentError(f"{path}: not UTF-8 JSON ({err})") from None
+        return cls.from_dict(doc, source=str(path))
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}

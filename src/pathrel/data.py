@@ -92,11 +92,10 @@ def save_dataset(path, instances) -> None:
             fh.write("\n")
 
 
-def load_dataset(path, schema: LabelSchema | None = None, fail_fast: bool = True) -> list[Instance]:
+def load_dataset(path, schema: LabelSchema | None = None) -> list[Instance]:
     """Read and validate a JSON-lines dataset.
 
-    With fail_fast (the default) the first bad record raises with its line
-    number; otherwise bad records are logged and skipped.  Logs a class
+    The first bad record raises with its line number.  Logs a class
     histogram and a plain-SDP length histogram of the loaded instances.
     """
     instances = []
@@ -111,10 +110,8 @@ def load_dataset(path, schema: LabelSchema | None = None, fail_fast: bool = True
                 instances.append(record_to_instance(doc, schema))
             except (ValueError, KeyError, TypeError) as err:
                 # ValueError covers json decode, Conllu, UnknownLabel, span errors
-                if fail_fast:
-                    cls = type(err) if isinstance(err, (DatasetError, ConlluError, UnknownLabel)) else DatasetError
-                    raise cls(f"{path}:{line_no}: {err}") from None
-                logger.error("%s:%d: skipping bad record: %s", path, line_no, err)
+                cls = type(err) if isinstance(err, (DatasetError, ConlluError, UnknownLabel)) else DatasetError
+                raise cls(f"{path}:{line_no}: {err}") from None
     if not instances:
         logger.warning("%s: dataset is empty", path)
         return instances

@@ -10,7 +10,6 @@ involution used to align backward-path predictions with forward labels.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -156,5 +155,4 @@ def load_schema(spec: str) -> LabelSchema:
     m = re.fullmatch(r"synth-k(\d+)", spec)
     if m:
         return synth_schema(int(m.group(1)))
-    with open(spec, "r", encoding="utf-8") as fh:
-        return LabelSchema.from_dict(json.load(fh), source=spec)
+    return LabelSchema.load(spec)

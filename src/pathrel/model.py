@@ -83,14 +83,6 @@ class ModelConfig(Document):
         if self.lstm_variant not in (LSTM_STANDARD, LSTM_PAPER_LITERAL):
             raise ValueError(f"unknown lstm_variant {self.lstm_variant!r}")
 
-    @property
-    def word_hidden(self) -> int:
-        return self.word_dim
-
-    @property
-    def rel_hidden(self) -> int:
-        return self.rel_dim
-
 
 class Vocabulary:
     """Word forms to embedding rows; row 0 is the trained UNK."""
@@ -254,11 +246,9 @@ def lstm_channel(cell: LstmCell, table: Tensor, rows, mask=None, variant=LSTM_ST
         dx = dz @ w[:, :x_dim]
         if mask is not None:
             dx *= mask
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, rows, dx)
-        cell.w.add_grad(dz.T @ np.hstack([x, hs[:-1]]), fresh=True)
-        cell.b.add_grad(dz.sum(axis=0), fresh=True)
+        cell.w.add_grad(dz.T @ np.hstack([x, hs[:-1]]))
+        cell.b.add_grad(dz.sum(axis=0))
 
     out._backward = backward
     return out
@@ -297,13 +287,13 @@ def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Ten
     def backward(g):
         dpre = np.zeros_like(act)
         dpre[winner, cols] = g * (1.0 - out.data**2)
-        w_con.add_grad(dpre.T @ units, fresh=True)
-        b_con.add_grad(dpre.sum(axis=0), fresh=True)
+        w_con.add_grad(dpre.T @ units)
+        b_con.add_grad(dpre.sum(axis=0))
         du = dpre @ w_con.data
         dw = np.zeros_like(hw)  # unit i holds words i and i+1; the pseudo-unit word 0 twice
         dw[: len(du)] += du[:, :dim]
         dw[n_words - len(du) :] += du[:, -dim:]
-        word_states.add_grad(dw, fresh=True)
+        word_states.add_grad(dw)
         if n_words > 1:
             rel_states.add_grad(du[:, dim:-dim])
 
@@ -404,12 +394,12 @@ class RelationModel:
         self.conv = {}
         for direction in (FWD, BWD):
             self.cells[(direction, "word")] = LstmCell(
-                self.store, f"{direction}/word_cell", config.word_dim, config.word_hidden, rng, s
+                self.store, f"{direction}/word_cell", config.word_dim, config.word_dim, rng, s
             )
             self.cells[(direction, "rel")] = LstmCell(
-                self.store, f"{direction}/rel_cell", config.rel_dim, config.rel_hidden, rng, s
+                self.store, f"{direction}/rel_cell", config.rel_dim, config.rel_dim, rng, s
             )
-            unit_dim = 2 * config.word_hidden + config.rel_hidden
+            unit_dim = 2 * config.word_dim + config.rel_dim
             self.conv[direction] = (
                 _init(self.store, f"{direction}/conv/w", (config.conv_dim, unit_dim), rng, s),
                 _init(self.store, f"{direction}/conv/b", (config.conv_dim,), None),
@@ -497,15 +487,15 @@ class RelationModel:
 
         def backward(g):
             df, db, dc = g * dz_f, g * dz_b, g * dz_c
-            wf.add_grad(np.outer(df, g_fwd.data), fresh=True)
+            wf.add_grad(np.outer(df, g_fwd.data))
             bf.add_grad(df)
-            wb.add_grad(np.outer(db, g_bwd.data), fresh=True)
+            wb.add_grad(np.outer(db, g_bwd.data))
             bb.add_grad(db)
-            wc_f.add_grad(np.outer(dc, g_fwd.data), fresh=True)
-            wc_b.add_grad(np.outer(dc, g_bwd.data), fresh=True)
+            wc_f.add_grad(np.outer(dc, g_fwd.data))
+            wc_b.add_grad(np.outer(dc, g_bwd.data))
             bc.add_grad(dc)
-            g_fwd.add_grad(wf.data.T @ df + wc_f.data.T @ dc, fresh=True)
-            g_bwd.add_grad(wb.data.T @ db + wc_b.data.T @ dc, fresh=True)
+            g_fwd.add_grad(wf.data.T @ df + wc_f.data.T @ dc)
+            g_bwd.add_grad(wb.data.T @ db + wc_b.data.T @ dc)
 
         out._backward = backward
         return out, logits
@@ -607,14 +597,14 @@ class RelationModel:
         expected = set(model.store.names())
         got = set(tensors)
         if expected != got:
-            missing = expected - got
-            extra = got - expected
-            raise ckpt.CheckpointError(f"parameter names differ (missing {missing}, extra {extra})")
+            raise ckpt.CheckpointError(
+                f"{path}: parameter names differ (missing {expected - got}, extra {got - expected})"
+            )
         for name, arr in tensors.items():
             t = model.store[name]
             if t.data.shape != arr.shape:
                 raise ckpt.CheckpointError(
-                    f"tensor {name!r}: shape {arr.shape} != expected {t.data.shape}"
+                    f"{path}: tensor {name!r}: shape {arr.shape} != expected {t.data.shape}"
                 )
             t.data[...] = arr
         model.meta = meta

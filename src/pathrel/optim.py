@@ -71,26 +71,27 @@ def _dense_update(x, g, eg2, edx2, state: AdaDeltaState) -> None:
 
 
 def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
-    """Apply one accumulated-gradient update and zero the gradients.
+    """Apply one accumulated-gradient update and zero the gradients it consumed.
 
     Per coordinate: E[g2] <- rho E[g2] + (1-rho) g2;
     dx = -(sqrt(E[dx2]+eps) / sqrt(E[g2]+eps)) g;
     E[dx2] <- rho E[dx2] + (1-rho) dx2;  x <- x + dx.
-    Parameters with no accumulated gradient decay their E[g2] and move
-    nowhere, matching g = 0.
+    A dense gradient is zeroed whole; a row-sparse table's only at the
+    rows it updated, since its other rows hold zeros already.
     """
     state.steps += 1
     for name, tensor in store.items():
-        g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+        g = tensor.grad
         eg2, edx2 = state.sq_grad[name], state.sq_update[name]
         last = state.row_step.get(name)
         if last is None:
             _dense_update(tensor.data, g, eg2, edx2, state)
+            g.fill(0.0)
             continue
         rows = np.flatnonzero(g.any(axis=1))
         decay = (state.rho ** (state.steps - 1 - last[rows]))[:, None]
         x_r, eg2_r, edx2_r = tensor.data[rows], eg2[rows] * decay, edx2[rows] * decay
         _dense_update(x_r, g[rows], eg2_r, edx2_r, state)
         tensor.data[rows], eg2[rows], edx2[rows] = x_r, eg2_r, edx2_r
+        g[rows] = 0.0
         last[rows] = state.steps
-    store.zero_grad()

@@ -77,11 +77,6 @@ class ExperimentConfig(Document):
         if self.val_size < 0:
             raise ValueError("val_size must be >= 0")
 
-    @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), source=str(path))
-
     def save(self, path) -> None:
         with atomic_open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)

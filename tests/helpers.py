@@ -222,8 +222,6 @@ def lookup_row(table: Tensor, index: int) -> Tensor:
     out = Tensor(table.data[index], _parents=(table,))
 
     def backward(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
         table.grad[index] += g
 
     out._backward = backward
@@ -372,10 +370,7 @@ class PerGateReference:
 
     def packed_grads(self) -> dict:
         """The accumulated gradients, repacked into the model's parameter layout."""
-        grads = {
-            name: t.grad if t.grad is not None else np.zeros_like(t.data)
-            for name, t in self.store.items()
-        }
+        grads = {name: t.grad for name, t in self.store.items()}
         out = {}
         for name, t in self.model.store.items():
             cell = name.rsplit("/", 1)[0]

@@ -76,10 +76,7 @@ def test_01_gradient_fidelity():
         )
         loss, _ = model.loss(path, label)
         backward(loss)
-        grads = {
-            name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-            for name, t in model.store.items()
-        }
+        grads = {name: t.grad.copy() for name, t in model.store.items()}
         rng = np.random.default_rng(1)
         for name, t in sorted(model.store.items()):
             flat = t.data.reshape(-1)

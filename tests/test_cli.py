@@ -100,16 +100,25 @@ class TestExtractSdp:
     def test_count_mismatch_exits_3(self, tmp_path, capsys):
         conllu, pairs = self.write_inputs(tmp_path, pairs="1 1 4 4\n1 1 2 2\n")
         assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3
-        assert "1:1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pairs}: 2 entity-pair lines but {conllu} has 1 sentences")
 
     def test_span_out_of_range_exits_3(self, tmp_path, capsys):
         conllu, pairs = self.write_inputs(tmp_path, pairs="1 1 9 9\n")
         assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3
-        assert "exceeds" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {pairs}: sentence 1: span [9, 9] exceeds")
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["extract-sdp", "--conllu", str(tmp_path / "no.conllu"),
                      "--pairs", str(tmp_path / "no.txt")]) == 3
+
+    def test_bad_head_names_the_conllu_file(self, tmp_path, capsys):
+        conllu, pairs = self.write_inputs(tmp_path, pairs="1 1 2 2\n")
+        conllu.write_text("1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n"
+                          "2\tb\t_\tX\t_\t_\t5\tdep\t_\t_\n")
+        assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {conllu}: sentence 1 (starting line 1): token 2 has head 5")
 
 
 class TestSynth:
@@ -218,9 +227,11 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
         assert (key if kind == "no" else "fine_fwd/b") in capsys.readouterr().err
 
-    # each malformed document, and the field its error message must name
+    # each malformed document, and the field or fault its error message must name
     DOCUMENT_CASES = {
         "schema-no-types": "'types'",
+        "schema-not-json": "not UTF-8 JSON (Expecting",
+        "config-truncated": "not UTF-8 JSON (Expecting",
         "config-unknown-key": "'bogus'",
         "config-word-dim-text": "word_dim",
         "config-test-path": "'test_path'",
@@ -239,9 +250,12 @@ class TestTrainEval:
         cfg, doc = json.loads(config.read_text()), json.loads(ck.read_text())
         bad = tmp_path / f"{case}.json"
         argv = ["train", "--config", str(bad), "--train", str(dataset)]
-        if case == "schema-no-types":
-            bad.write_text(json.dumps({"name": "x", "residual": "Other"}))
+        if case.startswith("schema"):
+            bad.write_text(json.dumps({"name": "x", "residual": "Other"})
+                           if case == "schema-no-types" else "types: Rel1, Rel2\n")
             argv = ["train", "--config", str(config), "--train", str(dataset), "--schema", str(bad)]
+        elif case == "config-truncated":
+            bad.write_text(json.dumps(cfg)[:-1])
         elif case == "config-unknown-key":
             bad.write_text(json.dumps({**cfg, "bogus": 1}))
         elif case == "config-word-dim-text":
@@ -264,7 +278,7 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert str(bad) in err and self.DOCUMENT_CASES[case] in err
+        assert err.startswith(f"error: {bad}: ") and self.DOCUMENT_CASES[case] in err
 
     @pytest.mark.parametrize("error", [ShapeMismatch, NonScalarLoss, EmptyPath])
     def test_internal_error_exits_1(self, tmp_path, dataset, capsys, monkeypatch, error):
@@ -369,6 +383,35 @@ class TestTrainEval:
         assert err.startswith(f"error: {ck}: ")
         if damage not in ("not-utf8", "not-json"):
             assert "'coarse/b' holds a NaN or infinite value" in err
+
+    @pytest.mark.parametrize("damage", [
+        "float-shape", "string-shape", "bool-shape", "negative-shape", "renamed", "transposed",
+    ])
+    def test_checkpoint_shape_and_names_exit_3_naming_the_file(self, tmp_path, dataset, capsys,
+                                                               damage):
+        """Shapes are lists of non-negative JSON integers; every load error names the file."""
+        ck = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)),
+                     "--train", str(dataset), "--checkpoint", str(ck)]) == 0
+        doc = json.loads(ck.read_text())
+        spec = doc["tensors"]["coarse/w_fwd"]
+        rows, cols = spec["shape"]
+        if damage == "renamed":
+            doc["tensors"]["coarse/w_fwd2"] = doc["tensors"].pop("coarse/w_fwd")
+        else:
+            spec["shape"] = {
+                "float-shape": [rows + 0.9, cols],
+                "string-shape": [str(rows), str(cols)],
+                "bool-shape": [True, rows * cols],
+                "negative-shape": [-rows, -cols],
+                "transposed": [cols, rows],
+            }[damage]
+        ck.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ck}: ")
+        assert ("parameter names differ" if damage == "renamed" else "'coarse/w_fwd'") in err
 
 
 class TestDictMatch:

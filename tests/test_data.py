@@ -111,15 +111,6 @@ class TestDatasetFiles:
         with pytest.raises(UnknownLabel, match=rf"{p.name}:1: "):
             load_dataset(p, load_schema("synth-k4"))
 
-    def test_skip_mode_logs_and_continues(self, tmp_path, caplog):
-        p = tmp_path / "data.jsonl"
-        good = json.dumps(instance_to_record(make_instance()))
-        p.write_text("{bad}\n" + good + "\n\n" + good + "\n")
-        with caplog.at_level(logging.ERROR, logger="pathrel.data"):
-            out = load_dataset(p, fail_fast=False)
-        assert len(out) == 2
-        assert any(":1: skipping" in rec.getMessage() for rec in caplog.records)
-
     def test_histograms_logged(self, tmp_path, caplog):
         p = tmp_path / "data.jsonl"
         save_dataset(p, generate(SynthConfig(n=8, k_types=2, seed=5)))

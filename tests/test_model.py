@@ -25,6 +25,7 @@ from pathrel.depgraph import PathEdge, SdpPath
 from pathrel.labels import BUILTIN_SCHEMAS, synth_schema
 from pathrel.model import (
     BWD,
+    EMBEDDING_TABLES,
     FWD,
     LSTM_PAPER_LITERAL,
     LSTM_STANDARD,
@@ -42,6 +43,7 @@ from pathrel.model import (
     lstm_channel,
     lstm_step,
 )
+from pathrel.optim import AdaDeltaState, adadelta_step
 from pathrel.structreg import SR_LINK, CutRule, invert_path
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import build_vocabs, prepare_paths
@@ -108,8 +110,6 @@ class TestModelConfig:
         assert (cfg.word_dim, cfg.rel_dim, cfg.conv_dim) == (200, 50, 200)
         assert cfg.alpha == 0.5
         assert cfg.keep_prob == 0.5
-        assert cfg.word_hidden == cfg.word_dim
-        assert cfg.rel_hidden == cfg.rel_dim
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -401,6 +401,35 @@ class TestGradients:
         assert worst[4] < 1e-4, f"gradient mismatch {worst}"
 
 
+class TestGradientBuffers:
+    """Each parameter owns one gradient array; the optimizer zeroes it in place."""
+
+    CONFIG = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5, l2_lambda=1e-3)
+
+    def test_step_zeroes_every_gradient_in_place(self):
+        model = small_model(config=self.CONFIG, seed=2)
+        state = AdaDeltaState(model.store, row_sparse=EMBEDDING_TABLES)
+        before = {name: t.grad for name, t in model.store.items()}
+        loss, _ = model.loss(make_path(), "Rel1(e1,e2)", dropout_rng=np.random.default_rng(0))
+        backward(loss)
+        assert all(model.store[name].grad.any() for name in EMBEDDING_TABLES)
+        adadelta_step(model.store, state)
+        for name, t in model.store.items():
+            assert t.grad is before[name], name
+            assert not t.grad.any(), name
+
+    def test_training_steps_reuse_the_table_gradient(self):
+        model = small_model(config=self.CONFIG, seed=2)
+        state = AdaDeltaState(model.store, row_sparse=EMBEDDING_TABLES)
+        table_grad = model.emb_word.grad
+        for seed in (0, 1):
+            loss, _ = model.loss(make_path(), "Rel1(e1,e2)", dropout_rng=np.random.default_rng(seed))
+            backward(loss)
+            assert model.emb_word.grad is table_grad and table_grad.any()
+            adadelta_step(model.store, state)
+        assert not table_grad.any()
+
+
 class TestPerGateOracle:
     """The fused model against its per-gate tape formulation (tests/helpers.py)."""
 
@@ -442,8 +471,7 @@ class TestPerGateOracle:
             assert abs(float(loss.data) - float(ref_loss.data)) < 1e-12, case
             ref_grads = reference.packed_grads()
             for name, t in model.store.items():
-                grad = t.grad if t.grad is not None else np.zeros_like(t.data)
-                assert np.max(np.abs(grad - ref_grads[name])) < 1e-12, (case, name)
+                assert np.max(np.abs(t.grad - ref_grads[name])) < 1e-12, (case, name)
             for a, b in ((pred.y_fwd, ref_pred.y_fwd), (pred.y_bwd, ref_pred.y_bwd),
                          (pred.y_coarse, ref_pred.y_coarse)):
                 assert np.max(np.abs(a - b)) < 1e-12, case
