@@ -30,8 +30,7 @@ POINTS = np.array([
 ])
 LABELS = [0, 0, 1, 1]
 
-store = ParamStore()
-store.add("w", np.zeros((2, 3)))
+store = ParamStore({"w": np.zeros((2, 3))})
 
 
 def batch_loss():

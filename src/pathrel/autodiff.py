@@ -2,9 +2,9 @@
 
 Every forward op records its inputs and a backward closure on the value
 it returns; backward() walks that tape in reverse topological order and
-accumulates gradients into leaf tensors.  A parameter owns its gradient
-array from the start, zeroed; gradients add up across backward calls
-until the optimizer or ParamStore.zero_grad zeroes them.
+accumulates gradients into leaf tensors.  A parameter's gradient is a
+view into its ParamStore's zeroed arena; gradients add up across
+backward calls until the optimizer or ParamStore.zero_grad zeroes them.
 
 numpy supplies the array arithmetic only; the tape, dropout, the
 finite-difference checker and a small op set (matmul, add and
@@ -171,37 +171,42 @@ def backward(loss: Tensor) -> None:
 
 
 class ParamStore:
-    """Named trainable tensors, each owning a zeroed gradient of its shape."""
+    """Named trainable tensors laid out once in one float64 arena, in sorted-name order.
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
+    store.data holds every parameter's values and store.grad their
+    gradients, zeroed; each Tensor's data and grad are views into them,
+    at the slice spans[name].
+    """
 
-    def add(self, name: str, data) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already registered")
-        t = Tensor(np.array(data, dtype=np.float64))
+    def __init__(self, params):
+        names = sorted(params)
+        arrays = [np.asarray(params[name], dtype=np.float64) for name in names]
+        size = sum(a.size for a in arrays)
+        self.data = np.empty(size)
         # anonymous pages, mapped on first write, so an eval-only model never touches
         # them; np.zeros may reuse freed heap memory, which calloc must clear
-        buf = mmap.mmap(-1, max(t.data.nbytes, 1))
-        t.grad = np.frombuffer(buf, np.float64, t.data.size).reshape(t.data.shape)
-        self._params[name] = t
-        return t
+        self.grad = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size)
+        self.spans: dict[str, slice] = {}
+        self._params: dict[str, Tensor] = {}
+        lo = 0
+        for name, arr in zip(names, arrays):
+            span = self.spans[name] = slice(lo, lo + arr.size)
+            self.data[span] = arr.reshape(-1)
+            t = self._params[name] = Tensor(self.data[span].reshape(arr.shape))
+            t.grad = self.grad[span].reshape(arr.shape)
+            lo = span.stop
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
-        return sorted(self._params)
+        return list(self._params)
 
     def items(self):
-        return [(name, self._params[name]) for name in self.names()]
+        return list(self._params.items())
 
     def zero_grad(self):
-        for t in self._params.values():
-            t.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def l2_penalty(self, weight: float, include=None) -> Tensor:
         """weight * sum of squared entries over the selected parameters.
@@ -259,16 +264,14 @@ def finite_difference_check(loss_fn, store: ParamStore, h=1e-5, max_coords=5, rn
     store.zero_grad()
     loss = loss_fn()
     backward(loss)
-    analytic = {name: t.grad.copy() for name, t in store.items()}
+    analytic = store.grad.copy()
 
     records = []
-    for name, tensor in store.items():
+    for name, span in store.spans.items():
         if wanted is not None and name not in wanted:
             continue
-        size = tensor.data.size
-        count = min(max_coords, size)
-        coords = rng.choice(size, size=count, replace=False)
-        flat = tensor.data.reshape(-1)
+        flat, grad = store.data[span], analytic[span]
+        coords = rng.choice(flat.size, size=min(max_coords, flat.size), replace=False)
         for idx in sorted(int(c) for c in coords):
             original = flat[idx]
             flat[idx] = original + h
@@ -277,7 +280,7 @@ def finite_difference_check(loss_fn, store: ParamStore, h=1e-5, max_coords=5, rn
             down = float(loss_fn().data)
             flat[idx] = original
             numeric = (up - down) / (2.0 * h)
-            a = float(analytic[name].reshape(-1)[idx])
+            a = float(grad[idx])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             records.append((name, idx, a, numeric, rel))
     store.zero_grad()

@@ -200,5 +200,10 @@ def load_entity_pairs(path) -> list[tuple[EntitySpan, EntitySpan]]:
                 a, b, c, d = (int(v) for v in fields)
             except ValueError:
                 raise DatasetError(f"{path}:{line_no}: non-integer span bound") from None
-            pairs.append((EntitySpan(a, b, "e1"), EntitySpan(c, d, "e2")))
+            try:
+                pairs.append((EntitySpan(a, b, "e1"), EntitySpan(c, d, "e2")))
+                if not (b < c or d < a):
+                    raise ValueError("entity spans overlap")
+            except ValueError as err:
+                raise DatasetError(f"{path}:{line_no}: {err}") from None
     return pairs

@@ -53,6 +53,12 @@ class EmptyPath(ValueError):
     pass
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a decode mixture weight outside [0, 1], NaN included."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha {alpha} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class ModelConfig(Document):
     """Architecture and training knobs.
@@ -76,8 +82,7 @@ class ModelConfig(Document):
     def __post_init__(self):
         if min(self.word_dim, self.rel_dim, self.conv_dim) < 1:
             raise ValueError("all dimensions must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha {self.alpha} outside [0, 1]")
+        check_alpha(self.alpha)
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob {self.keep_prob} outside (0, 1]")
         if self.lstm_variant not in (LSTM_STANDARD, LSTM_PAPER_LITERAL):
@@ -128,37 +133,25 @@ class RelationVocabulary:
 
 
 class LstmCell:
-    """One LSTM cell: a packed (4H, X+H) weight and a 4H bias.
+    """One LSTM cell bound to its packed (4H, X+H) weight and 4H bias in a store.
 
     The weight's row blocks are the gates g, i, f, o and its columns are
     [x | h], so one product W [x; h] + b gives every gate's pre-activation.
-    Initialization draws the eight per-gate blocks in the order w_gx, w_gh,
-    w_ix, w_ih, ..., w_oh.
     """
 
     GATES = ("g", "i", "f", "o")
 
-    def __init__(
-        self, store: ParamStore, prefix: str, input_dim: int, hidden_dim: int, rng, init_scale: float
-    ):
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        s = init_scale
-        blocks = [
-            np.hstack([
-                rng.uniform(-s, s, size=(hidden_dim, input_dim)),
-                rng.uniform(-s, s, size=(hidden_dim, hidden_dim)),
-            ])
-            for _ in self.GATES
-        ]
-        self.w = store.add(f"{prefix}/w", np.vstack(blocks))
-        self.b = store.add(f"{prefix}/b", np.zeros(4 * hidden_dim))
+    def __init__(self, store: ParamStore, prefix: str):
+        self.w, self.b = store[f"{prefix}/w"], store[f"{prefix}/b"]
+        self.hidden_dim = len(self.b.data) // 4
+        self.input_dim = self.w.shape[1] - self.hidden_dim
 
-
-def _init(store: ParamStore, name: str, shape, rng, init_scale: float = 0.1) -> Tensor:
-    if rng is None:
-        return store.add(name, np.zeros(shape))
-    return store.add(name, rng.uniform(-init_scale, init_scale, size=shape))
+    @classmethod
+    def initial(cls, prefix: str, input_dim: int, hidden_dim: int, draw) -> dict:
+        """The initial arrays: draw(*shape) gives w_gx, w_gh, w_ix, ..., w_oh in turn."""
+        w = np.vstack([np.hstack([draw(hidden_dim, input_dim), draw(hidden_dim, hidden_dim)])
+                       for _ in cls.GATES])
+        return {f"{prefix}/w": w, f"{prefix}/b": np.zeros(4 * hidden_dim)}
 
 
 def lstm_step(cell: LstmCell, z: np.ndarray, h_prev, s_prev, variant: str = LSTM_STANDARD):
@@ -371,12 +364,15 @@ class RelationModel:
         self.schema = schema
         self.word_vocab = word_vocab
         self.rel_vocab = rel_vocab
-        self.store = ParamStore()
         self.meta: dict = {}
 
         rng = np.random.default_rng(seed)
         s = config.init_scale
-        emb_word = rng.uniform(-s, s, size=(len(word_vocab), config.word_dim))
+
+        def draw(*shape):
+            return rng.uniform(-s, s, size=shape)
+
+        emb_word = draw(len(word_vocab), config.word_dim)
         if pretrained:
             for w, vec in pretrained.items():
                 if w in word_vocab._index and w != UNK:
@@ -385,45 +381,31 @@ class RelationModel:
                             f"embedding for {w!r} has dim {vec.shape}, expected ({config.word_dim},)"
                         )
                     emb_word[word_vocab.index(w)] = vec
-        self.emb_word = self.store.add("emb/word", emb_word)
-        self.emb_rel = self.store.add(
-            "emb/rel", rng.uniform(-s, s, size=(rel_vocab.table_size, config.rel_dim))
-        )
-
-        self.cells = {}
-        self.conv = {}
+        # initial arrays in draw order; zero biases draw nothing
+        params = {"emb/word": emb_word, "emb/rel": draw(rel_vocab.table_size, config.rel_dim)}
+        unit_dim = 2 * config.word_dim + config.rel_dim
         for direction in (FWD, BWD):
-            self.cells[(direction, "word")] = LstmCell(
-                self.store, f"{direction}/word_cell", config.word_dim, config.word_dim, rng, s
-            )
-            self.cells[(direction, "rel")] = LstmCell(
-                self.store, f"{direction}/rel_cell", config.rel_dim, config.rel_dim, rng, s
-            )
-            unit_dim = 2 * config.word_dim + config.rel_dim
-            self.conv[direction] = (
-                _init(self.store, f"{direction}/conv/w", (config.conv_dim, unit_dim), rng, s),
-                _init(self.store, f"{direction}/conv/b", (config.conv_dim,), None),
-            )
+            for channel, dim in (("word", config.word_dim), ("rel", config.rel_dim)):
+                params.update(LstmCell.initial(f"{direction}/{channel}_cell", dim, dim, draw))
+            params[f"{direction}/conv/w"] = draw(config.conv_dim, unit_dim)
+            params[f"{direction}/conv/b"] = np.zeros(config.conv_dim)
+        fine, coarse = schema.fine_size, schema.coarse_size
+        for head in ("fine_fwd",) if config.share_fine_heads else ("fine_fwd", "fine_bwd"):
+            params[f"{head}/w"] = draw(fine, config.conv_dim)
+            params[f"{head}/b"] = np.zeros(fine)
+        params["coarse/w_fwd"] = draw(coarse, config.conv_dim)
+        params["coarse/w_bwd"] = draw(coarse, config.conv_dim)
+        params["coarse/b"] = np.zeros(coarse)
 
-        fine = schema.fine_size
-        self.fine_heads = {}
-        self.fine_heads[FWD] = (
-            _init(self.store, "fine_fwd/w", (fine, config.conv_dim), rng, s),
-            _init(self.store, "fine_fwd/b", (fine,), None),
-        )
-        if config.share_fine_heads:
-            self.fine_heads[BWD] = self.fine_heads[FWD]
-        else:
-            self.fine_heads[BWD] = (
-                _init(self.store, "fine_bwd/w", (fine, config.conv_dim), rng, s),
-                _init(self.store, "fine_bwd/b", (fine,), None),
-            )
-        coarse = schema.coarse_size
-        self.coarse_head = (
-            _init(self.store, "coarse/w_fwd", (coarse, config.conv_dim), rng, s),
-            _init(self.store, "coarse/w_bwd", (coarse, config.conv_dim), rng, s),
-            _init(self.store, "coarse/b", (coarse,), None),
-        )
+        st = self.store = ParamStore(params)
+        self.emb_word, self.emb_rel = st["emb/word"], st["emb/rel"]
+        self.cells = {(d, c): LstmCell(st, f"{d}/{c}_cell")
+                      for d in (FWD, BWD) for c in ("word", "rel")}
+        self.conv = {d: (st[f"{d}/conv/w"], st[f"{d}/conv/b"]) for d in (FWD, BWD)}
+        self.fine_heads = {FWD: (st["fine_fwd/w"], st["fine_fwd/b"])}
+        self.fine_heads[BWD] = (self.fine_heads[FWD] if config.share_fine_heads
+                                else (st["fine_bwd/w"], st["fine_bwd/b"]))
+        self.coarse_head = (st["coarse/w_fwd"], st["coarse/w_bwd"], st["coarse/b"])
 
     # -- forward pieces -------------------------------------------------
 
@@ -530,13 +512,15 @@ class RelationModel:
     def predict_batch(self, paths, alpha: float | None = None) -> list:
         """Eval-mode decode of many paths without the tape, in input order.
 
-        Returns one (label, Prediction with y_test) per path.  Paths of
-        equal node count run together, at most PREDICT_BATCH at a time, so
-        nothing is padded or masked.  Each direction runs the tape nodes'
-        forwards, channel_forward and conv_forward, on the whole slice, and
-        classify scores the slice's pooled rows.
+        Returns one (label, Prediction with y_test) per path; an alpha
+        outside [0, 1] raises ValueError.  Paths of equal node count run
+        together, at most PREDICT_BATCH at a time, so nothing is padded or
+        masked.  Each direction runs the tape nodes' forwards,
+        channel_forward and conv_forward, on the whole slice, and classify
+        scores the slice's pooled rows.
         """
         alpha = self.config.alpha if alpha is None else alpha
+        check_alpha(alpha)
         groups: dict[int, list[int]] = {}
         for k, path in enumerate(paths):
             groups.setdefault(len(path.nodes), []).append(k)

@@ -11,7 +11,7 @@ BLOCK = 16384
 
 
 class AdaDeltaState:
-    """Per-parameter running averages of squared gradients and updates.
+    """Running averages of squared gradients and updates, laid out as the store's arena.
 
     rho and epsilon default to the values from the method's original
     description; both accumulators start at zero and stay nonnegative.
@@ -29,12 +29,17 @@ class AdaDeltaState:
             raise ValueError(f"epsilon {epsilon} must be positive")
         self.rho = rho
         self.epsilon = epsilon
-        self.sq_grad = {name: np.zeros_like(t.data) for name, t in store.items()}
-        self.sq_update = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self.sq_grad = np.zeros(store.data.size)
+        self.sq_update = np.zeros(store.data.size)
         self.steps = 0
         # per row of each row-sparse table: the step its accumulators are current to
         self.row_step = {name: np.zeros(len(store[name].data), dtype=np.int64) for name in row_sparse}
-        size = min(BLOCK, max((t.data.size for _, t in store.items()), default=1))
+        # the dense ranges: the nonempty stretches of the arena around the tables
+        spans = [store.spans[name] for name in row_sparse]
+        cuts = sorted(i for span in spans for i in (span.start, span.stop))
+        edges = [0, *cuts, store.data.size]
+        self.dense = [slice(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if hi > lo]
+        size = min(BLOCK, store.data.size)
         self._scratch = (np.empty(size), np.empty(size))
 
 
@@ -62,12 +67,14 @@ def _update(x, g, eg2, edx2, rho, eps, t1, t2) -> None:
 
 
 def _dense_update(x, g, eg2, edx2, state: AdaDeltaState) -> None:
+    """The rule over x block by block, zeroing each gradient block after use."""
     x, g, eg2, edx2 = (a.reshape(-1) for a in (x, g, eg2, edx2))
     s1, s2 = state._scratch
     for lo in range(0, x.size, BLOCK):
         hi = min(lo + BLOCK, x.size)
         n = hi - lo
         _update(x[lo:hi], g[lo:hi], eg2[lo:hi], edx2[lo:hi], state.rho, state.epsilon, s1[:n], s2[:n])
+        g[lo:hi] = 0.0
 
 
 def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
@@ -76,22 +83,21 @@ def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
     Per coordinate: E[g2] <- rho E[g2] + (1-rho) g2;
     dx = -(sqrt(E[dx2]+eps) / sqrt(E[g2]+eps)) g;
     E[dx2] <- rho E[dx2] + (1-rho) dx2;  x <- x + dx.
-    A dense gradient is zeroed whole; a row-sparse table's only at the
-    rows it updated, since its other rows hold zeros already.
+    The ranges between the tables update and zero whole; a table's gradient
+    only at the rows it updated, since its other rows hold zeros already.
     """
     state.steps += 1
-    for name, tensor in store.items():
-        g = tensor.grad
-        eg2, edx2 = state.sq_grad[name], state.sq_update[name]
-        last = state.row_step.get(name)
-        if last is None:
-            _dense_update(tensor.data, g, eg2, edx2, state)
-            g.fill(0.0)
-            continue
+    arrays = (store.data, store.grad, state.sq_grad, state.sq_update)
+    for span in state.dense:
+        _dense_update(*(a[span] for a in arrays), state)
+    for name, last in state.row_step.items():
+        table, span = store[name], store.spans[name]
+        g = table.grad
+        eg2, edx2 = (a[span].reshape(g.shape) for a in (state.sq_grad, state.sq_update))
         rows = np.flatnonzero(g.any(axis=1))
         decay = (state.rho ** (state.steps - 1 - last[rows]))[:, None]
-        x_r, eg2_r, edx2_r = tensor.data[rows], eg2[rows] * decay, edx2[rows] * decay
+        x_r, eg2_r, edx2_r = table.data[rows], eg2[rows] * decay, edx2[rows] * decay
         _dense_update(x_r, g[rows], eg2_r, edx2_r, state)
-        tensor.data[rows], eg2[rows], edx2[rows] = x_r, eg2_r, edx2_r
+        table.data[rows], eg2[rows], edx2[rows] = x_r, eg2_r, edx2_r
         g[rows] = 0.0
         last[rows] = state.steps

@@ -179,7 +179,7 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
 
     optimizer = AdaDeltaState(model.store, row_sparse=EMBEDDING_TABLES)
     result = TrainResult(model=model)
-    best_tensors = None
+    best = None
     use_dropout = config.model.keep_prob < 1.0
     for epoch in range(1, config.epochs + 1):
         order = master.permutation(len(fit))
@@ -194,21 +194,19 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
             backward(loss)
             adadelta_step(model.store, optimizer)
             total += value
-        bad = [name for name, t in model.store.items() if not np.isfinite(t.data).all()]
-        if bad:
+        if not np.isfinite(model.store.data).all():
+            bad = [name for name, t in model.store.items() if not np.isfinite(t.data).all()]
             raise NonFiniteError(f"epoch {epoch}: parameters not finite: {', '.join(bad)}")
         mean_loss = total / len(fit)
         f1 = _score_prepared(model, score_set).macro_f1()
         result.history.append({"epoch": epoch, "loss": mean_loss, "macro_f1": f1})
         logger.info("epoch %d: loss %.6f, macro-F1 %.4f", epoch, mean_loss, f1)
         # >= so ties go to the later epoch (more training at equal score)
-        if best_tensors is None or f1 >= result.best_macro_f1:
+        if best is None or f1 >= result.best_macro_f1:
             result.best_epoch = epoch
             result.best_macro_f1 = f1
-            best_tensors = {name: t.data.copy() for name, t in model.store.items()}
-
-    for name, arr in best_tensors.items():
-        model.store[name].data[...] = arr
+            best = model.store.data.copy()
+    model.store.data[...] = best
 
     if config.checkpoint_path:
         model.save(config.checkpoint_path, extra_meta={"rule": config.rule.to_dict()})

@@ -286,9 +286,7 @@ class PerGateReference:
 
     def __init__(self, model):
         self.model = model
-        self.store = ParamStore()
-        for name, arr in per_gate_tensors(model).items():
-            self.store.add(name, arr)
+        self.store = ParamStore(per_gate_tensors(model))
 
     def _cell(self, direction, channel):
         prefix = f"{direction}/{channel}_cell/"

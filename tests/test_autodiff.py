@@ -55,8 +55,7 @@ class TestForwardValues:
         rng = np.random.default_rng(4)
         for _ in range(20):
             z = rng.normal(size=6) * 5
-            store = ParamStore()
-            fused = store.add("z", z)
+            fused = ParamStore({"z": z})["z"]
             ce = softmax_cross_entropy(fused, 3)
             backward(ce)
             ref_z = Tensor(z)
@@ -70,8 +69,7 @@ class TestForwardValues:
         # log-sum-exp keeps both finite
         with np.errstate(divide="ignore"):
             assert not np.isfinite(float(cross_entropy(softmax(Tensor([0.0, -1e4])), 1).data))
-        store = ParamStore()
-        logits = store.add("z", [0.0, -1e4])
+        logits = ParamStore({"z": [0.0, -1e4]})["z"]
         ce = softmax_cross_entropy(logits, 1)
         backward(ce)
         assert float(ce.data) == 1e4
@@ -103,15 +101,14 @@ class TestForwardValues:
 
 class TestBackward:
     def test_square_gradient(self):
-        store = ParamStore()
-        x = store.add("x", 3.0)
+        x = ParamStore({"x": 3.0})["x"]
         loss = mul(x, x)
         backward(loss)
         assert float(x.grad) == 6.0
 
     def test_additive_accumulation_until_zeroed(self):
-        store = ParamStore()
-        x = store.add("x", 3.0)
+        store = ParamStore({"x": 3.0})
+        x = store["x"]
         backward(mul(x, x))
         backward(mul(x, x))
         assert float(x.grad) == 12.0
@@ -121,8 +118,7 @@ class TestBackward:
 
     def test_repeated_backward_same_graph(self):
         # intermediate grads are transient; leaves accumulate exactly
-        store = ParamStore()
-        x = store.add("x", 2.0)
+        x = ParamStore({"x": 2.0})["x"]
         loss = mul(mul(x, x), x)  # x^3, grad 12
         backward(loss)
         backward(loss)
@@ -133,32 +129,28 @@ class TestBackward:
             backward(Tensor([1.0, 2.0]))
 
     def test_max_over_routes_to_argmax(self):
-        store = ParamStore()
-        a = store.add("a", [1.0, 5.0])
-        b = store.add("b", [2.0, 3.0])
+        store = ParamStore({"a": [1.0, 5.0], "b": [2.0, 3.0]})
+        a, b = store["a"], store["b"]
         backward(sum_squares(max_over([a, b])))
         assert np.array_equal(a.grad, [0.0, 10.0])
         assert np.array_equal(b.grad, [4.0, 0.0])
 
     def test_max_over_tie_goes_to_first(self):
-        store = ParamStore()
-        a = store.add("a", [1.0])
-        b = store.add("b", [1.0])
+        store = ParamStore({"a": [1.0], "b": [1.0]})
+        a, b = store["a"], store["b"]
         backward(sum_squares(max_over([a, b])))
         assert np.array_equal(a.grad, [2.0])
         assert np.array_equal(b.grad, [0.0])  # loser receives no contribution at all
 
     def test_l2_penalty_gradient_exact(self):
-        store = ParamStore()
-        w = store.add("w", [[0.5, -2.0], [3.0, 0.25]])
+        store = ParamStore({"w": [[0.5, -2.0], [3.0, 0.25]]})
+        w = store["w"]
         lam = 1e-5
         backward(store.l2_penalty(lam))
         assert np.array_equal(w.grad, 2.0 * lam * w.data)
 
     def test_l2_penalty_include_filter(self):
-        store = ParamStore()
-        store.add("emb/w", [1.0])
-        store.add("dense/w", [1.0])
+        store = ParamStore({"emb/w": [1.0], "dense/w": [1.0]})
         pen = store.l2_penalty(1.0, include=lambda n: not n.startswith("emb/"))
         assert float(pen.data) == 1.0
 
@@ -166,9 +158,8 @@ class TestBackward:
 class TestFiniteDifferenceAgainstOps:
     def test_dense_chain(self):
         rng = np.random.default_rng(1)
-        store = ParamStore()
-        w = store.add("w", rng.normal(size=(3, 4)) * 0.3)
-        b = store.add("b", rng.normal(size=3) * 0.3)
+        store = ParamStore({"w": rng.normal(size=(3, 4)) * 0.3, "b": rng.normal(size=3) * 0.3})
+        w, b = store["w"], store["b"]
         x = rng.normal(size=4)
 
         def loss_fn():
@@ -179,10 +170,8 @@ class TestFiniteDifferenceAgainstOps:
 
     def test_gates_and_pool(self):
         rng = np.random.default_rng(2)
-        store = ParamStore()
-        u = store.add("u", rng.normal(size=5) * 0.5)
-        v = store.add("v", rng.normal(size=5) * 0.5)
-        w = store.add("w", rng.normal(size=5) * 0.5)
+        store = ParamStore({name: rng.normal(size=5) * 0.5 for name in "uvw"})
+        u, v, w = (store[name] for name in "uvw")
 
         def loss_fn():
             gated = mul(sigmoid(u), tanh(v))
@@ -192,8 +181,8 @@ class TestFiniteDifferenceAgainstOps:
         check_store(loss_fn, store)
 
     def test_checker_detects_wrong_gradient(self):
-        store = ParamStore()
-        x = store.add("x", 3.0)
+        store = ParamStore({"x": 3.0})
+        x = store["x"]
 
         def bad_square():
             out = Tensor(x.data * x.data, _parents=(x,))
@@ -222,15 +211,56 @@ class TestDropout:
 
 
 class TestParamStore:
-    def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("w", 1.0)
-        with pytest.raises(ValueError, match="already registered"):
-            store.add("w", 2.0)
+    SHAPES = {"w": (3, 4), "b": (3,), "a": (), "emb": (5, 2)}
+
+    def store(self):
+        rng = np.random.default_rng(0)
+        return ParamStore({name: rng.normal(size=shape) for name, shape in self.SHAPES.items()})
 
     def test_names_sorted(self):
-        store = ParamStore()
-        store.add("b", 1.0)
-        store.add("a", 1.0)
+        store = ParamStore({"b": 1.0, "a": 1.0})
         assert store.names() == ["a", "b"]
-        assert "a" in store and "z" not in store
+        assert [name for name, _ in store.items()] == ["a", "b"]
+
+    def test_initial_values_and_shapes_kept(self):
+        rng = np.random.default_rng(0)
+        params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
+        store = ParamStore(params)
+        for name, arr in params.items():
+            assert store[name].data.shape == arr.shape and store[name].grad.shape == arr.shape
+            assert np.array_equal(store[name].data, arr)
+            assert not store[name].grad.any()
+
+    def test_every_parameter_views_the_arena(self):
+        store = self.store()
+        assert store.data.dtype == store.grad.dtype == np.float64
+        for name, t in store.items():
+            assert np.shares_memory(t.data, store.data), name
+            assert np.shares_memory(t.grad, store.grad), name
+            t.data[...] = 7.0
+            t.grad[...] = 3.0
+            assert np.all(store.data[store.spans[name]] == 7.0)
+            assert np.all(store.grad[store.spans[name]] == 3.0)
+
+    def test_spans_tile_the_arena_in_sorted_name_order(self):
+        store = self.store()
+        assert list(store.spans) == sorted(self.SHAPES)
+        lo = 0
+        for name, span in store.spans.items():
+            assert span.start == lo and span.stop - span.start == store[name].data.size, name
+            lo = span.stop
+        assert lo == store.data.size == store.grad.size == sum(
+            int(np.prod(shape)) for shape in self.SHAPES.values()
+        )
+
+    def test_zero_grad_clears_the_whole_vector(self):
+        store = self.store()
+        store.grad[...] = 1.0
+        grad = store.grad
+        store.zero_grad()
+        assert store.grad is grad and not store.grad.any()
+        assert all(not t.grad.any() for _, t in store.items())
+
+    def test_empty_store(self):
+        store = ParamStore({})
+        assert store.data.size == store.grad.size == 0 and store.names() == []

@@ -1,14 +1,21 @@
 """Every function BENCHMARK.json's traced run spans still exists under its name.
 
 The traced run (`bench/run.py --trace 1`) wraps each `<function>` named by a
-`<function>.calls` per-layer metric; a rename in pathrel would break it.
+`<function>.calls` per-layer metric; a rename in pathrel would break it.  Its
+observers also read pathrel objects: the parameter count off
+`model.store.items()` and the tape size off the loss node's `_parents`.
 """
 
 import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pathrel.depgraph import PathEdge, SdpPath
+from pathrel.labels import synth_schema
+from pathrel.model import ModelConfig, RelationModel, RelationVocabulary, Vocabulary
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -32,3 +39,24 @@ def test_spanned_function_resolves(name):
         assert isinstance(owner, type), f"{name}: {attrs[0]} is not a class"
         assert attrs[1] in vars(owner), f"{name}: {attrs[0]} defines no {attrs[1]}"
     assert callable(getattr(owner, attrs[-1], None)), f"{name} is not a function"
+
+
+def small_model() -> RelationModel:
+    config = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5)
+    return RelationModel(config, synth_schema(2), Vocabulary(["a", "b"]),
+                         RelationVocabulary(["nsubj"]), seed=0)
+
+
+def test_store_items_count_every_parameter():
+    store = small_model().store
+    items = store.items()
+    assert items and all(isinstance(name, str) for name, _ in items)
+    assert sum(t.data.size for _, t in items) == store.data.size
+
+
+def test_loss_node_exposes_its_parents():
+    path = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),), forms=("a", "b"), pos=("X", "X"))
+    model = small_model()
+    node, _ = model.loss(path, model.schema.fine_label(0), dropout_rng=np.random.default_rng(0))
+    assert node._parents
+    assert all(hasattr(parent, "_parents") for parent in node._parents)

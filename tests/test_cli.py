@@ -108,6 +108,19 @@ class TestExtractSdp:
         assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3
         assert capsys.readouterr().err.startswith(f"error: {pairs}: sentence 1: span [9, 9] exceeds")
 
+    @pytest.mark.parametrize("line, message", [
+        ("2 1 3 3", "bad span [2, 1]"),
+        ("0 0 2 3", "bad span [0, 0]"),
+        ("1 1 3 2", "bad span [3, 2]"),
+        ("1 2 2 3", "entity spans overlap"),
+        ("3 4 1 3", "entity spans overlap"),
+        ("2 2 2 2", "entity spans overlap"),
+    ])
+    def test_bad_or_overlapping_spans_exit_3(self, tmp_path, capsys, line, message):
+        conllu, pairs = self.write_inputs(tmp_path, pairs=f"# e1 e2\n{line}\n")
+        assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3
+        assert capsys.readouterr().err == f"error: {pairs}:2: {message}\n"
+
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["extract-sdp", "--conllu", str(tmp_path / "no.conllu"),
                      "--pairs", str(tmp_path / "no.txt")]) == 3
@@ -194,6 +207,27 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ck), "--data", str(alien)]) == 4
         assert "schema mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-3", "nan"])
+    def test_alpha_outside_unit_interval_exits_3(self, tmp_path, dataset, capsys, alpha):
+        ck, report = tmp_path / "m.ckpt", tmp_path / "report.json"
+        train_args = ["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset)]
+        assert main([*train_args, "--checkpoint", str(ck)]) == 0
+        for command in ([*train_args, "--alpha", alpha],
+                        ["eval", "--checkpoint", str(ck), "--data", str(dataset), "--alpha", alpha,
+                         "--out", str(report)]):
+            capsys.readouterr()
+            assert main(command) == 3, command[0]
+            assert capsys.readouterr().err == f"error: alpha {float(alpha)} outside [0, 1]\n"
+        assert not report.exists()
+
+    def test_alpha_bounds_accepted(self, tmp_path, dataset, capsys):
+        ck = tmp_path / "m.ckpt"
+        main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
+              "--checkpoint", str(ck)])
+        for alpha in ("0", "1"):
+            assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset),
+                         "--alpha", alpha]) == 0
 
     def test_train_missing_data_exits_3(self, tmp_path):
         assert main(["train", "--config", str(tiny_config_file(tmp_path)),

@@ -129,11 +129,8 @@ class TestModelConfig:
 class TestLstmStep:
     @pytest.fixture
     def zero_cell(self):
-        store = ParamStore()
-        cell = LstmCell(store, "c", 1, 1, np.random.default_rng(0), 0.1)
-        for _, t in store.items():
-            t.data[...] = 0.0
-        return store, cell
+        store = ParamStore({"c/w": np.zeros((4, 2)), "c/b": np.zeros(4)})
+        return store, LstmCell(store, "c")
 
     @staticmethod
     def step(cell, x, h, s, variant=LSTM_STANDARD):

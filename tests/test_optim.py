@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pathrel.autodiff import ParamStore, backward
+from pathrel import optim
 from pathrel.optim import AdaDeltaState, adadelta_step
 
 # First update with rho=0.95, eps=1e-6, gradient 1, derived by hand from the
@@ -17,9 +18,9 @@ FIRST_STEP = -math.sqrt(0.0 + EPS) / math.sqrt(FIRST_EG2 + EPS) * 1.0
 
 
 def unit_gradient_step(value=0.0):
-    store = ParamStore()
-    x = store.add("x", value)
-    x.grad = np.asarray(1.0)
+    store = ParamStore({"x": value})
+    x = store["x"]
+    x.grad[...] = 1.0
     state = AdaDeltaState(store)
     adadelta_step(store, state)
     return store, x, state
@@ -35,37 +36,37 @@ class TestFirstStep:
     def test_step_magnitude_bounded(self):
         # sqrt((E[dx^2]+eps)/(E[g^2]+eps)) * g <= |g| * 1 on the first step
         for g in [1e-6, 0.1, 1.0, 100.0]:
-            store = ParamStore()
-            x = store.add("x", 0.0)
-            x.grad = np.asarray(g)
+            store = ParamStore({"x": 0.0})
+            x = store["x"]
+            x.grad[...] = g
             adadelta_step(store, AdaDeltaState(store))
             assert abs(float(x.data)) <= g + 1e-12
 
     def test_accumulators_after_first_step(self):
         _, _, state = unit_gradient_step()
-        assert float(state.sq_grad["x"]) == FIRST_EG2
-        assert float(state.sq_update["x"]) == pytest.approx((1.0 - RHO) * FIRST_STEP**2)
+        assert float(state.sq_grad[0]) == FIRST_EG2
+        assert float(state.sq_update[0]) == pytest.approx((1.0 - RHO) * FIRST_STEP**2)
 
 
 class TestZeroGradient:
     def test_params_unchanged_and_decay(self):
-        store = ParamStore()
-        x = store.add("x", 1.5)
-        x.grad = np.asarray(1.0)
+        store = ParamStore({"x": 1.5})
+        x = store["x"]
+        x.grad[...] = 1.0
         state = AdaDeltaState(store)
         adadelta_step(store, state)
         moved = float(x.data)
-        sq_g, sq_u = float(state.sq_grad["x"]), float(state.sq_update["x"])
+        sq_g, sq_u = float(state.sq_grad[0]), float(state.sq_update[0])
 
-        x.grad = np.asarray(0.0)
+        x.grad[...] = 0.0
         adadelta_step(store, state)
         assert float(x.data) == moved
-        assert float(state.sq_grad["x"]) == 0.95 * sq_g
-        assert float(state.sq_update["x"]) == 0.95 * sq_u
+        assert float(state.sq_grad[0]) == 0.95 * sq_g
+        assert float(state.sq_update[0]) == 0.95 * sq_u
 
     def test_missing_grad_treated_as_zero(self):
-        store = ParamStore()
-        x = store.add("x", 2.0)
+        store = ParamStore({"x": 2.0})
+        x = store["x"]
         state = AdaDeltaState(store)
         adadelta_step(store, state)
         assert float(x.data) == 2.0
@@ -73,8 +74,8 @@ class TestZeroGradient:
 
 class TestOptimization:
     def test_quadratic_descends_monotonically(self):
-        store = ParamStore()
-        x = store.add("x", 1.0)
+        store = ParamStore({"x": 1.0})
+        x = store["x"]
         state = AdaDeltaState(store)
         values = []
         for _ in range(100):
@@ -92,26 +93,25 @@ class TestOptimization:
 
     def test_accumulators_stay_nonnegative(self):
         rng = np.random.default_rng(5)
-        store = ParamStore()
-        w = store.add("w", rng.normal(size=4))
+        store = ParamStore({"w": rng.normal(size=4)})
         state = AdaDeltaState(store)
         for _ in range(50):
-            w.grad = rng.normal(size=4)
+            store["w"].grad[...] = rng.normal(size=4)
             adadelta_step(store, state)
-            assert np.all(state.sq_grad["w"] >= 0)
-            assert np.all(state.sq_update["w"] >= 0)
+            assert np.all(state.sq_grad >= 0)
+            assert np.all(state.sq_update >= 0)
 
 
 class TestValidation:
     def test_rho_range(self):
         with pytest.raises(ValueError):
-            AdaDeltaState(ParamStore(), rho=1.0)
+            AdaDeltaState(ParamStore({}), rho=1.0)
         with pytest.raises(ValueError):
-            AdaDeltaState(ParamStore(), rho=-0.1)
+            AdaDeltaState(ParamStore({}), rho=-0.1)
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
-            AdaDeltaState(ParamStore(), epsilon=0.0)
+            AdaDeltaState(ParamStore({}), epsilon=0.0)
 
 
 class TestRowSparseOracle:
@@ -119,11 +119,13 @@ class TestRowSparseOracle:
 
     @pytest.mark.parametrize("l2_include_embeddings", [False, True])
     def test_matches_dense_rule(self, l2_include_embeddings):
+        # "emb" sorts between "a" and "w": the table splits the arena into two dense ranges
         rng = np.random.default_rng(12)
-        store = ParamStore()
-        table = store.add("emb", rng.normal(size=(10, 3)))
-        w = store.add("w", rng.normal(size=(4, 5)))
+        store = ParamStore({"a": rng.normal(size=3), "emb": rng.normal(size=(10, 3)),
+                            "w": rng.normal(size=(4, 5))})
+        table = store["emb"]
         state = AdaDeltaState(store, row_sparse=("emb",))
+        assert state.dense == [store.spans["a"], store.spans["w"]]
         params = {name: t.data.copy() for name, t in store.items()}
         sq_grad = {name: np.zeros_like(x) for name, x in params.items()}
         sq_update = {name: np.zeros_like(x) for name, x in params.items()}
@@ -133,18 +135,58 @@ class TestRowSparseOracle:
             g_table[rows] = rng.normal(size=(len(rows), 3))
             if l2_include_embeddings:  # the penalty's gradient reaches every row
                 g_table += 2.0 * 1e-3 * table.data
-            grads = {"emb": g_table, "w": rng.normal(size=(4, 5))}
+            grads = {"a": rng.normal(size=3), "emb": g_table, "w": rng.normal(size=(4, 5))}
             for name, g in grads.items():
-                store[name].grad = g.copy()
+                store[name].grad[...] = g
             adadelta_step(store, state)
             helpers.dense_adadelta_step(params, grads, sq_grad, sq_update)
+            assert not store.grad.any()
+        span = store.spans["emb"]
         # the decays the table's untouched rows still owe
         owed = (RHO ** (state.steps - state.row_step["emb"]))[:, None]
         for got, want in ((table.data, params["emb"]),
-                          (state.sq_grad["emb"] * owed, sq_grad["emb"]),
-                          (state.sq_update["emb"] * owed, sq_update["emb"])):
+                          (state.sq_grad[span].reshape(10, 3) * owed, sq_grad["emb"]),
+                          (state.sq_update[span].reshape(10, 3) * owed, sq_update["emb"])):
             assert np.max(np.abs(got - want)) < 1e-12
         # dense tensors take the rule operation for operation
-        assert np.array_equal(w.data, params["w"])
-        assert np.array_equal(state.sq_grad["w"], sq_grad["w"])
-        assert np.array_equal(state.sq_update["w"], sq_update["w"])
+        for name in ("a", "w"):
+            span = store.spans[name]
+            assert np.array_equal(store[name].data, params[name])
+            assert np.array_equal(state.sq_grad[span].reshape(params[name].shape), sq_grad[name])
+            assert np.array_equal(state.sq_update[span].reshape(params[name].shape), sq_update[name])
+
+
+class TestArena:
+    def test_accumulators_span_the_arena(self):
+        store = ParamStore({"b": np.ones(3), "a": np.ones((2, 2))})
+        state = AdaDeltaState(store)
+        assert state.sq_grad.shape == state.sq_update.shape == store.data.shape == (7,)
+        assert state.dense == [slice(0, 7)]
+
+    def test_dense_ranges_skip_tables_at_the_ends(self):
+        store = ParamStore({"a": np.ones((2, 2)), "m": np.ones(3), "z": np.ones((3, 2))})
+        assert AdaDeltaState(store, row_sparse=("a", "z")).dense == [store.spans["m"]]
+        assert AdaDeltaState(store, row_sparse=("a", "m", "z")).dense == []
+
+    def test_one_dense_update_per_range_and_table(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        store = ParamStore({name: rng.normal(size=(4, 2)) for name in ("a", "emb1", "emb2", "z")})
+        state = AdaDeltaState(store, row_sparse=("emb1", "emb2"))
+        calls, update = [], optim._dense_update
+
+        def counting(x, *rest):
+            calls.append(x.size)
+            update(x, *rest)
+
+        monkeypatch.setattr(optim, "_dense_update", counting)
+        store.grad[...] = 1.0
+        adadelta_step(store, state)
+        assert calls == [8, 8, 8, 8]
+        assert not store.grad.any()
+
+    def test_dense_update_zeroes_each_gradient_block(self):
+        n = 2 * optim.BLOCK + 5
+        store = ParamStore({"w": np.zeros(n)})
+        store.grad[...] = 1.0
+        adadelta_step(store, AdaDeltaState(store))
+        assert not store.grad.any() and np.all(store.data < 0)

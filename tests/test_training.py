@@ -140,6 +140,26 @@ class TestTrainLoop:
         res = train(tiny_config(train_path=str(data)), train_instances=None)
         assert len(res.history) == 2
 
+    def test_best_epoch_restored_before_writing(self, tmp_path, monkeypatch):
+        """Falling scores make epoch 1 the best of 3: its checkpoint is an epochs=1 run's."""
+        once = tmp_path / "once.ckpt"
+        train(tiny_config(epochs=1, checkpoint_path=str(once)), train_instances=tiny_corpus())
+
+        class Scores:
+            falling = iter([0.9, 0.5, 0.1])
+
+            def __init__(self, model, prepared):
+                pass
+
+            def macro_f1(self):
+                return next(self.falling)
+
+        monkeypatch.setattr(training, "_score_prepared", Scores)
+        ck = tmp_path / "best.ckpt"
+        res = train(tiny_config(epochs=3, checkpoint_path=str(ck)), train_instances=tiny_corpus())
+        assert [h["macro_f1"] for h in res.history] == [0.9, 0.5, 0.1]
+        assert res.best_epoch == 1 and res.best_macro_f1 == 0.9
+        assert ck.read_bytes() == once.read_bytes()
 
     def test_non_finite_parameter_stops_the_epoch(self, tmp_path, monkeypatch):
         """A step that leaves a parameter NaN stops train before scoring or writing."""
@@ -155,6 +175,7 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteError, match="epoch 1: parameters not finite: coarse/b"):
             train(cfg, train_instances=tiny_corpus(2))
         assert not ck.exists() and not log.exists()
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_outputs(self, tmp_path):
