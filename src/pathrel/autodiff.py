@@ -175,10 +175,12 @@ class ParamStore:
 
     store.data holds every parameter's values and store.grad their
     gradients, zeroed; each Tensor's data and grad are views into them,
-    at the slice spans[name].
+    at the slice spans[name].  tables names the row-sparse 2-D tables
+    (embeddings): a step touches only some of their rows.  dense holds the
+    nonempty arena ranges around them.
     """
 
-    def __init__(self, params):
+    def __init__(self, params, tables=()):
         names = sorted(params)
         arrays = [np.asarray(params[name], dtype=np.float64) for name in names]
         size = sum(a.size for a in arrays)
@@ -195,12 +197,13 @@ class ParamStore:
             t = self._params[name] = Tensor(self.data[span].reshape(arr.shape))
             t.grad = self.grad[span].reshape(arr.shape)
             lo = span.stop
+        self.tables = tuple(tables)
+        cuts = sorted(i for name in self.tables for i in (self.spans[name].start, self.spans[name].stop))
+        edges = [0, *cuts, size]
+        self.dense = [slice(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if hi > lo]
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
 
     def items(self):
         return list(self._params.items())
@@ -208,24 +211,24 @@ class ParamStore:
     def zero_grad(self):
         self.grad.fill(0.0)
 
-    def l2_penalty(self, weight: float, include=None) -> Tensor:
-        """weight * sum of squared entries over the selected parameters.
+    def l2_penalty(self, weight: float, tables: bool = False) -> Tensor:
+        """weight * sum of squared entries over the dense parameters, and the tables if asked.
 
-        include defaults to every parameter; pass a predicate on names to
-        exclude e.g. embedding tables.  One tape node: its backward adds
-        2 * weight * w to each selected parameter's gradient.
+        One tape node: its backward adds 2 * weight * w to the gradient
+        once per penalized arena range.
         """
-        params = [t for name, t in self.items() if include is None or include(name)]
+        params = [t for name, t in self.items() if tables or name not in self.tables]
         total = 0.0
         for t in params:
             flat = t.data.reshape(-1)
             total += float(np.dot(flat, flat))
         out = Tensor(weight * total, _parents=tuple(params))
+        spans = [slice(0, self.data.size)] if tables else self.dense
 
         def backward(g):
             c = 2.0 * weight * g
-            for t in params:
-                t.add_grad(c * t.data)
+            for span in spans:
+                self.grad[span] += c * self.data[span]
 
         out._backward = backward
         return out

@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .atomic import atomic_open
 from .autodiff import NonScalarLoss, ShapeMismatch
-from .data import DatasetError, format_paths, load_dataset, load_entity_pairs, save_dataset
+from .data import DatasetError, format_paths, load_dataset, load_entity_pairs, read_lines, save_dataset
 from .depgraph import ConlluError, parse_conllu
 from .dictmatch import dict_match, format_standoff
 from .model import EmptyPath, RelationModel
@@ -60,11 +60,10 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def cmd_extract_sdp(args) -> int:
-    with open(args.conllu, "r", encoding="utf-8") as fh:
-        try:
-            trees = parse_conllu(fh.read())
-        except ConlluError as err:
-            raise type(err)(f"{args.conllu}: {err}") from None
+    try:
+        trees = parse_conllu("".join(read_lines(args.conllu)))
+    except ConlluError as err:
+        raise type(err)(f"{args.conllu}: {err}") from None
     pairs = load_entity_pairs(args.pairs)
     if len(pairs) != len(trees):
         raise DatasetError(f"{args.pairs}: {len(pairs)} entity-pair lines but {args.conllu} has "
@@ -144,10 +143,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dict_match(args) -> int:
-    with open(args.text, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    with open(args.dictionary, "r", encoding="utf-8") as fh:
-        entries = [line.rstrip("\n") for line in fh if line.strip()]
+    text = "".join(read_lines(args.text))
+    entries = [line.rstrip("\n") for line in read_lines(args.dictionary) if line.strip()]
     _write_out(args.out, format_standoff(dict_match(text, entries)))
     return 0
 

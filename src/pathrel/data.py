@@ -42,6 +42,15 @@ class DatasetError(ValueError):
     pass
 
 
+def read_lines(path):
+    """open(path)'s UTF-8 lines; a file that is not UTF-8 raises ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: not UTF-8 ({err})") from None
+
+
 # ---------------------------------------------------------------------------
 # dataset records
 
@@ -99,19 +108,18 @@ def load_dataset(path, schema: LabelSchema | None = None) -> list[Instance]:
     histogram and a plain-SDP length histogram of the loaded instances.
     """
     instances = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict):
-                    raise DatasetError("record is not a JSON object")
-                instances.append(record_to_instance(doc, schema))
-            except (ValueError, KeyError, TypeError) as err:
-                # ValueError covers json decode, Conllu, UnknownLabel, span errors
-                cls = type(err) if isinstance(err, (DatasetError, ConlluError, UnknownLabel)) else DatasetError
-                raise cls(f"{path}:{line_no}: {err}") from None
+    for line_no, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise DatasetError("record is not a JSON object")
+            instances.append(record_to_instance(doc, schema))
+        except (ValueError, KeyError, TypeError) as err:
+            # ValueError covers json decode, Conllu, UnknownLabel, span errors
+            cls = type(err) if isinstance(err, (DatasetError, ConlluError, UnknownLabel)) else DatasetError
+            raise cls(f"{path}:{line_no}: {err}") from None
     if not instances:
         logger.warning("%s: dataset is empty", path)
         return instances
@@ -188,22 +196,21 @@ def load_entity_pairs(path) -> list[tuple[EntitySpan, EntitySpan]]:
     Blank lines and lines starting with '#' are skipped.
     """
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            fields = body.split()
-            if len(fields) != 4:
-                raise DatasetError(f"{path}:{line_no}: expected 4 integers, got {len(fields)} fields")
-            try:
-                a, b, c, d = (int(v) for v in fields)
-            except ValueError:
-                raise DatasetError(f"{path}:{line_no}: non-integer span bound") from None
-            try:
-                pairs.append((EntitySpan(a, b, "e1"), EntitySpan(c, d, "e2")))
-                if not (b < c or d < a):
-                    raise ValueError("entity spans overlap")
-            except ValueError as err:
-                raise DatasetError(f"{path}:{line_no}: {err}") from None
+    for line_no, line in enumerate(read_lines(path), start=1):
+        body = line.strip()
+        if not body or body.startswith("#"):
+            continue
+        fields = body.split()
+        if len(fields) != 4:
+            raise DatasetError(f"{path}:{line_no}: expected 4 integers, got {len(fields)} fields")
+        try:
+            a, b, c, d = (int(v) for v in fields)
+        except ValueError:
+            raise DatasetError(f"{path}:{line_no}: non-integer span bound") from None
+        try:
+            pairs.append((EntitySpan(a, b, "e1"), EntitySpan(c, d, "e2")))
+            if not (b < c or d < a):
+                raise ValueError("entity spans overlap")
+        except ValueError as err:
+            raise DatasetError(f"{path}:{line_no}: {err}") from None
     return pairs

@@ -13,6 +13,7 @@ distribution with the direction-swapped backward one.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .autodiff import (
     softmax_array,
 )
 from .codec import Document
+from .data import read_lines
 from .depgraph import SdpPath
 from .labels import LabelSchema
 from .structreg import SR_LINK
@@ -85,6 +87,10 @@ class ModelConfig(Document):
         check_alpha(self.alpha)
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob {self.keep_prob} outside (0, 1]")
+        if not 0.0 <= self.l2_lambda < math.inf:
+            raise ValueError(f"l2_lambda {self.l2_lambda} must be finite and >= 0")
+        if not 0.0 < self.init_scale < math.inf:
+            raise ValueError(f"init_scale {self.init_scale} must be finite and > 0")
         if self.lstm_variant not in (LSTM_STANDARD, LSTM_PAPER_LITERAL):
             raise ValueError(f"unknown lstm_variant {self.lstm_variant!r}")
 
@@ -145,13 +151,6 @@ class LstmCell:
         self.w, self.b = store[f"{prefix}/w"], store[f"{prefix}/b"]
         self.hidden_dim = len(self.b.data) // 4
         self.input_dim = self.w.shape[1] - self.hidden_dim
-
-    @classmethod
-    def initial(cls, prefix: str, input_dim: int, hidden_dim: int, draw) -> dict:
-        """The initial arrays: draw(*shape) gives w_gx, w_gh, w_ix, ..., w_oh in turn."""
-        w = np.vstack([np.hstack([draw(hidden_dim, input_dim), draw(hidden_dim, hidden_dim)])
-                       for _ in cls.GATES])
-        return {f"{prefix}/w": w, f"{prefix}/b": np.zeros(4 * hidden_dim)}
 
 
 def lstm_step(cell: LstmCell, z: np.ndarray, h_prev, s_prev, variant: str = LSTM_STANDARD):
@@ -328,24 +327,40 @@ def load_word_embeddings(path) -> dict[str, np.ndarray]:
     """
     table = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{line_no}: expected `word v1 ... vd`")
-            try:
-                vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as err:
-                raise ValueError(f"{path}:{line_no}: {err}") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} is not finite")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} has {len(vec)} "
-                                 f"values, the first vector {dim}")
-            table[parts[0]] = vec
+    for line_no, line in enumerate(read_lines(path), start=1):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) < 2:
+            raise ValueError(f"{path}:{line_no}: expected `word v1 ... vd`")
+        try:
+            vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} is not finite")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} has {len(vec)} "
+                             f"values, the first vector {dim}")
+        table[parts[0]] = vec
     return table
+
+
+def layout(config: ModelConfig, schema: LabelSchema, n_words: int, n_rels: int) -> dict:
+    """Each parameter's name -> shape, in the order RelationModel draws them."""
+    shapes = {"emb/word": (n_words, config.word_dim), "emb/rel": (n_rels, config.rel_dim)}
+    for direction in (FWD, BWD):
+        for channel, dim in (("word", config.word_dim), ("rel", config.rel_dim)):
+            shapes[f"{direction}/{channel}_cell/w"] = (4 * dim, 2 * dim)
+            shapes[f"{direction}/{channel}_cell/b"] = (4 * dim,)
+        shapes[f"{direction}/conv/w"] = (config.conv_dim, 2 * config.word_dim + config.rel_dim)
+        shapes[f"{direction}/conv/b"] = (config.conv_dim,)
+    for head in ("fine_fwd",) if config.share_fine_heads else ("fine_fwd", "fine_bwd"):
+        shapes[f"{head}/w"] = (schema.fine_size, config.conv_dim)
+        shapes[f"{head}/b"] = (schema.fine_size,)
+    shapes["coarse/w_fwd"] = shapes["coarse/w_bwd"] = (schema.coarse_size, config.conv_dim)
+    shapes["coarse/b"] = (schema.coarse_size,)
+    return shapes
 
 
 class RelationModel:
@@ -359,6 +374,7 @@ class RelationModel:
         rel_vocab: RelationVocabulary,
         seed: int = 0,
         pretrained: dict[str, np.ndarray] | None = None,
+        params: dict[str, np.ndarray] | None = None,
     ):
         self.config = config
         self.schema = schema
@@ -366,38 +382,31 @@ class RelationModel:
         self.rel_vocab = rel_vocab
         self.meta: dict = {}
 
-        rng = np.random.default_rng(seed)
-        s = config.init_scale
+        if params is None:  # load passes a checkpoint's; otherwise draw them in layout order
+            rng = np.random.default_rng(seed)
+            s = config.init_scale
 
-        def draw(*shape):
-            return rng.uniform(-s, s, size=shape)
+            def draw(*shape):
+                return rng.uniform(-s, s, size=shape)
 
-        emb_word = draw(len(word_vocab), config.word_dim)
-        if pretrained:
-            for w, vec in pretrained.items():
+            params = {}
+            for name, shape in layout(config, schema, len(word_vocab), rel_vocab.table_size).items():
+                if name.endswith("/b"):
+                    params[name] = np.zeros(shape)
+                elif name.endswith("_cell/w"):  # eight gate blocks [x | h], gate by gate
+                    n = shape[0] // 4
+                    params[name] = np.vstack([np.hstack([draw(n, shape[1] - n), draw(n, n)])
+                                              for _ in LstmCell.GATES])
+                else:
+                    params[name] = draw(*shape)
+            for w, vec in (pretrained or {}).items():
                 if w in word_vocab._index and w != UNK:
                     if vec.shape != (config.word_dim,):
                         raise ValueError(
                             f"embedding for {w!r} has dim {vec.shape}, expected ({config.word_dim},)"
                         )
-                    emb_word[word_vocab.index(w)] = vec
-        # initial arrays in draw order; zero biases draw nothing
-        params = {"emb/word": emb_word, "emb/rel": draw(rel_vocab.table_size, config.rel_dim)}
-        unit_dim = 2 * config.word_dim + config.rel_dim
-        for direction in (FWD, BWD):
-            for channel, dim in (("word", config.word_dim), ("rel", config.rel_dim)):
-                params.update(LstmCell.initial(f"{direction}/{channel}_cell", dim, dim, draw))
-            params[f"{direction}/conv/w"] = draw(config.conv_dim, unit_dim)
-            params[f"{direction}/conv/b"] = np.zeros(config.conv_dim)
-        fine, coarse = schema.fine_size, schema.coarse_size
-        for head in ("fine_fwd",) if config.share_fine_heads else ("fine_fwd", "fine_bwd"):
-            params[f"{head}/w"] = draw(fine, config.conv_dim)
-            params[f"{head}/b"] = np.zeros(fine)
-        params["coarse/w_fwd"] = draw(coarse, config.conv_dim)
-        params["coarse/w_bwd"] = draw(coarse, config.conv_dim)
-        params["coarse/b"] = np.zeros(coarse)
-
-        st = self.store = ParamStore(params)
+                    params["emb/word"][word_vocab.index(w)] = vec
+        st = self.store = ParamStore(params, tables=EMBEDDING_TABLES)
         self.emb_word, self.emb_rel = st["emb/word"], st["emb/rel"]
         self.cells = {(d, c): LstmCell(st, f"{d}/{c}_cell")
                       for d in (FWD, BWD) for c in ("word", "rel")}
@@ -482,11 +491,6 @@ class RelationModel:
         out._backward = backward
         return out, logits
 
-    def _l2_filter(self, name: str) -> bool:
-        if self.config.l2_include_embeddings:
-            return True
-        return name not in EMBEDDING_TABLES
-
     def loss(self, path: SdpPath, label: str, dropout_rng=None):
         """Joint objective: three cross-entropies plus the L2 penalty.
 
@@ -500,7 +504,7 @@ class RelationModel:
         )
         j, logits = self.heads_loss(g_fwd, g_bwd, targets)
         if self.config.l2_lambda > 0.0:
-            j = add(self.store.l2_penalty(self.config.l2_lambda, include=self._l2_filter), j)
+            j = add(self.store.l2_penalty(self.config.l2_lambda, self.config.l2_include_embeddings), j)
         return j, Prediction(*map(softmax_array, logits))
 
     # -- inference -------------------------------------------------------
@@ -563,7 +567,7 @@ class RelationModel:
 
     @classmethod
     def load(cls, path) -> "RelationModel":
-        """The model a checkpoint describes; its meta stays on model.meta."""
+        """The model a checkpoint describes, checked against layout(); its meta stays on model.meta."""
         tensors, meta = ckpt.load_checkpoint(path)
         missing = [key for key in ("config", "schema", "words", "deprels") if key not in meta]
         if missing:
@@ -571,25 +575,20 @@ class RelationModel:
         for key in ("words", "deprels"):
             if not isinstance(meta[key], list) or not all(isinstance(w, str) for w in meta[key]):
                 raise ckpt.CheckpointError(f"{path}: meta {key} is not a list of strings")
-        model = cls(
-            config=ModelConfig.from_dict(meta["config"], source=f"{path}: meta config"),
-            schema=LabelSchema.from_dict(meta["schema"], source=f"{path}: meta schema"),
-            word_vocab=Vocabulary(meta["words"]),
-            rel_vocab=RelationVocabulary(meta["deprels"]),
-            seed=0,
-        )
-        expected = set(model.store.names())
-        got = set(tensors)
+        config = ModelConfig.from_dict(meta["config"], source=f"{path}: meta config")
+        schema = LabelSchema.from_dict(meta["schema"], source=f"{path}: meta schema")
+        word_vocab, rel_vocab = Vocabulary(meta["words"]), RelationVocabulary(meta["deprels"])
+        shapes = layout(config, schema, len(word_vocab), rel_vocab.table_size)
+        expected, got = set(shapes), set(tensors)
         if expected != got:
             raise ckpt.CheckpointError(
                 f"{path}: parameter names differ (missing {expected - got}, extra {got - expected})"
             )
         for name, arr in tensors.items():
-            t = model.store[name]
-            if t.data.shape != arr.shape:
+            if arr.shape != shapes[name]:
                 raise ckpt.CheckpointError(
-                    f"{path}: tensor {name!r}: shape {arr.shape} != expected {t.data.shape}"
+                    f"{path}: tensor {name!r}: shape {arr.shape} != expected {shapes[name]}"
                 )
-            t.data[...] = arr
+        model = cls(config, schema, word_vocab, rel_vocab, params=tensors)
         model.meta = meta
         return model

@@ -15,14 +15,14 @@ class AdaDeltaState:
 
     rho and epsilon default to the values from the method's original
     description; both accumulators start at zero and stay nonnegative.
-    The 2-D tables named in row_sparse (embeddings) update only the rows
-    whose gradient is nonzero: a row untouched for k steps owes its
-    accumulators k decays by rho, which the next step that touches it
-    applies at once as rho**k.  A table's accumulator rows are therefore
-    current as of row_step, not of steps.
+    The store's tables (embeddings) update only the rows whose gradient
+    is nonzero: a row untouched for k steps owes its accumulators k
+    decays by rho, which the next step that touches it applies at once as
+    rho**k.  A table's accumulator rows are therefore current as of
+    row_step, not of steps.
     """
 
-    def __init__(self, store: ParamStore, rho: float = 0.95, epsilon: float = 1e-6, row_sparse=()):
+    def __init__(self, store: ParamStore, rho: float = 0.95, epsilon: float = 1e-6):
         if not 0.0 < rho < 1.0:
             raise ValueError(f"rho {rho} outside (0, 1)")
         if epsilon <= 0.0:
@@ -32,13 +32,8 @@ class AdaDeltaState:
         self.sq_grad = np.zeros(store.data.size)
         self.sq_update = np.zeros(store.data.size)
         self.steps = 0
-        # per row of each row-sparse table: the step its accumulators are current to
-        self.row_step = {name: np.zeros(len(store[name].data), dtype=np.int64) for name in row_sparse}
-        # the dense ranges: the nonempty stretches of the arena around the tables
-        spans = [store.spans[name] for name in row_sparse]
-        cuts = sorted(i for span in spans for i in (span.start, span.stop))
-        edges = [0, *cuts, store.data.size]
-        self.dense = [slice(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if hi > lo]
+        # per row of each table: the step its accumulators are current to
+        self.row_step = {name: np.zeros(len(store[name].data), dtype=np.int64) for name in store.tables}
         size = min(BLOCK, store.data.size)
         self._scratch = (np.empty(size), np.empty(size))
 
@@ -88,7 +83,7 @@ def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
     """
     state.steps += 1
     arrays = (store.data, store.grad, state.sq_grad, state.sq_update)
-    for span in state.dense:
+    for span in store.dense:
         _dense_update(*(a[span] for a in arrays), state)
     for name, last in state.row_step.items():
         table, span = store[name], store.spans[name]

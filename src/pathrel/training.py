@@ -28,14 +28,7 @@ from .data import load_dataset
 from .depgraph import DependencyTree, Instance, SdpPath, entity_head
 from .labels import UnknownLabel, load_schema
 from .metrics import ConfusionMatrix
-from .model import (
-    EMBEDDING_TABLES,
-    ModelConfig,
-    RelationModel,
-    RelationVocabulary,
-    Vocabulary,
-    load_word_embeddings,
-)
+from .model import ModelConfig, RelationModel, RelationVocabulary, Vocabulary, load_word_embeddings
 from .optim import AdaDeltaState, adadelta_step
 from .structreg import CutRule, cut_and_line, extract_sr_sdp, select_cut_nodes
 
@@ -177,7 +170,7 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
     fit = [prepared[i] for i in perm[config.val_size :]]
     score_set = val if val else fit
 
-    optimizer = AdaDeltaState(model.store, row_sparse=EMBEDDING_TABLES)
+    optimizer = AdaDeltaState(model.store)
     result = TrainResult(model=model)
     best = None
     use_dropout = config.model.keep_prob < 1.0

@@ -150,9 +150,12 @@ class TestBackward:
         assert np.array_equal(w.grad, 2.0 * lam * w.data)
 
     def test_l2_penalty_include_filter(self):
-        store = ParamStore({"emb/w": [1.0], "dense/w": [1.0]})
-        pen = store.l2_penalty(1.0, include=lambda n: not n.startswith("emb/"))
+        store = ParamStore({"emb/w": [1.0], "dense/w": [1.0]}, tables=("emb/w",))
+        pen = store.l2_penalty(1.0)
         assert float(pen.data) == 1.0
+        backward(pen)
+        assert store["emb/w"].grad[0] == 0.0 and store["dense/w"].grad[0] == 2.0
+        assert float(store.l2_penalty(1.0, tables=True).data) == 2.0
 
 
 class TestFiniteDifferenceAgainstOps:
@@ -219,7 +222,7 @@ class TestParamStore:
 
     def test_names_sorted(self):
         store = ParamStore({"b": 1.0, "a": 1.0})
-        assert store.names() == ["a", "b"]
+        assert list(store.spans) == ["a", "b"]
         assert [name for name, _ in store.items()] == ["a", "b"]
 
     def test_initial_values_and_shapes_kept(self):
@@ -263,4 +266,4 @@ class TestParamStore:
 
     def test_empty_store(self):
         store = ParamStore({})
-        assert store.data.size == store.grad.size == 0 and store.names() == []
+        assert store.data.size == store.grad.size == 0 and list(store.spans) == []

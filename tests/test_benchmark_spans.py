@@ -3,7 +3,9 @@
 The traced run (`bench/run.py --trace 1`) wraps each `<function>` named by a
 `<function>.calls` per-layer metric; a rename in pathrel would break it.  Its
 observers also read pathrel objects: the parameter count off
-`model.store.items()` and the tape size off the loss node's `_parents`.
+`model.store.items()` and the tape size off the loss node's `_parents`.  Its
+save/reload stages and its `reload_bit_identical` check call the model's
+persistence and prediction API the way the last test here does.
 """
 
 import importlib
@@ -15,7 +17,8 @@ import pytest
 
 from pathrel.depgraph import PathEdge, SdpPath
 from pathrel.labels import synth_schema
-from pathrel.model import ModelConfig, RelationModel, RelationVocabulary, Vocabulary
+from pathrel.model import ModelConfig, Prediction, RelationModel, RelationVocabulary, Vocabulary
+from pathrel.structreg import CutRule
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -54,9 +57,25 @@ def test_store_items_count_every_parameter():
     assert sum(t.data.size for _, t in items) == store.data.size
 
 
+PATH = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),), forms=("a", "b"), pos=("X", "X"))
+
+
 def test_loss_node_exposes_its_parents():
-    path = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),), forms=("a", "b"), pos=("X", "X"))
     model = small_model()
-    node, _ = model.loss(path, model.schema.fine_label(0), dropout_rng=np.random.default_rng(0))
+    node, _ = model.loss(PATH, model.schema.fine_label(0), dropout_rng=np.random.default_rng(0))
     assert node._parents
     assert all(hasattr(parent, "_parents") for parent in node._parents)
+
+
+def test_save_reload_and_predict_as_the_benchmark_does(tmp_path):
+    model = small_model()
+    rule = CutRule(variant="prep")
+    path = str(tmp_path / "model.ckpt")
+    model.save(path, extra_meta={"rule": rule.to_dict()})
+    reloaded = RelationModel.load(path)
+    assert reloaded.meta["rule"] == rule.to_dict()
+    assert len(reloaded.word_vocab) == len(model.word_vocab) == 3
+    (label, pred), (label0, pred0) = reloaded.predict(PATH), model.predict(PATH)
+    assert isinstance(pred, Prediction) and label == label0
+    for name in ("y_fwd", "y_bwd", "y_coarse", "y_test"):
+        assert getattr(pred, name).tobytes() == getattr(pred0, name).tobytes(), name

@@ -418,12 +418,74 @@ class TestTrainEval:
         if damage not in ("not-utf8", "not-json"):
             assert "'coarse/b' holds a NaN or infinite value" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("l2_lambda", math.nan), ("l2_lambda", -1e-5), ("l2_lambda", math.inf),
+        ("init_scale", math.nan), ("init_scale", math.inf), ("init_scale", 0.0), ("init_scale", -0.1),
+    ])
+    @pytest.mark.parametrize("route", ["config", "meta"])
+    def test_bad_l2_lambda_or_init_scale_exits_3(self, tmp_path, dataset, capsys, field, value,
+                                                 route):
+        """A NaN or negative penalty and a scale that is not finite and positive name the field."""
+        config = tiny_config_file(tmp_path)
+        bad = tmp_path / "bad.json"
+        if route == "config":
+            cfg = json.loads(config.read_text())
+            cfg["model"][field] = value
+            bad.write_text(json.dumps(cfg))
+            argv = ["train", "--config", str(bad), "--train", str(dataset)]
+        else:
+            ck = tmp_path / "m.ckpt"
+            assert main(["train", "--config", str(config), "--train", str(dataset),
+                         "--checkpoint", str(ck)]) == 0
+            doc = json.loads(ck.read_text())
+            doc["meta"]["config"][field] = value
+            bad.write_text(json.dumps(doc))
+            argv = ["eval", "--checkpoint", str(bad), "--data", str(dataset)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and f"ModelConfig: {field} {value}" in err
+
+    @pytest.mark.parametrize("which", [
+        "eval-data", "extract-conllu", "extract-pairs", "train-embeddings", "dict-text",
+        "dict-dictionary",
+    ])
+    def test_non_utf8_input_exits_3_naming_the_file(self, tmp_path, dataset, capsys, which):
+        conllu, pairs = tmp_path / "s.conllu", tmp_path / "pairs.txt"
+        conllu.write_text(CONLLU)
+        pairs.write_text("1 1 4 4\n")
+        text, dictionary = tmp_path / "doc.txt", tmp_path / "dict.txt"
+        text.write_text("dogs sleep on mats\n")
+        dictionary.write_text("dogs\n")
+        emb = tmp_path / "emb.txt"
+        emb.write_text("dogs 0 0 0 0 0 0\n")
+        ck = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)),
+                     "--train", str(dataset), "--checkpoint", str(ck)]) == 0
+        command, bad = {
+            "eval-data": (["eval", "--checkpoint", str(ck), "--data", str(dataset)], dataset),
+            "extract-conllu": (["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)], conllu),
+            "extract-pairs": (["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)], pairs),
+            "train-embeddings": (["train", "--config", str(tiny_config_file(tmp_path)),
+                                  "--train", str(dataset), "--embeddings", str(emb)], emb),
+            "dict-text": (["dict-match", "--text", str(text), "--dictionary", str(dictionary)], text),
+            "dict-dictionary": (["dict-match", "--text", str(text), "--dictionary", str(dictionary)],
+                                dictionary),
+        }[which]
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        capsys.readouterr()
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 (")
+
     @pytest.mark.parametrize("damage", [
         "float-shape", "string-shape", "bool-shape", "negative-shape", "renamed", "transposed",
+        "words-one-short", "meta-shares-heads",
     ])
     def test_checkpoint_shape_and_names_exit_3_naming_the_file(self, tmp_path, dataset, capsys,
                                                                damage):
-        """Shapes are lists of non-negative JSON integers; every load error names the file."""
+        """Shapes are lists of non-negative JSON integers matching the meta's model; every load
+        error names the file."""
         ck = tmp_path / "m.ckpt"
         assert main(["train", "--config", str(tiny_config_file(tmp_path)),
                      "--train", str(dataset), "--checkpoint", str(ck)]) == 0
@@ -432,6 +494,10 @@ class TestTrainEval:
         rows, cols = spec["shape"]
         if damage == "renamed":
             doc["tensors"]["coarse/w_fwd2"] = doc["tensors"].pop("coarse/w_fwd")
+        elif damage == "words-one-short":
+            doc["meta"]["words"].pop()
+        elif damage == "meta-shares-heads":  # the tensors hold two fine heads
+            doc["meta"]["config"]["share_fine_heads"] = True
         else:
             spec["shape"] = {
                 "float-shape": [rows + 0.9, cols],
@@ -445,7 +511,10 @@ class TestTrainEval:
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ck}: ")
-        assert ("parameter names differ" if damage == "renamed" else "'coarse/w_fwd'") in err
+        if damage in ("renamed", "meta-shares-heads"):
+            assert "parameter names differ" in err
+        else:
+            assert ("'emb/word'" if damage == "words-one-short" else "'coarse/w_fwd'") in err
 
 
 class TestDictMatch:

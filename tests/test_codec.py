@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -73,6 +74,13 @@ class TestFromDict:
          "ExperimentConfig.rule: CutRule must be a JSON object, got str"),
         (ModelConfig, {"alpha": 1.5}, "ModelConfig: alpha 1.5 outside [0, 1]"),
         (ExperimentConfig, {"epochs": 0}, "ExperimentConfig: epochs must be >= 1"),
+        (ModelConfig, {"l2_lambda": math.nan}, "ModelConfig: l2_lambda nan must be finite and >= 0"),
+        (ModelConfig, {"l2_lambda": -1e-5}, "ModelConfig: l2_lambda -1e-05 must be finite and >= 0"),
+        (ModelConfig, {"l2_lambda": math.inf}, "ModelConfig: l2_lambda inf must be finite"),
+        (ModelConfig, {"init_scale": math.nan}, "ModelConfig: init_scale nan must be finite and > 0"),
+        (ModelConfig, {"init_scale": -math.inf}, "ModelConfig: init_scale -inf must be finite"),
+        (ModelConfig, {"init_scale": 0}, "ModelConfig: init_scale 0 must be finite and > 0"),
+        (ModelConfig, {"init_scale": -0.1}, "ModelConfig: init_scale -0.1 must be finite and > 0"),
     ])
     def test_rejects_with_document_and_field(self, cls, doc, message):
         with pytest.raises(DocumentError) as exc:

@@ -25,7 +25,6 @@ from pathrel.depgraph import PathEdge, SdpPath
 from pathrel.labels import BUILTIN_SCHEMAS, synth_schema
 from pathrel.model import (
     BWD,
-    EMBEDDING_TABLES,
     FWD,
     LSTM_PAPER_LITERAL,
     LSTM_STANDARD,
@@ -279,7 +278,7 @@ class TestDimensions:
         cfg = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, share_fine_heads=True)
         model = small_model(config=cfg)
         assert model.fine_heads[FWD] is model.fine_heads[BWD]
-        assert not any(n.startswith("fine_bwd/") for n in model.store.names())
+        assert not any(n.startswith("fine_bwd/") for n in model.store.spans)
 
 
 class TestForward:
@@ -295,7 +294,7 @@ class TestForward:
     def test_uniform_loss_with_zeroed_heads(self):
         schema = BUILTIN_SCHEMAS["semeval"]
         model = small_model(schema=schema)
-        for name in model.store.names():
+        for name in model.store.spans:
             if name.startswith(("fine_", "coarse/")):
                 model.store[name].data[...] = 0.0
         expected = 2 * math.log(19) + math.log(10)
@@ -405,11 +404,11 @@ class TestGradientBuffers:
 
     def test_step_zeroes_every_gradient_in_place(self):
         model = small_model(config=self.CONFIG, seed=2)
-        state = AdaDeltaState(model.store, row_sparse=EMBEDDING_TABLES)
+        state = AdaDeltaState(model.store)
         before = {name: t.grad for name, t in model.store.items()}
         loss, _ = model.loss(make_path(), "Rel1(e1,e2)", dropout_rng=np.random.default_rng(0))
         backward(loss)
-        assert all(model.store[name].grad.any() for name in EMBEDDING_TABLES)
+        assert all(model.store[name].grad.any() for name in model.store.tables)
         adadelta_step(model.store, state)
         for name, t in model.store.items():
             assert t.grad is before[name], name
@@ -417,7 +416,7 @@ class TestGradientBuffers:
 
     def test_training_steps_reuse_the_table_gradient(self):
         model = small_model(config=self.CONFIG, seed=2)
-        state = AdaDeltaState(model.store, row_sparse=EMBEDDING_TABLES)
+        state = AdaDeltaState(model.store)
         table_grad = model.emb_word.grad
         for seed in (0, 1):
             loss, _ = model.loss(make_path(), "Rel1(e1,e2)", dropout_rng=np.random.default_rng(seed))
@@ -604,13 +603,13 @@ class TestDirectionSymmetry:
     def build_pair(self):
         model = small_model(seed=5)
         mirrored = small_model(seed=5)
-        for name in model.store.names():
+        for name in model.store.spans:
             mirrored.store[mirror_name(name)].data[...] = model.store[name].data
         return model, mirrored
 
     def test_mirror_map_is_a_bijection(self):
         model = small_model()
-        names = model.store.names()
+        names = list(model.store.spans)
         mirrored = sorted(mirror_name(n) for n in names)
         assert mirrored == names
 
@@ -704,6 +703,35 @@ class TestPersistence:
         ckpt.save_checkpoint(file, tensors, meta)
         with pytest.raises(ckpt.CheckpointError, match="fine_fwd/w"):
             RelationModel.load(file)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        model = small_model(config=ModelConfig(word_dim=4, rel_dim=3, conv_dim=5), seed=4)
+        file = tmp_path / "model.ckpt"
+        model.save(file)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load drew random numbers")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module.np.random, "default_rng", no_draw)
+            loaded = RelationModel.load(file)
+        assert np.array_equal(loaded.store.data, model.store.data)
+        paths = [make_path(), make_path(forms=("cat",), rels=()),
+                 make_path(forms=("zzz", "dog"), rels=(("unseen", "DOWN"),))]
+        for (label, pred), (label0, pred0) in zip(loaded.predict_batch(paths),
+                                                  model.predict_batch(paths)):
+            assert label == label0
+            for name in ("y_fwd", "y_bwd", "y_coarse", "y_test"):
+                assert getattr(pred, name).tobytes() == getattr(pred0, name).tobytes(), name
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_layout_is_the_built_models_shapes(self, share):
+        config = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, share_fine_heads=share)
+        model = small_model(config=config)
+        shapes = model_module.layout(config, model.schema, len(model.word_vocab),
+                                     model.rel_vocab.table_size)
+        assert shapes == {name: t.shape for name, t in model.store.items()}
+        assert ("fine_bwd/w" in shapes) is not share
 
 
 class TestWordEmbeddings:

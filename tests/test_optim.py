@@ -122,10 +122,10 @@ class TestRowSparseOracle:
         # "emb" sorts between "a" and "w": the table splits the arena into two dense ranges
         rng = np.random.default_rng(12)
         store = ParamStore({"a": rng.normal(size=3), "emb": rng.normal(size=(10, 3)),
-                            "w": rng.normal(size=(4, 5))})
+                            "w": rng.normal(size=(4, 5))}, tables=("emb",))
         table = store["emb"]
-        state = AdaDeltaState(store, row_sparse=("emb",))
-        assert state.dense == [store.spans["a"], store.spans["w"]]
+        state = AdaDeltaState(store)
+        assert store.dense == [store.spans["a"], store.spans["w"]]
         params = {name: t.data.copy() for name, t in store.items()}
         sq_grad = {name: np.zeros_like(x) for name, x in params.items()}
         sq_update = {name: np.zeros_like(x) for name, x in params.items()}
@@ -161,17 +161,19 @@ class TestArena:
         store = ParamStore({"b": np.ones(3), "a": np.ones((2, 2))})
         state = AdaDeltaState(store)
         assert state.sq_grad.shape == state.sq_update.shape == store.data.shape == (7,)
-        assert state.dense == [slice(0, 7)]
+        assert store.dense == [slice(0, 7)]
 
     def test_dense_ranges_skip_tables_at_the_ends(self):
-        store = ParamStore({"a": np.ones((2, 2)), "m": np.ones(3), "z": np.ones((3, 2))})
-        assert AdaDeltaState(store, row_sparse=("a", "z")).dense == [store.spans["m"]]
-        assert AdaDeltaState(store, row_sparse=("a", "m", "z")).dense == []
+        params = {"a": np.ones((2, 2)), "m": np.ones(3), "z": np.ones((3, 2))}
+        store = ParamStore(params, tables=("a", "z"))
+        assert store.dense == [store.spans["m"]]
+        assert ParamStore(params, tables=("a", "m", "z")).dense == []
 
     def test_one_dense_update_per_range_and_table(self, monkeypatch):
         rng = np.random.default_rng(3)
-        store = ParamStore({name: rng.normal(size=(4, 2)) for name in ("a", "emb1", "emb2", "z")})
-        state = AdaDeltaState(store, row_sparse=("emb1", "emb2"))
+        store = ParamStore({name: rng.normal(size=(4, 2)) for name in ("a", "emb1", "emb2", "z")},
+                           tables=("emb1", "emb2"))
+        state = AdaDeltaState(store)
         calls, update = [], optim._dense_update
 
         def counting(x, *rest):
