@@ -309,41 +309,24 @@ def path_between(structure, a: int, b: int) -> SdpPath:
     DependencyTree and RegularizedTree.  Each edge carries its relation
     label and a traversal direction: UP when moving dependent -> head,
     DOWN when moving head -> dependent.  a == b yields a single-node path.
+    a's ancestors are walked once; b is walked up to the first of them.
     """
     parents, labels = structure.path_parents()
     tokens = structure.tokens
-
-    def depth_of(i):
-        d = 0
-        while parents[i] != 0:
-            i = parents[i]
-            d += 1
-        return d
-
-    left = [a]   # a up to the LCA
-    right = [b]  # b up to the LCA
-    da, db = depth_of(a), depth_of(b)
-    x, y = a, b
-    while da > db:
-        x = parents[x]
-        left.append(x)
-        da -= 1
-    while db > da:
-        y = parents[y]
-        right.append(y)
-        db -= 1
-    while x != y:
-        x = parents[x]
-        y = parents[y]
-        left.append(x)
-        right.append(y)
-
-    nodes = left + right[:-1][::-1]
-    edges = []
-    for u in left[:-1]:
-        edges.append(PathEdge(labels[u], UP))
-    for v in right[:-1][::-1]:
-        edges.append(PathEdge(labels[v], DOWN))
+    chain = {}  # a and its ancestors -> position on a's chain
+    cur = a
+    while cur:
+        chain[cur] = len(chain)
+        cur = parents[cur]
+    down = []  # b up to, not including, the first node of a's chain
+    cur = b
+    while cur not in chain:
+        down.append(cur)
+        cur = parents[cur]
+    up = list(chain)[: chain[cur] + 1]
+    down.reverse()
+    nodes = up + down
+    edges = [PathEdge(labels[u], UP) for u in up[:-1]] + [PathEdge(labels[v], DOWN) for v in down]
     return SdpPath(
         nodes=tuple(nodes),
         edges=tuple(edges),

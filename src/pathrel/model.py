@@ -319,14 +319,14 @@ def _check_path(path: SdpPath) -> None:
         raise ValueError("path carries no surface forms; extract it from a tree first")
 
 
-def load_word_embeddings(path) -> dict[str, np.ndarray]:
+def load_word_embeddings(path, dim: int) -> dict[str, np.ndarray]:
     """Text embeddings, one `word v1 v2 ... vd` line per word.
 
-    Every vector must be finite and as long as the first one; a line that
-    breaks either rule raises ValueError naming `file:line`.
+    Every vector must be finite and hold dim values (the model's
+    word_dim); a line that breaks either rule raises ValueError naming
+    `file:line`, whether or not the word is in the vocabulary.
     """
     table = {}
-    dim = None
     for line_no, line in enumerate(read_lines(path), start=1):
         parts = line.rstrip("\n").split(" ")
         if len(parts) < 2:
@@ -337,11 +337,9 @@ def load_word_embeddings(path) -> dict[str, np.ndarray]:
             raise ValueError(f"{path}:{line_no}: {err}") from None
         if not np.isfinite(vec).all():
             raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} is not finite")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
+        if len(vec) != dim:
             raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} has {len(vec)} "
-                             f"values, the first vector {dim}")
+                             f"values, expected word_dim {dim}")
         table[parts[0]] = vec
     return table
 

@@ -10,6 +10,7 @@ identity: the SR-SDP equals the plain SDP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .codec import Document
 from .depgraph import DependencyTree, PathEdge, SdpPath, path_between
@@ -91,27 +92,13 @@ def select_cut_nodes(tree: DependencyTree, rule: CutRule, ordinal: int = 0) -> s
             if tok.index != root and _unit_interval(z) < rule.p:
                 selected.add(tok.index)
         return selected
-    # punct: split the sentence into maximal segments at PUNCT tokens and
-    # cut each non-root segment loose at its externally attached tokens.
-    segments = []
-    current = []
-    for tok in tree.tokens:
-        if tok.pos == "PUNCT":
-            if current:
-                segments.append(current)
-            current = []
-        else:
-            current.append(tok.index)
-    if current:
-        segments.append(current)
-    selected = set()
-    for seg in segments:
-        if root in seg:
-            continue
-        seg_set = set(seg)
-        selected.update(i for i in seg if tree.token(i).head not in seg_set)
-    selected.discard(root)
-    return selected
+    # punct: a token's run number counts the PUNCT tokens up to it, so each
+    # maximal non-PUNCT run has its own; every run but the root's is cut
+    # loose at its tokens whose head lies outside the run.
+    runs = accumulate(tok.pos == "PUNCT" for tok in tree.tokens)
+    run = {tok.index: r for tok, r in zip(tree.tokens, runs) if tok.pos != "PUNCT"}
+    root_run = run.get(root)
+    return {i for i, r in run.items() if r != root_run and run.get(tree.token(i).head) != r}
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.n < 1 or self.k_types < 1 or self.blocks < 0 or self.fillers < 0:
             raise ValueError("n and k_types must be >= 1; blocks and fillers >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
         if self.entity_pool < 1 or self.filler_pool < 1:
             raise ValueError("entity_pool and filler_pool must be >= 1")
         for name in ("prep_density", "span2_prob", "residual_frac", "distractor_prob",

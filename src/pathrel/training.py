@@ -65,6 +65,8 @@ class ExperimentConfig(Document):
     log_path: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.val_size < 0:
@@ -154,9 +156,8 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
 
     prepared = prepare_paths(train_instances, config.rule)
     word_vocab, rel_vocab = build_vocabs(prepared)
-    pretrained = (
-        load_word_embeddings(config.embeddings_path) if config.embeddings_path else None
-    )
+    pretrained = (load_word_embeddings(config.embeddings_path, config.model.word_dim)
+                  if config.embeddings_path else None)
 
     master = np.random.default_rng(config.seed)
     init_seed = int(master.integers(2**31))

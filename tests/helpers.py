@@ -1,8 +1,10 @@
 """Shared random generators and independent oracles for the test suite.
 
 The oracles deliberately avoid the library's own algorithms: paths come
-from breadth-first search over an undirected adjacency list, partitions
-from direct upward walks, and tree checks from union-find.  The relation
+from breadth-first search over an undirected adjacency list (over a
+lined structure rebuilt by hand, if need be), partitions and entity
+heads from direct upward walks, the punct rule's cuts from a direct scan
+of the sentence, and tree checks from union-find.  The relation
 model's oracle is its per-gate formulation: one tape node per gate
 product and step, plain cross-entropy of a softmax, an L2 graph over
 every parameter, and the dense AdaDelta rule.  The elementwise tape ops
@@ -98,6 +100,48 @@ def bfs_path(structure, a, b):
             assert parents[v] == u, f"nodes {u}, {v} not adjacent"
             edges.append((labels[v], "DOWN"))
     return nodes, edges
+
+
+def punct_cut_oracle(tree) -> set:
+    """The punct rule by direct scan: each maximal run of non-PUNCT tokens
+    that does not hold the root is cut at every token whose head lies
+    outside the run."""
+    cut = set()
+    start = 1
+    while start <= tree.n:
+        end = start
+        while end <= tree.n and tree.token(end).pos != "PUNCT":
+            end += 1
+        run = range(start, end)
+        if tree.root not in run:
+            cut |= {i for i in run if tree.token(i).head not in run}
+        start = end + 1
+    return cut
+
+
+def lined_by_hand(tree, cut_nodes):
+    """The lined structure rebuilt from a cut set: every cut node severed
+    from its head, the component roots chained in ascending order by
+    SR-LINK edges.  Exposes path_parents() for bfs_path."""
+    parents = {tok.index: tok.head for tok in tree.tokens}
+    labels = {tok.index: tok.deprel for tok in tree.tokens}
+    roots = sorted(set(cut_nodes) | {tree.root})
+    parents[roots[0]] = 0
+    for lo, hi in zip(roots, roots[1:]):
+        parents[hi], labels[hi] = lo, "SR-LINK"
+    return SimpleNamespace(path_parents=lambda: (parents, labels))
+
+
+def entity_head_by_scan(tree, start, end):
+    """Span token attached outside the span, nearest the root, then lowest index."""
+    def depth(i):
+        d = 0
+        while tree.token(i).head != 0:
+            i, d = tree.token(i).head, d + 1
+        return d
+
+    outside = [i for i in range(start, end + 1) if not start <= tree.token(i).head <= end]
+    return min(outside, key=lambda i: (depth(i), i))
 
 
 class UnionFind:

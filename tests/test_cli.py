@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from helpers import bfs_path, entity_head_by_scan, lined_by_hand, punct_cut_oracle, random_tree
 
 from pathrel import cli, training
 from pathrel.autodiff import NonScalarLoss, ShapeMismatch
 from pathrel.cli import main
 from pathrel.data import load_dataset, parse_path_line
+from pathrel.depgraph import serialize_conllu
 from pathrel.model import EmptyPath, ModelConfig
-from pathrel.structreg import CutRule
+from pathrel.structreg import CutRule, select_cut_nodes
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import ExperimentConfig, entity_path, train
 
@@ -132,6 +134,36 @@ class TestExtractSdp:
         assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {conllu}: sentence 1 (starting line 1): token 2 has head 5")
+
+    @pytest.mark.parametrize("rule", CutRule.VARIANTS)
+    def test_every_record_matches_bfs_over_structure_lined_by_hand(self, tmp_path, rule):
+        """extract-sdp's JSON heads and paths against BFS over the cut set lined by hand."""
+        rng = np.random.default_rng(12)
+        trees, spans = [], []
+        for _ in range(50):
+            tree = random_tree(rng, n=int(rng.integers(2, 16)))
+            a, b = sorted(int(x) for x in rng.choice(np.arange(1, tree.n + 1), 2, replace=False))
+            pair = [(int(rng.integers(1, a + 1)), a), (b, int(rng.integers(b, tree.n + 1)))]
+            trees.append(tree)
+            spans.append(pair[::-1] if rng.random() < 0.5 else pair)
+        conllu, pairs, out = tmp_path / "s.conllu", tmp_path / "pairs.txt", tmp_path / "p.jsonl"
+        conllu.write_text(serialize_conllu(trees), encoding="utf-8")
+        pairs.write_text("".join(f"{s1} {t1} {s2} {t2}\n" for (s1, t1), (s2, t2) in spans))
+        assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), "--rule", rule,
+                     "--cut-p", "0.4", "--cut-seed", "11", "--json", "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == len(trees)
+        for ordinal, (tree, ((s1, t1), (s2, t2)), rec) in enumerate(zip(trees, spans, records)):
+            h1, h2 = entity_head_by_scan(tree, s1, t1), entity_head_by_scan(tree, s2, t2)
+            if rule == "none":
+                cuts = set()
+            elif rule == "punct":
+                cuts = punct_cut_oracle(tree)
+            else:  # the random draws and the prep tags, as the benchmark's check takes them
+                cuts = select_cut_nodes(tree, CutRule(rule, p=0.4, seed=11), ordinal)
+            nodes, edges = bfs_path(lined_by_hand(tree, cuts), h1, h2)
+            assert (rec["e1_head"], rec["e2_head"]) == (h1, h2)
+            assert rec["nodes"] == nodes and [tuple(e) for e in rec["edges"]] == edges
 
 
 class TestSynth:
@@ -343,7 +375,7 @@ class TestTrainEval:
         emb = tmp_path / "emb.txt"
         emb.write_text(f"{word} 0 0 0 0 0 0\n", encoding="utf-8")
         monkeypatch.setattr(training, "load_word_embeddings",
-                            lambda path: {word: np.full(6, np.nan)})
+                            lambda path, dim: {word: np.full(dim, np.nan)})
         ck, log = tmp_path / "m.ckpt", tmp_path / "m.log"
         capsys.readouterr()
         assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
@@ -396,6 +428,37 @@ class TestTrainEval:
         assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
                      "--embeddings", str(emb)]) == 3
         assert f"{emb}:{line}: vector for" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("in_vocab", [True, False])
+    def test_embeddings_of_another_length_than_word_dim_exit_3(self, tmp_path, dataset, capsys,
+                                                               in_vocab):
+        """A vector whose length is not the model's word_dim (6) names the file and line."""
+        inst = load_dataset(dataset)[0]
+        word = entity_path(inst.tree, inst.e1, inst.e2, CutRule()).forms[0] if in_vocab else "zzz"
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"{word} 0.5 0.5 0.5\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
+                     "--embeddings", str(emb)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {emb}:1:") and "3 values, expected word_dim 6" in err
+
+    @pytest.mark.parametrize("route", ["train-flag", "config-file", "synth-flag"])
+    def test_negative_seed_exits_3_naming_the_field(self, tmp_path, dataset, capsys, route):
+        config = tiny_config_file(tmp_path)
+        where = ""
+        if route == "train-flag":
+            argv = ["train", "--config", str(config), "--train", str(dataset), "--seed", "-1"]
+        elif route == "config-file":
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({**json.loads(config.read_text()), "seed": -1}))
+            argv = ["train", "--config", str(bad), "--train", str(dataset)]
+            where = f"{bad}: ExperimentConfig: "
+        else:
+            argv = ["synth", "--out", str(tmp_path / "d.jsonl"), "--seed", "-1"]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {where}seed -1 must be >= 0\n"
 
     @pytest.mark.parametrize("damage", ["not-utf8", "not-json", "nan-string", "nan", "infinity"])
     def test_unreadable_or_non_finite_checkpoint_exits_3(self, tmp_path, dataset, capsys, damage):

@@ -738,7 +738,7 @@ class TestWordEmbeddings:
     def test_load_text_table(self, tmp_path):
         file = tmp_path / "vecs.txt"
         file.write_text("hello 0.25 -1.5\nworld 2.0 0.0\n", encoding="utf-8")
-        table = load_word_embeddings(file)
+        table = load_word_embeddings(file, 2)
         assert set(table) == {"hello", "world"}
         assert np.array_equal(table["hello"], [0.25, -1.5])
 
@@ -746,7 +746,7 @@ class TestWordEmbeddings:
         file = tmp_path / "vecs.txt"
         file.write_text("hello 1.0\njunk\n", encoding="utf-8")
         with pytest.raises(ValueError, match="2"):
-            load_word_embeddings(file)
+            load_word_embeddings(file, 1)
 
     def test_pretrained_rows_injected(self):
         vec = np.array([9.0, 8.0, 7.0, 6.0])

@@ -1,9 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from helpers import bfs_path, check_lined_tree, components_by_walk, random_cut_set, random_tree
+from helpers import (
+    bfs_path,
+    check_lined_tree,
+    components_by_walk,
+    punct_cut_oracle,
+    random_cut_set,
+    random_tree,
+)
 from test_depgraph import make_tree
 
-from pathrel.depgraph import DOWN, UP, PathEdge, SdpPath, path_between
+from pathrel.depgraph import DOWN, UP, DependencyTree, PathEdge, SdpPath, path_between
 from pathrel.structreg import (
     SR_LINK,
     CutRootRequested,
@@ -119,6 +128,34 @@ class TestSelectCutNodes:
         tree = make_tree([0, 1, 1], pos=["VERB", "NOUN", "PUNCT"])
         assert select_cut_nodes(tree, CutRule("punct")) == set()
 
+    @pytest.mark.parametrize("heads, pos, cut", [
+        # a PUNCT root: no run holds it, so every run is cut at its exits
+        ([0, 1, 1, 3, 1], ["PUNCT", "NOUN", "NOUN", "NOUN", "NOUN"], {2, 3, 5}),
+        # leading, consecutive and trailing PUNCT around runs [2, 3] (root 3) and [6, 7]
+        ([3, 3, 0, 3, 6, 3, 6, 3],
+         ["PUNCT", "NOUN", "VERB", "PUNCT", "PUNCT", "NOUN", "NOUN", "PUNCT"], {6}),
+        # every token but the root is PUNCT
+        ([3, 3, 0, 3], ["PUNCT", "PUNCT", "VERB", "PUNCT"], set()),
+        # a run attached to a PUNCT token
+        ([0, 1, 2, 2], ["VERB", "PUNCT", "NOUN", "PUNCT"], {3}),
+    ])
+    def test_punct_edge_cases(self, heads, pos, cut):
+        tree = make_tree(heads, pos=pos)
+        assert select_cut_nodes(tree, CutRule("punct")) == cut == punct_cut_oracle(tree)
+
+    def test_punct_matches_scan_oracle(self):
+        rng = np.random.default_rng(10)
+        for _ in range(400):
+            tree = random_tree(rng)
+            punct_p = float(rng.choice([0.0, 0.15, 0.5, 0.9, 1.0]))
+            tree = DependencyTree(tuple(
+                dataclasses.replace(tok, pos="PUNCT") if rng.random() < punct_p else tok
+                for tok in tree.tokens
+            ))
+            cut = select_cut_nodes(tree, CutRule("punct"))
+            assert cut == punct_cut_oracle(tree)
+            assert tree.root not in cut
+
 
 class TestCutAndLine:
     def test_empty_cut_is_identity(self):
@@ -194,16 +231,32 @@ class TestExtractSrSdp:
         assert back.edges[1] == PathEdge(SR_LINK, UP)
 
     def test_bfs_oracle_with_cuts(self):
+        """Every ordered pair of every lined tree: equal, a above b, b above a, neither."""
         rng = np.random.default_rng(8)
+        kinds = set()
         for _ in range(100):
-            tree = random_tree(rng, n=15)
+            tree = random_tree(rng, n=int(rng.integers(1, 16)))
             rt = cut_and_line(tree, random_cut_set(rng, tree))
-            a = int(rng.integers(1, 16))
-            b = int(rng.integers(1, 16))
-            p = extract_sr_sdp(rt, a, b)
-            nodes, edges = bfs_path(rt, a, b)
-            assert list(p.nodes) == nodes
-            assert [(e.deprel, e.direction) for e in p.edges] == edges
+            parents, _ = rt.path_parents()
+
+            def above(x, y):  # x is a proper ancestor of y
+                while parents[y]:
+                    y = parents[y]
+                    if y == x:
+                        return True
+                return False
+
+            for a in range(1, tree.n + 1):
+                for b in range(1, tree.n + 1):
+                    kinds.add("equal" if a == b else "a above" if above(a, b)
+                              else "b above" if above(b, a) else "apart")
+                    p = extract_sr_sdp(rt, a, b)
+                    nodes, edges = bfs_path(rt, a, b)
+                    assert list(p.nodes) == nodes
+                    assert [(e.deprel, e.direction) for e in p.edges] == edges
+                    assert p.forms == tuple(f"w{i}" for i in nodes)
+                    assert p.pos == tuple(tree.token(i).pos for i in nodes)
+        assert kinds == {"equal", "a above", "b above", "apart"}
 
     def test_regularization_shortens_buried_path(self):
         # entity 6 buried two prepositional hops below the root verb
