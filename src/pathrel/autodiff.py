@@ -6,10 +6,11 @@ accumulates gradients into leaf tensors.  A parameter's gradient is a
 view into its ParamStore's zeroed arena; gradients add up across
 backward calls until the optimizer or ParamStore.zero_grad zeroes them.
 
-numpy supplies the array arithmetic only; the tape, dropout, the
-finite-difference checker and a small op set (matmul, add and
-softmax_cross_entropy) live here.  The relation model records its own
-fused nodes (model.py), each a numpy forward plus its backward closure.
+numpy supplies the array arithmetic only; the tape, the parameter store,
+dropout, the finite-difference checker and the array kernels the model's
+nodes share (sigmoid, softmax, log-sum-exp cross-entropy) live here.
+The relation model records its own fused nodes (model.py), each a numpy
+forward plus its backward closure; the tape has no generic ops.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from __future__ import annotations
 import mmap
 
 import numpy as np
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 class NonScalarLoss(ValueError):
@@ -53,47 +50,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-# ---------------------------------------------------------------------------
-# forward ops
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: (m,n)@(n,) -> (m,) or (m,n)@(n,k) -> (m,k)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2) or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul: shapes {a.data.shape} and {b.data.shape} incompatible")
-    out = Tensor(a.data @ b.data, _parents=(a, b))
-
-    def backward(g):
-        if b.data.ndim == 1:
-            a.add_grad(np.outer(g, b.data))
-            b.add_grad(a.data.T @ g)
-        else:
-            a.add_grad(g @ b.data.T)
-            b.add_grad(a.data.T @ g)
-
-    out._backward = backward
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    out = Tensor(a.data + b.data, _parents=(a, b))
-
-    def backward(g):
-        a.add_grad(g)
-        b.add_grad(g)
-
-    out._backward = backward
-    return out
-
-
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
     e = np.exp(-np.abs(x))
@@ -116,17 +72,6 @@ def cross_entropy_array(z: np.ndarray, target: int):
     grad = np.exp(shifted - lse)
     grad[target] -= 1.0
     return lse - shifted[target], grad
-
-
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target]; its gradient is softmax(logits) - onehot(target)."""
-    logits = _as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ShapeMismatch(f"softmax_cross_entropy: expected 1-D logits, got {logits.data.shape}")
-    value, grad = cross_entropy_array(logits.data, int(target))
-    out = Tensor(value, _parents=(logits,))
-    out._backward = lambda g: logits.add_grad(g * grad)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +156,26 @@ class ParamStore:
     def zero_grad(self):
         self.grad.fill(0.0)
 
-    def l2_penalty(self, weight: float, tables: bool = False) -> Tensor:
-        """weight * sum of squared entries over the dense parameters, and the tables if asked.
+    def l2_penalty(self, weight: float, tables: bool = False):
+        """(value, write): weight * sum of squared entries over the dense parameters,
+        and the tables if asked.
 
-        One tape node: its backward adds 2 * weight * w to the gradient
-        once per penalized arena range.
+        write(g) adds 2 * weight * g * w to the gradient once per penalized
+        arena range; the node that holds the penalty calls it from its backward.
         """
         params = [t for name, t in self.items() if tables or name not in self.tables]
         total = 0.0
         for t in params:
             flat = t.data.reshape(-1)
             total += float(np.dot(flat, flat))
-        out = Tensor(weight * total, _parents=tuple(params))
         spans = [slice(0, self.data.size)] if tables else self.dense
 
-        def backward(g):
+        def write(g):
             c = 2.0 * weight * g
             for span in spans:
                 self.grad[span] += c * self.data[span]
 
-        out._backward = backward
-        return out
+        return weight * total, write
 
 
 def dropout_mask(shape, keep_prob: float, seed) -> np.ndarray:

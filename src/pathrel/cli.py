@@ -5,8 +5,8 @@ Subcommands: extract-sdp, synth, train, eval, dict-match.
 Exit codes: 0 success; 2 usage errors (from argparse); 3 malformed input
 data, files, or configuration; 4 schema mismatch between a checkpoint
 and a dataset; 1 unexpected internal failure, including the library's
-internal errors (ShapeMismatch, NonScalarLoss, EmptyPath), which are
-ValueErrors but never describe malformed input.
+internal errors (NonScalarLoss, EmptyPath), which are ValueErrors but
+never describe malformed input.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .atomic import atomic_open
-from .autodiff import NonScalarLoss, ShapeMismatch
+from .autodiff import NonScalarLoss
 from .data import DatasetError, format_paths, load_dataset, load_entity_pairs, read_lines, save_dataset
 from .depgraph import ConlluError, parse_conllu
 from .dictmatch import dict_match, format_standoff
@@ -61,7 +61,7 @@ def _write_out(path: str | None, text: str) -> None:
 
 def cmd_extract_sdp(args) -> int:
     try:
-        trees = parse_conllu("".join(read_lines(args.conllu)))
+        trees = parse_conllu("".join(read_lines(args.conllu, newline="")))
     except ConlluError as err:
         raise type(err)(f"{args.conllu}: {err}") from None
     pairs = load_entity_pairs(args.pairs)
@@ -143,7 +143,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dict_match(args) -> int:
-    text = "".join(read_lines(args.text))
+    text = "".join(read_lines(args.text, newline=""))  # offsets index the file's own newlines
     entries = [line.rstrip("\n") for line in read_lines(args.dictionary) if line.strip()]
     _write_out(args.out, format_standoff(dict_match(text, entries)))
     return 0
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     except SchemaMismatch as err:
         print(f"schema mismatch: {err}", file=sys.stderr)
         return 4
-    except (ShapeMismatch, NonScalarLoss, EmptyPath) as err:
+    except (NonScalarLoss, EmptyPath) as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as err:

@@ -26,7 +26,6 @@ from .depgraph import (
     ConlluError,
     EntitySpan,
     Instance,
-    PathEdge,
     SdpPath,
     entity_head,
     parse_conllu,
@@ -42,9 +41,12 @@ class DatasetError(ValueError):
     pass
 
 
-def read_lines(path):
-    """open(path)'s UTF-8 lines; a file that is not UTF-8 raises ValueError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
+def read_lines(path, newline=None):
+    """open(path, newline=newline)'s UTF-8 lines; newline="" keeps every line end as stored.
+
+    A file that is not UTF-8 raises ValueError naming it.
+    """
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as err:
@@ -146,23 +148,6 @@ def format_path_line(e1_head: int, e2_head: int, path: SdpPath) -> str:
         parts.append(f"{edge.direction}:{edge.deprel}")
         parts.append(f"tok:{node}")
     return f"{e1_head} {e2_head}\t" + " ".join(parts)
-
-
-def parse_path_line(line: str) -> tuple[int, int, SdpPath]:
-    """Inverse of format_path_line (token indices and edges only)."""
-    head_part, _, body = line.rstrip("\n").partition("\t")
-    e1_head, e2_head = (int(v) for v in head_part.split())
-    nodes = []
-    edges = []
-    for item in body.split(" "):
-        kind, _, value = item.partition(":")
-        if kind == "tok":
-            nodes.append(int(value))
-        elif kind in ("UP", "DOWN"):
-            edges.append(PathEdge(value, kind))
-        else:
-            raise DatasetError(f"bad path item {item!r}")
-    return e1_head, e2_head, SdpPath(nodes=tuple(nodes), edges=tuple(edges))
 
 
 def path_record(e1_head: int, e2_head: int, path: SdpPath) -> dict:

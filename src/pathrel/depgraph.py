@@ -221,16 +221,18 @@ def _parse_token_line(line: str, line_no: int) -> Token | None:
 def parse_conllu(text: str) -> list[DependencyTree]:
     """Parse CoNLL-U text into validated dependency trees.
 
-    Comment lines starting with '#' are ignored; lines whose ID contains
-    '-' or '.' are skipped.  Structural violations raise MultipleRoots,
-    NoRoot, CycleDetected, HeadOutOfRange or MalformedLine, each naming
-    the sentence and line where it was found.
+    Lines end at LF alone, with one CR before it dropped, so a FORM may
+    hold the other breaks str.splitlines() knows (U+2028, U+0085, form
+    feed, ...).  Comment lines starting with '#' are ignored; lines whose
+    ID contains '-' or '.' are skipped.  Structural violations raise
+    MultipleRoots, NoRoot, CycleDetected, HeadOutOfRange or MalformedLine,
+    each naming the sentence and line where it was found.
     """
     trees = []
     block: list[Token] = []
     block_start = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r")
         if not line.strip():
             if block:
                 trees.append(_finish_block(block, len(trees) + 1, block_start))

@@ -79,9 +79,6 @@ class LabelSchema(Document):
         t, _ = self.parse(label)
         return 0 if t is None else self.types.index(t) + 1
 
-    def coarse_of_fine(self, index: int) -> int:
-        return 0 if index == 0 else (index - 1) // 2 + 1
-
     # -- direction swap ------------------------------------------------
 
     def flip(self, index: int) -> int:
@@ -89,9 +86,6 @@ class LabelSchema(Document):
         if index == 0:
             return 0
         return index + 1 if index % 2 == 1 else index - 1
-
-    def flip_label(self, label: str) -> str:
-        return self.fine_label(self.flip(self.fine_index(label)))
 
     def flip_distribution(self, dist: np.ndarray) -> np.ndarray:
         """Permute a fine distribution by the direction swap."""
@@ -101,9 +95,6 @@ class LabelSchema(Document):
         out = dist.copy()  # the residual class 0 stays; 2k-1 and 2k swap, as in flip
         out[1::2], out[2::2] = dist[2::2], dist[1::2]
         return out
-
-    def fine_labels(self) -> list[str]:
-        return [self.fine_label(i) for i in range(self.fine_size)]
 
 
 # The nine directed Sanwen relation types plus Null.

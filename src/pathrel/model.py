@@ -22,7 +22,6 @@ from . import checkpoint as ckpt
 from .autodiff import (
     ParamStore,
     Tensor,
-    add,
     cross_entropy_array,
     dropout_mask,
     sigmoid_array,
@@ -320,7 +319,7 @@ def _check_path(path: SdpPath) -> None:
 
 
 def load_word_embeddings(path, dim: int) -> dict[str, np.ndarray]:
-    """Text embeddings, one `word v1 v2 ... vd` line per word.
+    """Text embeddings, one `word v1 v2 ... vd` line per word; trailing whitespace is ignored.
 
     Every vector must be finite and hold dim values (the model's
     word_dim); a line that breaks either rule raises ValueError naming
@@ -328,7 +327,7 @@ def load_word_embeddings(path, dim: int) -> dict[str, np.ndarray]:
     """
     table = {}
     for line_no, line in enumerate(read_lines(path), start=1):
-        parts = line.rstrip("\n").split(" ")
+        parts = line.rstrip().split(" ")
         if len(parts) < 2:
             raise ValueError(f"{path}:{line_no}: expected `word v1 ... vd`")
         try:
@@ -458,23 +457,38 @@ class RelationModel:
         z_coarse = (g_fwd @ wc_f.data.T + g_bwd @ wc_b.data.T) + bc.data
         return z_fwd, z_bwd, z_coarse
 
-    def heads_loss(self, g_fwd: Tensor, g_bwd: Tensor, targets):
-        """The three cross-entropies over classify as one tape node; returns (node, logits).
+    def loss(self, path: SdpPath, label: str, dropout_rng=None) -> Tensor:
+        """The joint objective as one heads node over the two conv-pool nodes.
 
-        targets are the (fine forward, fine backward, coarse) class
-        indices.  The backward is softmax - onehot per head, then
-        outer(dz, g) into each head weight and W^T dz into the pooled
-        features, fine forward head first, then fine backward, then
-        coarse: the order a shared fine head accumulates in.
+        Its value is l2 + ((ce_fwd + ce_bwd) + ce_coarse): the three
+        cross-entropies over classify, plus the L2 penalty when l2_lambda
+        > 0.  The backward fine target is the direction-swapped gold class,
+        mirroring the inverted input path.  The backward writes the L2
+        gradient first, then softmax - onehot per head: outer(dz, g) into
+        each head weight and W^T dz into the pooled features, fine forward
+        head first, then fine backward, then coarse, the order a shared
+        fine head accumulates in.
         """
+        cfg = self.config
+        t_fwd = self.schema.fine_index(label)
+        targets = (t_fwd, self.schema.flip(t_fwd), self.schema.coarse_index(label))
+        g_fwd, g_bwd = (
+            conv_pool(*self.encode_path(path, d, dropout_rng), *self.conv[d]) for d in (FWD, BWD)
+        )
         (wf, bf), (wb, bb) = self.fine_heads[FWD], self.fine_heads[BWD]
         wc_f, wc_b, bc = self.coarse_head
         logits = self.classify(g_fwd.data, g_bwd.data)
         (ce_f, dz_f), (ce_b, dz_b), (ce_c, dz_c) = map(cross_entropy_array, logits, targets)
+        value, l2_write = (ce_f + ce_b) + ce_c, None
+        if cfg.l2_lambda > 0.0:
+            l2, l2_write = self.store.l2_penalty(cfg.l2_lambda, cfg.l2_include_embeddings)
+            value = l2 + value
         weights = dict.fromkeys((wf, bf, wb, bb, wc_f, wc_b, bc))  # a shared head once
-        out = Tensor((ce_f + ce_b) + ce_c, _parents=(g_fwd, g_bwd, *weights))
+        out = Tensor(value, _parents=(g_fwd, g_bwd, *weights))
 
         def backward(g):
+            if l2_write is not None:
+                l2_write(g)
             df, db, dc = g * dz_f, g * dz_b, g * dz_c
             wf.add_grad(np.outer(df, g_fwd.data))
             bf.add_grad(df)
@@ -487,23 +501,7 @@ class RelationModel:
             g_bwd.add_grad(wb.data.T @ db + wc_b.data.T @ dc)
 
         out._backward = backward
-        return out, logits
-
-    def loss(self, path: SdpPath, label: str, dropout_rng=None):
-        """Joint objective: three cross-entropies plus the L2 penalty.
-
-        The backward fine target is the direction-swapped gold class,
-        mirroring the inverted input path.  Returns (loss, Prediction).
-        """
-        t_fwd = self.schema.fine_index(label)
-        targets = (t_fwd, self.schema.flip(t_fwd), self.schema.coarse_index(label))
-        g_fwd, g_bwd = (
-            conv_pool(*self.encode_path(path, d, dropout_rng), *self.conv[d]) for d in (FWD, BWD)
-        )
-        j, logits = self.heads_loss(g_fwd, g_bwd, targets)
-        if self.config.l2_lambda > 0.0:
-            j = add(self.store.l2_penalty(self.config.l2_lambda, self.config.l2_include_embeddings), j)
-        return j, Prediction(*map(softmax_array, logits))
+        return out
 
     # -- inference -------------------------------------------------------
 

@@ -180,7 +180,7 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
         total = 0.0
         for i in order:
             ex = fit[int(i)]
-            loss, _ = model.loss(ex.path, ex.label, dropout_rng=master if use_dropout else None)
+            loss = model.loss(ex.path, ex.label, dropout_rng=master if use_dropout else None)
             value = float(loss.data)
             if not math.isfinite(value):
                 ordinal = int(perm[config.val_size + int(i)])

@@ -4,12 +4,13 @@ The oracles deliberately avoid the library's own algorithms: paths come
 from breadth-first search over an undirected adjacency list (over a
 lined structure rebuilt by hand, if need be), partitions and entity
 heads from direct upward walks, the punct rule's cuts from a direct scan
-of the sentence, and tree checks from union-find.  The relation
+of the sentence, tree checks from union-find, and text path lines from
+parse_path_line, the inverse of data.format_path_line.  The relation
 model's oracle is its per-gate formulation: one tape node per gate
 product and step, plain cross-entropy of a softmax, an L2 graph over
-every parameter, and the dense AdaDelta rule.  The elementwise tape ops
-it is built from (mul, concat, tanh, sigmoid, max_over, softmax) live
-here, since the library itself records fused nodes instead.
+every parameter, and the dense AdaDelta rule.  The generic tape ops it
+is built from (matmul, add, mul, concat, tanh, sigmoid, max_over,
+softmax) live here, since the library itself records only fused nodes.
 """
 
 from collections import deque
@@ -17,16 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pathrel.autodiff import (
-    ParamStore,
-    Tensor,
-    add,
-    dropout_mask,
-    matmul,
-    sigmoid_array,
-    softmax_array,
-)
-from pathrel.depgraph import DependencyTree, Token
+from pathrel.autodiff import ParamStore, Tensor, dropout_mask, sigmoid_array, softmax_array
+from pathrel.data import DatasetError
+from pathrel.depgraph import DependencyTree, PathEdge, SdpPath, Token
 from pathrel.model import BWD, FWD, LSTM_STANDARD, Prediction, decode
 from pathrel.structreg import invert_path
 
@@ -194,14 +188,54 @@ def check_lined_tree(tree, rt):
     assert uf.component_count() == 1
 
 
+def parse_path_line(line: str) -> tuple[int, int, SdpPath]:
+    """Inverse of data.format_path_line (token indices and edges only)."""
+    head_part, _, body = line.rstrip("\n").partition("\t")
+    e1_head, e2_head = (int(v) for v in head_part.split())
+    nodes = []
+    edges = []
+    for item in body.split(" "):
+        kind, _, value = item.partition(":")
+        if kind == "tok":
+            nodes.append(int(value))
+        elif kind in ("UP", "DOWN"):
+            edges.append(PathEdge(value, kind))
+        else:
+            raise DatasetError(f"bad path item {item!r}")
+    return e1_head, e2_head, SdpPath(nodes=tuple(nodes), edges=tuple(edges))
+
+
 # ---------------------------------------------------------------------------
-# elementwise tape ops for the per-gate oracle
+# generic tape ops for the per-gate oracle
 
 
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data, _parents=parents)
     out._backward = backward
     return out
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product: (m,n)@(n,) -> (m,) or (m,n)@(n,k) -> (m,k)."""
+    assert a.data.ndim == 2 and b.data.ndim in (1, 2) and a.data.shape[1] == b.data.shape[0], (
+        f"matmul: shapes {a.data.shape} and {b.data.shape} incompatible")
+
+    def backward(g):
+        a.add_grad(np.outer(g, b.data) if b.data.ndim == 1 else g @ b.data.T)
+        b.add_grad(a.data.T @ g)
+
+    return _node(a.data @ b.data, (a, b), backward)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Sum of same-shape tensors."""
+    assert a.data.shape == b.data.shape, f"add: shapes {a.data.shape} and {b.data.shape} differ"
+
+    def backward(g):
+        a.add_grad(g)
+        b.add_grad(g)
+
+    return _node(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -403,7 +437,7 @@ class PerGateReference:
                 if cfg.l2_include_embeddings or not name.startswith("emb/"):
                     total = add(total, sum_squares(t))
             j = add(j, scale(total, cfg.l2_lambda))
-        return j, Prediction(y_fwd.data, y_bwd.data, y_coarse.data)
+        return j
 
     def predict(self, path, alpha=None):
         pred = Prediction(*(y.data for y in self.forward(path)))

@@ -74,7 +74,7 @@ def test_01_gradient_fidelity():
             RelationVocabulary([e.deprel for e in path.edges]),
             seed=11,
         )
-        loss, _ = model.loss(path, label)
+        loss = model.loss(path, label)
         backward(loss)
         grads = {name: t.grad.copy() for name, t in model.store.items()}
         rng = np.random.default_rng(1)
@@ -84,9 +84,9 @@ def test_01_gradient_fidelity():
                 j = int(j)
                 orig = flat[j]
                 flat[j] = orig + h
-                up = float(model.loss(path, label)[0].data)
+                up = float(model.loss(path, label).data)
                 flat[j] = orig - h
-                down = float(model.loss(path, label)[0].data)
+                down = float(model.loss(path, label).data)
                 flat[j] = orig
                 numeric = (up - down) / (2.0 * h)
                 analytic = float(grads[name].reshape(-1)[j])
@@ -176,8 +176,8 @@ def test_04_identity_rule():
         load_schema("synth-k5"), words, rels, seed=5,
     )
     for inst, ex, plain in zip(corpus, prepared, plains):
-        a = float(model.loss(ex.path, inst.label)[0].data)
-        b = float(model.loss(plain, inst.label)[0].data)
+        a = float(model.loss(ex.path, inst.label).data)
+        b = float(model.loss(plain, inst.label).data)
         assert a == b  # bit-identical, not approximately equal
     verdict(4, "identity cut rule", True,
             "500 sentences: regularized path == plain path, losses bit-identical")

@@ -2,19 +2,27 @@ import math
 
 import numpy as np
 import pytest
-from helpers import concat, cross_entropy, max_over, mul, sigmoid, softmax, sum_squares, tanh
+from helpers import (
+    add,
+    concat,
+    cross_entropy,
+    matmul,
+    max_over,
+    mul,
+    sigmoid,
+    softmax,
+    sum_squares,
+    tanh,
+)
 
 from pathrel.autodiff import (
     NonScalarLoss,
     ParamStore,
-    ShapeMismatch,
     Tensor,
-    add,
     backward,
+    cross_entropy_array,
     dropout_mask,
     finite_difference_check,
-    matmul,
-    softmax_cross_entropy,
 )
 
 
@@ -42,39 +50,36 @@ class TestForwardValues:
             assert abs(y.data.sum() - 1.0) < 1e-12
 
     def test_cross_entropy_closed_form(self):
-        ce = softmax_cross_entropy(Tensor([0.0, 0.0]), 0)
-        assert abs(float(ce.data) - math.log(2)) < 1e-12
+        value, grad = cross_entropy_array(np.array([0.0, 0.0]), 0)
+        assert abs(value - math.log(2)) < 1e-12
+        assert np.array_equal(grad, [-0.5, 0.5])
 
     def test_softmax_ce_translation_invariant(self):
         z = np.array([0.3, -1.2, 2.0, 0.0])
-        a = softmax_cross_entropy(Tensor(z), 2)
-        b = softmax_cross_entropy(Tensor(z + 17.0), 2)
-        assert abs(float(a.data) - float(b.data)) < 1e-9
+        a, grad_a = cross_entropy_array(z, 2)
+        b, grad_b = cross_entropy_array(z + 17.0, 2)
+        assert abs(a - b) < 1e-9
+        assert np.max(np.abs(grad_a - grad_b)) < 1e-12
 
     def test_softmax_ce_matches_log_of_softmax(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             z = rng.normal(size=6) * 5
-            fused = ParamStore({"z": z})["z"]
-            ce = softmax_cross_entropy(fused, 3)
-            backward(ce)
+            value, grad = cross_entropy_array(z, 3)
             ref_z = Tensor(z)
             ref = cross_entropy(softmax(ref_z), 3)
             backward(ref)
-            assert abs(float(ce.data) - float(ref.data)) < 1e-12
-            assert np.max(np.abs(fused.grad - ref_z.grad)) < 1e-12
+            assert abs(value - float(ref.data)) < 1e-12
+            assert np.max(np.abs(grad - ref_z.grad)) < 1e-12
 
     def test_softmax_ce_finite_at_large_logit_gap(self):
         # -log of an underflowed probability is inf with a NaN gradient;
         # log-sum-exp keeps both finite
         with np.errstate(divide="ignore"):
             assert not np.isfinite(float(cross_entropy(softmax(Tensor([0.0, -1e4])), 1).data))
-        logits = ParamStore({"z": [0.0, -1e4]})["z"]
-        ce = softmax_cross_entropy(logits, 1)
-        backward(ce)
-        assert float(ce.data) == 1e4
-        assert np.all(np.isfinite(logits.grad))
-        assert np.array_equal(logits.grad, [1.0, -1.0])
+        value, grad = cross_entropy_array(np.array([0.0, -1e4]), 1)
+        assert value == 1e4
+        assert np.array_equal(grad, [1.0, -1.0])
 
     def test_max_over_elementwise(self):
         out = max_over([Tensor([1.0, -1.0]), Tensor([0.0, 0.0])])
@@ -89,14 +94,6 @@ class TestForwardValues:
     def test_concat(self):
         out = concat([Tensor([1.0]), Tensor([2.0, 3.0])])
         assert np.array_equal(out.data, [1.0, 2.0, 3.0])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeMismatch, match=r"\(2,\).*\(3,\)"):
-            add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
-        with pytest.raises(ShapeMismatch):
-            matmul(Tensor([[1.0]]), Tensor([1.0, 2.0]))
-        with pytest.raises(ShapeMismatch):
-            softmax_cross_entropy(Tensor([[1.0]]), 0)
 
 
 class TestBackward:
@@ -146,16 +143,18 @@ class TestBackward:
         store = ParamStore({"w": [[0.5, -2.0], [3.0, 0.25]]})
         w = store["w"]
         lam = 1e-5
-        backward(store.l2_penalty(lam))
+        value, write = store.l2_penalty(lam)
+        assert value == lam * 13.3125
+        write(np.asarray(1.0))
         assert np.array_equal(w.grad, 2.0 * lam * w.data)
 
     def test_l2_penalty_include_filter(self):
         store = ParamStore({"emb/w": [1.0], "dense/w": [1.0]}, tables=("emb/w",))
-        pen = store.l2_penalty(1.0)
-        assert float(pen.data) == 1.0
-        backward(pen)
+        value, write = store.l2_penalty(1.0)
+        assert value == 1.0
+        write(np.asarray(1.0))
         assert store["emb/w"].grad[0] == 0.0 and store["dense/w"].grad[0] == 2.0
-        assert float(store.l2_penalty(1.0, tables=True).data) == 2.0
+        assert store.l2_penalty(1.0, tables=True)[0] == 2.0
 
 
 class TestFiniteDifferenceAgainstOps:
@@ -167,7 +166,7 @@ class TestFiniteDifferenceAgainstOps:
 
         def loss_fn():
             h = tanh(add(matmul(w, Tensor(x)), b))
-            return softmax_cross_entropy(h, 1)
+            return cross_entropy(softmax(h), 1)
 
         check_store(loss_fn, store)
 

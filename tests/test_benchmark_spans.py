@@ -62,7 +62,7 @@ PATH = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),), forms=("a", "b"),
 
 def test_loss_node_exposes_its_parents():
     model = small_model()
-    node, _ = model.loss(PATH, model.schema.fine_label(0), dropout_rng=np.random.default_rng(0))
+    node = model.loss(PATH, model.schema.fine_label(0), dropout_rng=np.random.default_rng(0))
     assert node._parents
     assert all(hasattr(parent, "_parents") for parent in node._parents)
 

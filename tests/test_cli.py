@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from helpers import bfs_path, entity_head_by_scan, lined_by_hand, punct_cut_oracle, random_tree
+from helpers import (
+    bfs_path,
+    entity_head_by_scan,
+    lined_by_hand,
+    parse_path_line,
+    punct_cut_oracle,
+    random_tree,
+)
 
 from pathrel import cli, training
-from pathrel.autodiff import NonScalarLoss, ShapeMismatch
+from pathrel.autodiff import NonScalarLoss
 from pathrel.cli import main
-from pathrel.data import load_dataset, parse_path_line
+from pathrel.data import load_dataset
 from pathrel.depgraph import serialize_conllu
 from pathrel.model import EmptyPath, ModelConfig
 from pathrel.structreg import CutRule, select_cut_nodes
@@ -98,6 +105,20 @@ class TestExtractSdp:
         doc = json.loads(out.read_text())
         assert doc["forms"] == ["dogs", "sleep", "on", "mats"]
         assert doc["e1_head"] == 1 and doc["e2_head"] == 4
+
+    def test_forms_holding_other_line_breaks(self, tmp_path):
+        """LF ends a line; CR, U+2028, U+0085, form feed and the separators are form characters."""
+        forms = ["dogs\u2028", "\x85", "o\rn\x0c\x0b", "\x1c\x1d\x1emats\u2029"]
+        conllu, pairs = self.write_inputs(tmp_path)
+        text = conllu.read_text(encoding="utf-8")
+        for old, new in zip(["dogs", "sleep", "on", "mats"], forms):
+            text = text.replace(f"\t{old}\t", f"\t{new}\t")
+        out = tmp_path / "paths.jsonl"
+        for ending in ("\n", "\r\n"):
+            conllu.write_bytes(text.replace("\n", ending).encode("utf-8"))
+            assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs),
+                         "--json", "--out", str(out)]) == 0
+            assert json.loads(out.read_text(encoding="utf-8"))["forms"] == forms, repr(ending)
 
     def test_count_mismatch_exits_3(self, tmp_path, capsys):
         conllu, pairs = self.write_inputs(tmp_path, pairs="1 1 4 4\n1 1 2 2\n")
@@ -346,7 +367,7 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and self.DOCUMENT_CASES[case] in err
 
-    @pytest.mark.parametrize("error", [ShapeMismatch, NonScalarLoss, EmptyPath])
+    @pytest.mark.parametrize("error", [NonScalarLoss, EmptyPath])
     def test_internal_error_exits_1(self, tmp_path, dataset, capsys, monkeypatch, error):
         """The library's internal ValueErrors are failures of pathrel, not malformed input."""
         ck = tmp_path / "m.ckpt"
@@ -588,6 +609,16 @@ class TestDictMatch:
         dic.write_text("树\n白杨树\n", encoding="utf-8")
         assert main(["dict-match", "--text", str(text), "--dictionary", str(dic)]) == 0
         assert capsys.readouterr().out == "3\t6\t白杨树\n"
+
+    def test_offsets_index_crlf_text_as_stored(self, tmp_path, capsys):
+        text, dic = tmp_path / "t.txt", tmp_path / "d.txt"
+        text.write_bytes(b"ab\r\ncd\r\nxx cd\r\n")
+        dic.write_bytes(b"cd\r\nx\r\n")
+        assert main(["dict-match", "--text", str(text), "--dictionary", str(dic)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert rows == [["4", "6", "cd"], ["8", "9", "x"], ["9", "10", "x"], ["11", "13", "cd"]]
+        raw = text.read_bytes().decode("utf-8")
+        assert all(raw[int(start):int(end)] == surface for start, end, surface in rows)
 
     def test_output_file(self, tmp_path):
         text = tmp_path / "t.txt"

@@ -2,6 +2,7 @@ import json
 import logging
 
 import pytest
+from helpers import parse_path_line
 
 from pathrel import data
 from pathrel.data import (
@@ -11,7 +12,6 @@ from pathrel.data import (
     instance_to_record,
     load_dataset,
     load_entity_pairs,
-    parse_path_line,
     path_record,
     record_to_instance,
     save_dataset,

@@ -120,6 +120,17 @@ class TestParsing:
         text = "1\thi\tlem\tINTJ\tUH\tFeat=1\t0\troot\t0:root\tMisc=1\n"
         assert serialize_conllu(parse_conllu(text)) == text + "\n"
 
+    # every line break str.splitlines() knows besides LF and CR
+    OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+    @pytest.mark.parametrize("brk", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_forms_holding_other_line_breaks_round_trip(self, brk):
+        tree = DependencyTree((Token(1, f"a{brk}b", "NOUN", 2, "nsubj"),
+                               Token(2, brk, "VERB", 0, "root", ("_", "_", "_", "_", f"M{brk}"))))
+        text = serialize_conllu([tree])
+        assert parse_conllu(text) == [tree]
+        assert parse_conllu(text.replace("\n", "\r\n")) == [tree]  # one CR per line dropped
+
 
 class TestEntityHead:
     def test_unique_exit(self):

@@ -28,7 +28,7 @@ class TestBasics:
 
     def test_perfect_predictions(self):
         schema = synth_schema(3)
-        pairs = [(lbl, lbl) for lbl in schema.fine_labels() for _ in range(2)]
+        pairs = [(schema.fine_label(i),) * 2 for i in range(schema.fine_size) for _ in range(2)]
         cm = ConfusionMatrix.from_pairs(schema, pairs)
         assert cm.macro_f1() == 1.0
         assert cm.accuracy() == 1.0
