@@ -8,7 +8,7 @@ that parse -> serialize -> parse round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 UP = "UP"

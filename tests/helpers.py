@@ -11,14 +11,20 @@ product and step, plain cross-entropy of a softmax, an L2 graph over
 every parameter, and the dense AdaDelta rule.  The generic tape ops it
 is built from (matmul, add, mul, concat, tanh, sigmoid, max_over,
 softmax) live here, since the library itself records only fused nodes.
+Checkpoint fixtures write the all-JSON version-2 layout and take a
+version-3 file apart and back together, so tests can damage its header.
 """
 
+import json
+import struct
 from collections import deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from pathrel.autodiff import ParamStore, Tensor, dropout_mask, sigmoid_array, softmax_array
+from pathrel.checkpoint import FORMAT_NAME, MAGIC, PREAMBLE
 from pathrel.data import DatasetError
 from pathrel.depgraph import DependencyTree, PathEdge, SdpPath, Token
 from pathrel.model import BWD, FWD, LSTM_STANDARD, Prediction, decode
@@ -472,3 +478,40 @@ def dense_adadelta_step(params: dict, grads: dict, sq_grad: dict, sq_update: dic
         edx2 *= rho
         edx2 += (1.0 - rho) * dx * dx
         x += dx
+
+
+def json_checkpoint_bytes(tensors: dict, meta: dict | None = None, version: int = 2) -> bytes:
+    """A checkpoint in the all-JSON layout of version 2 (and, given version=1, the
+    envelope of version 1), as the writer before version 3 made it."""
+    doc = {
+        "format": FORMAT_NAME,
+        "version": version,
+        "meta": meta or {},
+        "tensors": {
+            name: {"shape": list(arr.shape), "data": np.asarray(arr, np.float64).ravel().tolist()}
+            for name, arr in sorted(tensors.items())
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    """(header, payload) of a version-3 checkpoint's bytes."""
+    (length,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    return json.loads(raw[PREAMBLE:PREAMBLE + length]), raw[PREAMBLE + length:]
+
+
+def join_checkpoint(header: dict, payload: bytes) -> bytes:
+    """Version-3 bytes of a header and a payload, the header padded to a multiple of 8
+    as the writer pads it."""
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    text += b" " * (-len(text) % 8)
+    return MAGIC + struct.pack("<Q", len(text)) + text + payload
+
+
+def edit_header(path, edit, out=None) -> None:
+    """Rewrite a version-3 checkpoint's header through edit(header), which changes it in
+    place; the result replaces the file, or goes to out if given."""
+    header, payload = split_checkpoint(Path(path).read_bytes())
+    edit(header)
+    Path(out or path).write_bytes(join_checkpoint(header, payload))

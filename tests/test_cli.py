@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -5,19 +7,25 @@ import numpy as np
 import pytest
 from helpers import (
     bfs_path,
+    edit_header,
     entity_head_by_scan,
+    json_checkpoint_bytes,
     lined_by_hand,
     parse_path_line,
     punct_cut_oracle,
     random_tree,
+    split_checkpoint,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathrel import cli, training
 from pathrel.autodiff import NonScalarLoss
+from pathrel.checkpoint import load_checkpoint
 from pathrel.cli import main
 from pathrel.data import load_dataset
 from pathrel.depgraph import serialize_conllu
-from pathrel.model import EmptyPath, ModelConfig
+from pathrel.model import EmptyPath, ModelConfig, RelationModel
 from pathrel.structreg import CutRule, select_cut_nodes
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import ExperimentConfig, entity_path, train
@@ -299,17 +307,20 @@ class TestTrainEval:
         ck = tmp_path / "m.ckpt"
         assert main(["train", "--config", str(tiny_config_file(tmp_path)),
                      "--train", str(dataset), "--checkpoint", str(ck)]) == 0
-        doc = json.loads(ck.read_text())
         kind, _, key = damage.partition("-")
-        if kind == "bad":
-            doc["tensors"]["fine_fwd/b"][key] = 5 if key == "shape" else ["x"]
-        elif key == "tensors":
-            del doc["tensors"]
-        elif key in ("shape", "data"):
-            del doc["tensors"]["fine_fwd/b"][key]
-        else:
-            del doc["meta"][key]
-        ck.write_text(json.dumps(doc))
+        field = {"data": "data_offsets"}.get(key, key)  # version 3 keeps byte offsets, not data
+
+        def edit(header):
+            if kind == "bad":
+                header["tensors"]["fine_fwd/b"][field] = 5 if key == "shape" else ["x"]
+            elif key == "tensors":
+                del header["tensors"]
+            elif key in ("shape", "data"):
+                del header["tensors"]["fine_fwd/b"][field]
+            else:
+                del header["meta"][key]
+
+        edit_header(ck, edit)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
         assert (key if kind == "no" else "fine_fwd/b") in capsys.readouterr().err
@@ -334,7 +345,7 @@ class TestTrainEval:
         ck = tmp_path / "m.ckpt"
         assert main(["train", "--config", str(config), "--train", str(dataset),
                      "--checkpoint", str(ck), "--rule", "prep"]) == 0
-        cfg, doc = json.loads(config.read_text()), json.loads(ck.read_text())
+        cfg = json.loads(config.read_text())
         bad = tmp_path / f"{case}.json"
         argv = ["train", "--config", str(bad), "--train", str(dataset)]
         if case.startswith("schema"):
@@ -351,16 +362,18 @@ class TestTrainEval:
         elif case == "config-test-path":
             bad.write_text(json.dumps({**cfg, "test_path": "test.jsonl"}))
         else:
-            meta = doc["meta"]
-            if case == "meta-config-unknown-key":
-                meta["config"]["bogus"] = 1
-            elif case == "meta-rule-string":
-                meta["rule"] = "prep"
-            elif case == "meta-schema-no-types":
-                del meta["schema"]["types"]
-            else:
-                meta["words"] = 5
-            bad.write_text(json.dumps(doc))
+            def edit(header):
+                meta = header["meta"]
+                if case == "meta-config-unknown-key":
+                    meta["config"]["bogus"] = 1
+                elif case == "meta-rule-string":
+                    meta["rule"] = "prep"
+                elif case == "meta-schema-no-types":
+                    del meta["schema"]["types"]
+                else:
+                    meta["words"] = 5
+
+            edit_header(ck, edit, out=bad)
             argv = ["eval", "--checkpoint", str(bad), "--data", str(dataset)]
         capsys.readouterr()
         assert main(argv) == 3
@@ -490,11 +503,17 @@ class TestTrainEval:
             ck.write_bytes(b"\xff\xfe" + ck.read_bytes())
         elif damage == "not-json":
             ck.write_bytes(ck.read_bytes()[:-1])
-        else:
-            doc = json.loads(ck.read_text())
-            value = {"nan-string": "NaN", "nan": math.nan, "infinity": math.inf}[damage]
-            doc["tensors"]["coarse/b"]["data"][0] = value
+        elif damage == "nan-string":  # a version-2 file: only JSON can spell the string "NaN"
+            tensors, meta = load_checkpoint(ck)
+            doc = json.loads(json_checkpoint_bytes(tensors, meta))
+            doc["tensors"]["coarse/b"]["data"][0] = "NaN"
             ck.write_text(json.dumps(doc))
+        else:  # the first value of coarse/b in the payload
+            raw = ck.read_bytes()
+            header, payload = split_checkpoint(raw)
+            at = len(raw) - len(payload) + header["tensors"]["coarse/b"]["data_offsets"][0]
+            value = np.array([{"nan": math.nan, "infinity": math.inf}[damage]], "<f8").tobytes()
+            ck.write_bytes(raw[:at] + value + raw[at + 8:])
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
         err = capsys.readouterr().err
@@ -521,9 +540,8 @@ class TestTrainEval:
             ck = tmp_path / "m.ckpt"
             assert main(["train", "--config", str(config), "--train", str(dataset),
                          "--checkpoint", str(ck)]) == 0
-            doc = json.loads(ck.read_text())
-            doc["meta"]["config"][field] = value
-            bad.write_text(json.dumps(doc))
+            edit_header(ck, lambda header: header["meta"]["config"].__setitem__(field, value),
+                        out=bad)
             argv = ["eval", "--checkpoint", str(bad), "--data", str(dataset)]
         capsys.readouterr()
         assert main(argv) == 3
@@ -573,24 +591,26 @@ class TestTrainEval:
         ck = tmp_path / "m.ckpt"
         assert main(["train", "--config", str(tiny_config_file(tmp_path)),
                      "--train", str(dataset), "--checkpoint", str(ck)]) == 0
-        doc = json.loads(ck.read_text())
-        spec = doc["tensors"]["coarse/w_fwd"]
-        rows, cols = spec["shape"]
-        if damage == "renamed":
-            doc["tensors"]["coarse/w_fwd2"] = doc["tensors"].pop("coarse/w_fwd")
-        elif damage == "words-one-short":
-            doc["meta"]["words"].pop()
-        elif damage == "meta-shares-heads":  # the tensors hold two fine heads
-            doc["meta"]["config"]["share_fine_heads"] = True
-        else:
-            spec["shape"] = {
-                "float-shape": [rows + 0.9, cols],
-                "string-shape": [str(rows), str(cols)],
-                "bool-shape": [True, rows * cols],
-                "negative-shape": [-rows, -cols],
-                "transposed": [cols, rows],
-            }[damage]
-        ck.write_text(json.dumps(doc))
+
+        def edit(header):
+            spec = header["tensors"]["coarse/w_fwd"]
+            rows, cols = spec["shape"]
+            if damage == "renamed":  # still between coarse/w_fwd's neighbours in sorted order
+                header["tensors"]["coarse/w_fwd2"] = header["tensors"].pop("coarse/w_fwd")
+            elif damage == "words-one-short":
+                header["meta"]["words"].pop()
+            elif damage == "meta-shares-heads":  # the tensors hold two fine heads
+                header["meta"]["config"]["share_fine_heads"] = True
+            else:
+                spec["shape"] = {
+                    "float-shape": [rows + 0.9, cols],
+                    "string-shape": [str(rows), str(cols)],
+                    "bool-shape": [True, rows * cols],
+                    "negative-shape": [-rows, -cols],
+                    "transposed": [cols, rows],
+                }[damage]
+
+        edit_header(ck, edit)
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 3
         err = capsys.readouterr().err
@@ -599,6 +619,82 @@ class TestTrainEval:
             assert "parameter names differ" in err
         else:
             assert ("'emb/word'" if damage == "words-one-short" else "'coarse/w_fwd'") in err
+
+
+    def test_version_2_file_and_its_version_3_resave_agree(self, tmp_path, dataset):
+        """A version-2 file still loads, and resaving it writes version 3: equal tensors,
+        predictions and eval reports, bit for bit."""
+        ck, v2, resave = tmp_path / "m.ckpt", tmp_path / "v2.json", tmp_path / "resave.ckpt"
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
+                     "--checkpoint", str(ck), "--rule", "prep"]) == 0
+        v2.write_bytes(json_checkpoint_bytes(*load_checkpoint(ck)))
+        old = RelationModel.load(v2)
+        old.save(resave, extra_meta={"rule": old.meta["rule"]})
+        assert resave.read_bytes() == ck.read_bytes()
+
+        (v2_tensors, v2_meta), (v3_tensors, v3_meta) = load_checkpoint(v2), load_checkpoint(resave)
+        assert v2_meta == v3_meta and set(v2_tensors) == set(v3_tensors)
+        for name, arr in v2_tensors.items():
+            assert arr.shape == v3_tensors[name].shape
+            assert arr.tobytes() == v3_tensors[name].tobytes(), name
+
+        paths = [entity_path(inst.tree, inst.e1, inst.e2, CutRule(variant="prep"))
+                 for inst in load_dataset(dataset)]
+        for (label, pred), (label3, pred3) in zip(old.predict_batch(paths),
+                                                  RelationModel.load(resave).predict_batch(paths)):
+            assert label == label3
+            for field in ("y_fwd", "y_bwd", "y_coarse", "y_test"):
+                assert getattr(pred, field).tobytes() == getattr(pred3, field).tobytes()
+
+        reports = []
+        for file in (v2, resave):
+            out = tmp_path / f"{file.stem}.report.json"
+            assert main(["eval", "--checkpoint", str(file), "--data", str(dataset),
+                         "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+class TestCheckpointFuzz:
+    """Truncated or bit-flipped version-3 checkpoints through `pathrel eval`."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("fuzz")
+        data, ck = work / "train.jsonl", work / "m.ckpt"
+        assert main(["synth", "--out", str(data), "--n", "14", "--k", "2", "--seed", "3",
+                     "--blocks", "1", "--fillers", "1", "--residual-frac", "0.0"]) == 0
+        assert main(["train", "--config", str(tiny_config_file(work)), "--train", str(data),
+                     "--checkpoint", str(ck), "--rule", "prep"]) == 0
+        return work, data, ck.read_bytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_never_exits_1(self, trained, data):
+        """Never exit 1 and never a traceback: damage is either harmless or reported as
+        malformed input (exit 3).  Exit 4 is allowed too: a flipped letter of a label in the
+        meta's schema is a schema mismatch with the dataset, which the CLI reports as such."""
+        work, dataset, raw = trained
+        _, payload = split_checkpoint(raw)
+        regions = {"preamble": (0, 16), "header": (16, len(raw) - len(payload)),
+                   "payload": (len(raw) - len(payload), len(raw))}
+        lo, hi = regions[data.draw(st.sampled_from(sorted(regions)), label="region")]
+        at = data.draw(st.integers(lo, hi - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = raw[:at]
+        else:
+            flip = data.draw(st.integers(1, 255), label="xor")
+            damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+        ck = work / "damaged.ckpt"
+        ck.write_bytes(damaged)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["eval", "--checkpoint", str(ck), "--data", str(dataset),
+                         "--out", str(work / "report.json")])
+        assert code in (0, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith(f"error: {ck}: " if code == 3 else "schema mismatch: ")
 
 
 class TestDictMatch:

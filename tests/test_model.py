@@ -1,12 +1,11 @@
 import dataclasses
 import itertools
-import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import PerGateReference, add, per_gate_tensors, sum_squares
+from helpers import PerGateReference, add, json_checkpoint_bytes, per_gate_tensors, sum_squares
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import COMPARISON_GEN, COMPARISON_MODEL
@@ -493,7 +492,7 @@ class TestPerGateOracle:
                 assert np.max(np.abs(t.grad - ref_grads[name])) < 1e-12, (case, name)
 
     def test_version_1_checkpoint_exits_3(self, tmp_path, capsys):
-        """Version 1 stored per-gate cell tensors; only version 2 is read."""
+        """Version 1 stored per-gate cell tensors; only versions 2 and 3 are read."""
         model = small_model()
         meta = {
             "config": model.config.to_dict(),
@@ -501,10 +500,8 @@ class TestPerGateOracle:
             "words": model.word_vocab.to_list(),
             "deprels": model.rel_vocab.to_list(),
         }
-        doc = json.loads(ckpt.checkpoint_bytes(per_gate_tensors(model), meta))
-        doc["version"] = 1
         file = tmp_path / "v1.ckpt"
-        file.write_text(json.dumps(doc))
+        file.write_bytes(json_checkpoint_bytes(per_gate_tensors(model), meta, version=1))
         assert main(["eval", "--checkpoint", str(file), "--data", str(tmp_path / "d.jsonl")]) == 3
         err = capsys.readouterr().err
         assert "unsupported version 1" in err and str(file) in err
