@@ -8,7 +8,8 @@ that parse -> serialize -> parse round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 UP = "UP"
@@ -39,8 +40,7 @@ class HeadOutOfRange(ConlluError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token of a dependency-parsed sentence (1-based index)."""
 
     index: int
@@ -58,75 +58,74 @@ class DependencyTree:
 
     Exactly one token has head 0 (the root); following head pointers from
     any token reaches the virtual root without cycles.  Construction
-    validates these invariants and raises the matching ConlluError.
+    validates these invariants and raises the matching ConlluError.  It
+    also builds heads and deprels, indexed by token with slot 0 for the
+    virtual root, and root, the root token's index.
     """
 
     tokens: tuple[Token, ...]
+    heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    deprels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    root: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        _validate_tree(self.tokens)
+        tokens = tuple(self.tokens)
+        built = (tokens, *_validate_tree(tokens))
+        for name, value in zip(("tokens", "heads", "deprels", "root"), built):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
         return len(self.tokens)
-
-    @property
-    def root(self) -> int:
-        for tok in self.tokens:
-            if tok.head == 0:
-                return tok.index
-        raise NoRoot("tree has no root token")  # unreachable after validation
 
     def token(self, index: int) -> Token:
         return self.tokens[index - 1]
 
     def depth(self, index: int) -> int:
         """Number of head steps from the token to the virtual root's child."""
+        heads = self.heads
         steps = 0
-        cur = index
-        while self.tokens[cur - 1].head != 0:
-            cur = self.tokens[cur - 1].head
+        while heads[index]:
+            index = heads[index]
             steps += 1
         return steps
 
-    def path_parents(self) -> tuple[dict[int, int], dict[int, str]]:
-        """Parent and edge-label maps used by path queries.
 
-        Returns (parents, labels) where parents[i] is the head of token i
-        (0 for the root) and labels[i] is the relation on the i->head edge.
-        """
-        parents = {tok.index: tok.head for tok in self.tokens}
-        labels = {tok.index: tok.deprel for tok in self.tokens}
-        return parents, labels
-
-
-def _validate_tree(tokens: tuple[Token, ...]) -> None:
+def _validate_tree(tokens: tuple[Token, ...]) -> tuple[tuple[int, ...], tuple[str, ...], int]:
+    """(heads, deprels, root) of a valid tree; the first violation raises."""
     n = len(tokens)
     if n == 0:
         raise MalformedLine("empty sentence")
-    for pos_i, tok in enumerate(tokens, start=1):
-        if tok.index != pos_i:
-            raise MalformedLine(
-                f"token IDs must be contiguous 1..{n}, found {tok.index} at position {pos_i}"
-            )
-    roots = [tok.index for tok in tokens if tok.head == 0]
-    if len(roots) > 1:
+    indices, _, _, heads, deprels, _ = zip(*tokens)
+    if indices != tuple(range(1, n + 1)):
+        pos_i = next(p for p, i in enumerate(indices, start=1) if i != p)
+        raise MalformedLine(
+            f"token IDs must be contiguous 1..{n}, found {indices[pos_i - 1]} at position {pos_i}"
+        )
+    heads = (0, *heads)
+    n_roots = heads.count(0) - 1  # slot 0 holds the virtual root's 0
+    if n_roots > 1:
+        roots = [i for i in indices if heads[i] == 0]
         raise MultipleRoots(f"tokens {roots} all have head 0")
-    if not roots:
+    if not n_roots:
         raise NoRoot("no token has head 0")
-    for tok in tokens:
-        if not 0 <= tok.head <= n:
-            raise HeadOutOfRange(f"token {tok.index} has head {tok.head}, valid range 0..{n}")
-    # every token must reach the root in at most n steps
-    for tok in tokens:
-        cur = tok.index
-        for _ in range(n):
-            cur = tokens[cur - 1].head
-            if cur == 0:
-                break
-        else:
-            raise CycleDetected(f"head chain from token {tok.index} never reaches the root")
+    for i in indices:
+        if not 0 <= heads[i] <= n:
+            raise HeadOutOfRange(f"token {i} has head {heads[i]}, valid range 0..{n}")
+    # walk each token up until it meets one known to reach the root; a walk
+    # that meets itself never does, while every token before it did
+    reached = [True] + [False] * n
+    for start in indices:
+        walk = set()
+        cur = start
+        while not reached[cur]:
+            if cur in walk:
+                raise CycleDetected(f"head chain from token {start} never reaches the root")
+            walk.add(cur)
+            cur = heads[cur]
+        for i in walk:
+            reached[i] = True
+    return heads, ("", *deprels), heads.index(0, 1)
 
 
 @dataclass(frozen=True)
@@ -198,6 +197,9 @@ class SdpPath:
 # CoNLL-U reading and writing
 
 
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
+
+
 def _parse_token_line(line: str, line_no: int) -> Token | None:
     cols = line.split("\t")
     if len(cols) != 10:
@@ -205,12 +207,17 @@ def _parse_token_line(line: str, line_no: int) -> Token | None:
     if len(cols) != 10:
         raise MalformedLine(f"line {line_no}: expected 10 columns, got {len(cols)}")
     tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
-    if "-" in tok_id or "." in tok_id:
+    if tok_id.isascii() and tok_id.isdigit():
+        try:
+            index = int(tok_id)
+        except ValueError:  # more digits than int() converts
+            raise MalformedLine(f"line {line_no}: ID of {len(tok_id)} digits") from None
+    elif _SKIPPED_ID.fullmatch(tok_id):
         return None  # multi-word token or empty node: not part of the basic tree
-    try:
-        index = int(tok_id)
-    except ValueError:
-        raise MalformedLine(f"line {line_no}: non-integer ID {tok_id!r}") from None
+    else:
+        raise MalformedLine(
+            f"line {line_no}: ID {tok_id!r} is not N, a range N-M or an empty node N.M"
+        )
     try:
         head_i = int(head)
     except ValueError:
@@ -223,8 +230,9 @@ def parse_conllu(text: str) -> list[DependencyTree]:
 
     Lines end at LF alone, with one CR before it dropped, so a FORM may
     hold the other breaks str.splitlines() knows (U+2028, U+0085, form
-    feed, ...).  Comment lines starting with '#' are ignored; lines whose
-    ID contains '-' or '.' are skipped.  Structural violations raise
+    feed, ...).  Comment lines starting with '#' are ignored, and so are
+    multiword ranges (ID N-M) and empty nodes (ID N.M); any other ID that
+    is not a number raises MalformedLine.  Structural violations raise
     MultipleRoots, NoRoot, CycleDetected, HeadOutOfRange or MalformedLine,
     each naming the sentence and line where it was found.
     """
@@ -296,39 +304,35 @@ def entity_head(tree: DependencyTree, span: EntitySpan) -> int:
     the root wins; remaining ties go to the smallest index.  Deterministic
     by construction.
     """
-    candidates = [
-        tok.index
-        for tok in tree.tokens[span.start - 1 : span.end]
-        if tok.head == 0 or tok.head not in span
-    ]
+    heads = tree.heads[span.start : span.end + 1]
+    candidates = [i for i, head in enumerate(heads, start=span.start) if head not in span]
     return min(candidates, key=lambda i: (tree.depth(i), i))
 
 
 def path_between(structure, a: int, b: int) -> SdpPath:
     """The unique simple tree path between two tokens.
 
-    Works on any structure exposing path_parents() and tokens, i.e. both
+    Works on any structure exposing heads, deprels and tokens, i.e. both
     DependencyTree and RegularizedTree.  Each edge carries its relation
     label and a traversal direction: UP when moving dependent -> head,
     DOWN when moving head -> dependent.  a == b yields a single-node path.
     a's ancestors are walked once; b is walked up to the first of them.
     """
-    parents, labels = structure.path_parents()
-    tokens = structure.tokens
+    heads, deprels, tokens = structure.heads, structure.deprels, structure.tokens
     chain = {}  # a and its ancestors -> position on a's chain
     cur = a
     while cur:
         chain[cur] = len(chain)
-        cur = parents[cur]
+        cur = heads[cur]
     down = []  # b up to, not including, the first node of a's chain
     cur = b
     while cur not in chain:
         down.append(cur)
-        cur = parents[cur]
+        cur = heads[cur]
     up = list(chain)[: chain[cur] + 1]
     down.reverse()
     nodes = up + down
-    edges = [PathEdge(labels[u], UP) for u in up[:-1]] + [PathEdge(labels[v], DOWN) for v in down]
+    edges = [PathEdge(deprels[u], UP) for u in up[:-1]] + [PathEdge(deprels[v], DOWN) for v in down]
     return SdpPath(
         nodes=tuple(nodes),
         edges=tuple(edges),

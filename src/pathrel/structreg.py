@@ -98,7 +98,7 @@ def select_cut_nodes(tree: DependencyTree, rule: CutRule, ordinal: int = 0) -> s
     runs = accumulate(tok.pos == "PUNCT" for tok in tree.tokens)
     run = {tok.index: r for tok, r in zip(tree.tokens, runs) if tok.pos != "PUNCT"}
     root_run = run.get(root)
-    return {i for i, r in run.items() if r != root_run and run.get(tree.token(i).head) != r}
+    return {i for i, r in run.items() if r != root_run and run.get(tree.heads[i]) != r}
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,16 @@ class RegularizedTree:
 
     Component roots (the original root plus every cut node) are chained in
     ascending index order by link_edges labeled SR-LINK.  The combined
-    edge set (residual head edges + links) stays connected and acyclic.
+    edge set (residual head edges + links) stays connected and acyclic;
+    heads and deprels hold it in the base tree's layout, slot 0 for the
+    virtual root.
     """
 
     base: DependencyTree
     cut_nodes: frozenset[int]
     link_edges: tuple[tuple[int, int], ...]
-    _parents: dict = field(repr=False, hash=False, compare=False)
-    _labels: dict = field(repr=False, hash=False, compare=False)
+    heads: list[int] = field(repr=False, compare=False)
+    deprels: list[str] = field(repr=False, compare=False)
 
     @property
     def tokens(self):
@@ -127,13 +129,10 @@ class RegularizedTree:
     def component_root(self, index: int) -> int:
         """Nearest ancestor-or-self that roots a component."""
         roots = self.cut_nodes | {self.base.root}
-        cur = index
-        while cur not in roots:
-            cur = self.base.token(cur).head
-        return cur
-
-    def path_parents(self):
-        return self._parents, self._labels
+        heads = self.base.heads
+        while index not in roots:
+            index = heads[index]
+        return index
 
 
 def cut_and_line(tree: DependencyTree, cut_nodes: set[int]) -> RegularizedTree:
@@ -151,29 +150,22 @@ def cut_and_line(tree: DependencyTree, cut_nodes: set[int]) -> RegularizedTree:
 
     roots = sorted(set(cut_nodes) | {root})
     links = tuple(zip(roots, roots[1:]))
-
-    parents = {}
-    labels = {}
-    for tok in tree.tokens:
-        if tok.index in cut_nodes:
-            continue  # severed below
-        parents[tok.index] = tok.head
-        labels[tok.index] = tok.deprel
     # the lowest-index component root becomes the global root of the lined
-    # structure; every later root (cut node or the original root) hangs off
-    # its predecessor via SR-LINK
-    parents[roots[0]] = 0
-    labels.setdefault(roots[0], SR_LINK)  # never traversed for the global root
+    # structure (its deprel is never read); every later root (cut node or
+    # the original root) hangs off its predecessor via SR-LINK
+    heads = list(tree.heads)
+    deprels = list(tree.deprels)
+    heads[roots[0]] = 0
     for lo, hi in links:
-        parents[hi] = lo
-        labels[hi] = SR_LINK
+        heads[hi] = lo
+        deprels[hi] = SR_LINK
 
     return RegularizedTree(
         base=tree,
         cut_nodes=frozenset(cut_nodes),
         link_edges=links,
-        _parents=parents,
-        _labels=labels,
+        heads=heads,
+        deprels=deprels,
     )
 
 

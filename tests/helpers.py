@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own algorithms: paths come
 from breadth-first search over an undirected adjacency list (over a
 lined structure rebuilt by hand, if need be), partitions and entity
 heads from direct upward walks, the punct rule's cuts from a direct scan
-of the sentence, tree checks from union-find, and text path lines from
+of the sentence, tree checks from union-find, tree validation from a
+walk of every token to the root, and text path lines from
 parse_path_line, the inverse of data.format_path_line.  The relation
 model's oracle is its per-gate formulation: one tape node per gate
 product and step, plain cross-entropy of a softmax, an L2 graph over
@@ -26,7 +27,17 @@ import numpy as np
 from pathrel.autodiff import ParamStore, Tensor, dropout_mask, sigmoid_array, softmax_array
 from pathrel.checkpoint import FORMAT_NAME, MAGIC, PREAMBLE
 from pathrel.data import DatasetError
-from pathrel.depgraph import DependencyTree, PathEdge, SdpPath, Token
+from pathrel.depgraph import (
+    CycleDetected,
+    DependencyTree,
+    HeadOutOfRange,
+    MalformedLine,
+    MultipleRoots,
+    NoRoot,
+    PathEdge,
+    SdpPath,
+    Token,
+)
 from pathrel.model import BWD, FWD, LSTM_STANDARD, Prediction, decode
 from pathrel.structreg import invert_path
 
@@ -70,10 +81,10 @@ def bfs_path(structure, a, b):
     Returns (nodes, edges) in the same annotation convention as the
     library: (label, "UP") when stepping child -> parent, else DOWN.
     """
-    parents, labels = structure.path_parents()
-    adj = {i: [] for i in parents}
-    for child, parent in parents.items():
-        if parent != 0:
+    parents, labels = structure.heads, structure.deprels
+    adj = {i: [] for i in range(1, len(parents))}
+    for child, parent in enumerate(parents):
+        if child and parent:
             adj[child].append(parent)
             adj[parent].append(child)
     prev = {a: None}
@@ -122,14 +133,43 @@ def punct_cut_oracle(tree) -> set:
 def lined_by_hand(tree, cut_nodes):
     """The lined structure rebuilt from a cut set: every cut node severed
     from its head, the component roots chained in ascending order by
-    SR-LINK edges.  Exposes path_parents() for bfs_path."""
-    parents = {tok.index: tok.head for tok in tree.tokens}
-    labels = {tok.index: tok.deprel for tok in tree.tokens}
+    SR-LINK edges.  Exposes heads and deprels, slot 0 unused, for bfs_path."""
+    heads = [0] + [tok.head for tok in tree.tokens]
+    deprels = [""] + [tok.deprel for tok in tree.tokens]
     roots = sorted(set(cut_nodes) | {tree.root})
-    parents[roots[0]] = 0
+    heads[roots[0]] = 0
     for lo, hi in zip(roots, roots[1:]):
-        parents[hi], labels[hi] = lo, "SR-LINK"
-    return SimpleNamespace(path_parents=lambda: (parents, labels))
+        heads[hi], deprels[hi] = lo, "SR-LINK"
+    return SimpleNamespace(heads=heads, deprels=deprels)
+
+
+def validate_tree_reference(tokens) -> None:
+    """The tree checks in their first, direct form: contiguous IDs, one root,
+    heads in range, then every token walked all the way up to the root."""
+    n = len(tokens)
+    if n == 0:
+        raise MalformedLine("empty sentence")
+    for pos_i, tok in enumerate(tokens, start=1):
+        if tok.index != pos_i:
+            raise MalformedLine(
+                f"token IDs must be contiguous 1..{n}, found {tok.index} at position {pos_i}"
+            )
+    roots = [tok.index for tok in tokens if tok.head == 0]
+    if len(roots) > 1:
+        raise MultipleRoots(f"tokens {roots} all have head 0")
+    if not roots:
+        raise NoRoot("no token has head 0")
+    for tok in tokens:
+        if not 0 <= tok.head <= n:
+            raise HeadOutOfRange(f"token {tok.index} has head {tok.head}, valid range 0..{n}")
+    for tok in tokens:
+        cur = tok.index
+        for _ in range(n):
+            cur = tokens[cur - 1].head
+            if cur == 0:
+                break
+        else:
+            raise CycleDetected(f"head chain from token {tok.index} never reaches the root")
 
 
 def entity_head_by_scan(tree, start, end):

@@ -3,7 +3,10 @@
 The traced run (`bench/run.py --trace 1`) wraps each `<function>` named by a
 `<function>.calls` per-layer metric; a rename in pathrel would break it.  Its
 observers also read pathrel objects: the parameter count off
-`model.store.items()` and the tape size off the loss node's `_parents`.  Its
+`model.store.items()`, the tape size off the loss node's `_parents`, and the
+SR and plain path lengths off `extract_sr_sdp`'s first argument's `.base` (the
+`DependencyTree` it was cut from) and its result's `.nodes`.  Its oracles
+(`bench/oracles.py`) read each parsed token's `index`, `head` and `deprel`.  Its
 save/reload stages and its `reload_bit_identical` check call the model's
 persistence and prediction API the way the last test here does.
 """
@@ -15,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathrel.depgraph import PathEdge, SdpPath
+from pathrel.depgraph import DependencyTree, PathEdge, SdpPath, parse_conllu
 from pathrel.labels import synth_schema
 from pathrel.model import ModelConfig, Prediction, RelationModel, RelationVocabulary, Vocabulary
-from pathrel.structreg import CutRule
+from pathrel.structreg import CutRule, cut_and_line, extract_sr_sdp, select_cut_nodes
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -65,6 +68,27 @@ def test_loss_node_exposes_its_parents():
     node = model.loss(PATH, model.schema.fine_label(0), dropout_rng=np.random.default_rng(0))
     assert node._parents
     assert all(hasattr(parent, "_parents") for parent in node._parents)
+
+
+CONLLU = (
+    "1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+    "2\tsleep\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+    "3\ton\t_\tADP\t_\t_\t2\tprep\t_\t_\n"
+    "4\tmats\t_\tNOUN\t_\t_\t3\tpobj\t_\t_\n"
+)
+
+
+def test_parsed_tokens_expose_what_the_oracles_read():
+    (tree,) = parse_conllu(CONLLU)
+    assert [(t.index, t.head, t.deprel) for t in tree.tokens] == [
+        (1, 2, "nsubj"), (2, 0, "root"), (3, 2, "prep"), (4, 3, "pobj")]
+
+
+def test_extract_sr_sdp_exposes_its_base_tree_and_nodes():
+    (tree,) = parse_conllu(CONLLU)
+    rt = cut_and_line(tree, select_cut_nodes(tree, CutRule(variant="prep")))
+    assert isinstance(rt.base, DependencyTree) and rt.base is tree
+    assert extract_sr_sdp(rt, 1, 4).nodes == (1, 2, 3, 4)
 
 
 def test_save_reload_and_predict_as_the_benchmark_does(tmp_path):

@@ -164,6 +164,22 @@ class TestExtractSdp:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {conllu}: sentence 1 (starting line 1): token 2 has head 5")
 
+    def test_malformed_id_names_file_and_line(self, tmp_path, capsys):
+        """An ID that is neither N, N-M nor N.M is reported, by extract-sdp and by
+        dataset loading, rather than skipped."""
+        conllu, pairs = self.write_inputs(tmp_path)
+        lines = CONLLU.splitlines(keepends=True)
+        bad = "".join(lines[:1] + ["-1\tjunk\t_\tX\t_\t_\t2\tdep\t_\t_\n"] + lines[1:])
+        conllu.write_text(bad)
+        assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3
+        message = "line 2: ID '-1' is not N, a range N-M or an empty node N.M"
+        assert capsys.readouterr().err == f"error: {conllu}: {message}\n"
+        data = tmp_path / "train.jsonl"
+        data.write_text(json.dumps({"id": "s1", "conllu": bad, "e1": [1, 1], "e2": [4, 4],
+                                    "label": "Other"}) + "\n")
+        assert main(["train", "--train", str(data), "--schema", "synth-k2", "--epochs", "1"]) == 3
+        assert capsys.readouterr().err == f"error: {data}:1: {message}\n"
+
     @pytest.mark.parametrize("rule", CutRule.VARIANTS)
     def test_every_record_matches_bfs_over_structure_lined_by_hand(self, tmp_path, rule):
         """extract-sdp's JSON heads and paths against BFS over the cut set lined by hand."""
@@ -695,6 +711,74 @@ class TestCheckpointFuzz:
         assert "Traceback" not in err.getvalue()
         if code:
             assert err.getvalue().startswith(f"error: {ck}: " if code == 3 else "schema mismatch: ")
+
+
+JUNK = ("-1", "1.x", "_", "0", str(10**30), "")
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    """lines with 1-3 of: a column replaced by junk, a line dropped, duplicated or
+    split, a CR or a blank line inserted."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        kind = draw(st.sampled_from(("junk", "drop", "duplicate", "split", "cr", "blank")))
+        if kind == "junk":
+            cols = line.split("\t")
+            cols[draw(st.integers(0, len(cols) - 1))] = draw(st.sampled_from(JUNK))
+            lines[i] = "\t".join(cols)
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, line)
+        elif kind == "split":
+            lines[i:i + 1] = [line[:at], line[at:]]
+        elif kind == "cr":
+            lines[i] = line[:at] + "\r" + line[at:]
+        else:
+            lines.insert(i, "")
+    return "\n".join(lines) + "\n"
+
+
+class TestConlluFuzz:
+    """A small valid CoNLL-U file, mutated line by line, through `extract-sdp`."""
+
+    SENTENCES = (
+        "# sent_id = 1\n" + CONLLU + "\n"
+        "# sent_id = 2\n"
+        "1\tcats\t_\tNOUN\t_\t_\t3\tnsubj\t_\t_\n"
+        "2-3\tdon't\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "2\tdo\t_\tAUX\t_\t_\t3\taux\t_\t_\n"
+        "3\tn't\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+        "3.1\tsee\t_\tVERB\t_\t_\t_\t_\t0:root\t_\n"
+        "4\t,\t_\tPUNCT\t_\t_\t3\tpunct\t_\t_\n"
+        "5\tdogs\t_\tNOUN\t_\t_\t3\tobj\t_\t_\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("conllu-fuzz")
+        (work / "pairs.txt").write_text("1 1 4 4\n1 1 5 5\n")
+        return work
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=mutated_lines(SENTENCES.split("\n")[:-1]))
+    def test_mutated_conllu_never_exits_1(self, work, text):
+        """Every rule exits 0, or 3 with a message naming the CoNLL-U or the pair file."""
+        conllu, pairs, out = work / "s.conllu", work / "pairs.txt", work / "p.jsonl"
+        conllu.write_bytes(text.encode("utf-8"))
+        for rule in CutRule.VARIANTS:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs),
+                             "--rule", rule, "--cut-p", "0.4", "--json", "--out", str(out)])
+            assert code in (0, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert err.getvalue().startswith((f"error: {conllu}: ", f"error: {pairs}: "))
 
 
 class TestDictMatch:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from helpers import bfs_path, random_tree
+from helpers import bfs_path, random_tree, validate_tree_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathrel.depgraph import (
     DOWN,
     UP,
+    ConlluError,
     CycleDetected,
     DependencyTree,
     EntitySpan,
@@ -85,6 +86,7 @@ class TestParsing:
             "1-2\tdel\t_\t_\t_\t_\t_\t_\t_\t_\n"
             "1\tdel\t_\tX\t_\t_\t2\tdep\t_\t_\n"
             "2\tla\t_\tX\t_\t_\t0\troot\t_\t_\n"
+            "2.1\tgone\t_\tX\t_\t_\t_\t_\t2:dep\t_\n"
         )
         trees = parse_conllu(text)
         assert len(trees) == 1
@@ -95,8 +97,12 @@ class TestParsing:
         assert trees[0].token(1).pos == "INTJ"
 
     def test_noninteger_id_rejected(self):
-        with pytest.raises(MalformedLine):
-            parse_conllu("x\thi\t_\tX\t_\t_\t0\troot\t_\t_\n")
+        """Only N is a token, N-M and N.M are skipped; any other ID names its line."""
+        for tok_id in ("x", "-1", "1.x.y", "foo-bar", "-", ".", "1-", ".1", "1-2-3", "1.2.3",
+                       "+1", " 1", "\uff11", "9" * 5000):
+            text = MINIMAL + f"{tok_id}\thi\t_\tX\t_\t_\t1\tdep\t_\t_\n"
+            with pytest.raises(MalformedLine, match=r"^line 2: ID "):
+                parse_conllu(text)
 
     def test_five_token_fixture_acyclic(self):
         # heads [2,0,2,5,3]: walking any token upward reaches 0 in <= 5 steps
@@ -223,3 +229,45 @@ class TestValidationTypes:
         p = path_between(tree, a, b)
         assert len(set(p.nodes)) == len(p.nodes)
         assert len(p.edges) == len(p.nodes) - 1
+
+
+@st.composite
+def token_lists(draw):
+    """1-12 tokens: a valid tree with one head perhaps moved, or heads drawn
+    at random (cycles, self-loops, no root, several roots, out of range);
+    now and then one ID out of place."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, n + 1)))
+        heads = {order[0]: 0}
+        for k in range(1, n):
+            heads[order[k]] = order[draw(st.integers(0, k - 1))]
+        heads = [heads[i] for i in range(1, n + 1)]
+        if draw(st.booleans()):
+            heads[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n + 1))
+    else:
+        heads = draw(st.lists(st.integers(-1, n + 1), min_size=n, max_size=n))
+    ids = list(range(1, n + 1))
+    if draw(st.integers(0, 4)) == 0:
+        ids[draw(st.integers(0, n - 1))] = draw(st.integers(-1, n + 2))
+    return tuple(Token(i, f"w{i}", "X", h, f"r{k}") for k, (i, h) in enumerate(zip(ids, heads)))
+
+
+class TestValidationOracle:
+    @given(token_lists())
+    @settings(max_examples=400, deadline=None)
+    def test_same_error_or_same_arrays_as_reference(self, tokens):
+        """DependencyTree raises what the direct reference raises, or builds with the
+        root, heads and deprels a direct scan of the tokens gives."""
+        try:
+            validate_tree_reference(tokens)
+        except ConlluError as err:
+            with pytest.raises(ConlluError) as got:
+                DependencyTree(tokens)
+            assert type(got.value) is type(err) and str(got.value) == str(err)
+            return
+        tree = DependencyTree(tokens)
+        assert tree.root == next(t.index for t in tokens if t.head == 0)
+        assert tree.heads == (0, *(t.head for t in tokens))
+        assert tree.deprels[1:] == tuple(t.deprel for t in tokens)
+        assert len(tree.deprels) == len(tokens) + 1
