@@ -3,10 +3,13 @@ The autodiff tape and the optimizer
 ===================================
 
 Fit a tiny relation model to a dozen synthetic sentences using the same
-reverse-mode tape and adaptive optimizer the full-size model trains
+reverse-mode autodiff and adaptive optimizer the full-size model trains
 with, and verify its gradients against finite differences.  Each
-example's loss is one tape node: the three cross-entropies plus the L2
-term, over the model's fused channel and conv-pool nodes.
+example's loss is one recorded node: the three cross-entropies plus the
+L2 term, over the model's fused channel and conv-pool nodes.  There is
+no graph walk: backward seeds the loss node, whose closure hands each
+pooled gradient to its conv-pool node's closure, which hands the states'
+gradients on to its two channel nodes' closures.
 """
 
 import math

@@ -1,16 +1,17 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every forward op records its inputs and a backward closure on the value
-it returns; backward() walks that tape in reverse topological order and
-accumulates gradients into leaf tensors.  A parameter's gradient is a
-view into its ParamStore's zeroed arena; gradients add up across
-backward calls until the optimizer or ParamStore.zero_grad zeroes them.
+Every recorded node keeps its inputs (_parents) and a backward closure
+that writes its parameters' gradients and hands its inputs' gradients
+straight to the closures of the nodes that made them (model.py), so
+backward() seeds the loss node and walks no graph.  A parameter's
+gradient is a view into its ParamStore's zeroed arena; gradients add up
+across backward calls until the optimizer or ParamStore.zero_grad zeroes
+them.
 
-numpy supplies the array arithmetic only; the tape, the parameter store,
-dropout, the finite-difference checker and the array kernels the model's
-nodes share (sigmoid, softmax, log-sum-exp cross-entropy) live here.
-The relation model records its own fused nodes (model.py), each a numpy
-forward plus its backward closure; the tape has no generic ops.
+numpy supplies the array arithmetic only; the tensor, the parameter
+store, dropout, the finite-difference checker and the array kernels the
+model's nodes share (sigmoid, softmax, log-sum-exp cross-entropy) live
+here.
 """
 
 from __future__ import annotations
@@ -79,36 +80,15 @@ def cross_entropy_array(z: np.ndarray, target: int):
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's gradient.
+    """Accumulate d(loss)/d(parameter) into the parameters' gradients.
 
-    Leaf gradients (ParamStore entries and constants) add up across
-    backward calls until zeroed; the gradients of recorded nodes (those
-    with a backward closure) are transient and reset on every call.
+    Each recorded node runs its inputs' backward closures itself (model.py),
+    so seeding the root with 1 runs them all.  Gradients add up across
+    backward calls until zeroed.
     """
     if loss.data.shape != ():
         raise NonScalarLoss(f"loss must be a scalar, got shape {loss.data.shape}")
-    order = []
-    seen = set()
-    stack = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    for node in order:
-        if node._backward is not None:
-            node.grad = None
-    loss.add_grad(np.asarray(1.0))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    loss._backward(np.asarray(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ def _add_rule_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cut-tags", default="ADP,P,IN", help="prep-rule POS tags, comma-separated")
 
 
-def _rule_from_args(args, default: CutRule | None = None) -> CutRule:
+def _rule_from_args(args) -> CutRule:
     if args.rule is None:
-        return default if default is not None else CutRule()
+        return CutRule()
     return CutRule(
         variant=args.rule,
         p=args.cut_p,

@@ -201,9 +201,7 @@ _SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
 
 def _parse_token_line(line: str, line_no: int) -> Token | None:
-    cols = line.split("\t")
-    if len(cols) != 10:
-        cols = line.split()
+    cols = line.split("\t") if "\t" in line else line.split()  # no tab: whitespace columns
     if len(cols) != 10:
         raise MalformedLine(f"line {line_no}: expected 10 columns, got {len(cols)}")
     tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
@@ -218,10 +216,12 @@ def _parse_token_line(line: str, line_no: int) -> Token | None:
         raise MalformedLine(
             f"line {line_no}: ID {tok_id!r} is not N, a range N-M or an empty node N.M"
         )
+    if not (head.isascii() and head.isdigit()):
+        raise MalformedLine(f"line {line_no}: non-integer HEAD {head!r}")
     try:
         head_i = int(head)
-    except ValueError:
-        raise MalformedLine(f"line {line_no}: non-integer HEAD {head!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise MalformedLine(f"line {line_no}: HEAD of {len(head)} digits") from None
     return Token(index, form, upos, head_i, deprel, (lemma, xpos, feats, deps, misc))
 
 

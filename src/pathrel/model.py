@@ -264,7 +264,8 @@ def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Ten
     """conv_forward over one path's states as one tape node: its (C,) pooled features.
 
     A single-node path (both entity heads identical) pools one pseudo-unit
-    built from the word state with a zero relation slot.
+    built from the word state with a zero relation slot.  Its backward runs
+    the word channel's backward after its own writes, then the relation's.
     """
     hw = word_states.data
     n_words, dim = hw.shape
@@ -284,9 +285,9 @@ def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Ten
         dw = np.zeros_like(hw)  # unit i holds words i and i+1; the pseudo-unit word 0 twice
         dw[: len(du)] += du[:, :dim]
         dw[n_words - len(du) :] += du[:, -dim:]
-        word_states.add_grad(dw)
+        word_states._backward(dw)
         if n_words > 1:
-            rel_states.add_grad(du[:, dim:-dim])
+            rel_states._backward(du[:, dim:-dim])
 
     out._backward = backward
     return out
@@ -465,9 +466,9 @@ class RelationModel:
         > 0.  The backward fine target is the direction-swapped gold class,
         mirroring the inverted input path.  The backward writes the L2
         gradient first, then softmax - onehot per head: outer(dz, g) into
-        each head weight and W^T dz into the pooled features, fine forward
-        head first, then fine backward, then coarse, the order a shared
-        fine head accumulates in.
+        each head weight (fine forward, fine backward, coarse: the order a
+        shared fine head accumulates in), then runs the forward conv-pool's
+        backward on W^T dz, then the backward direction's.
         """
         cfg = self.config
         t_fwd = self.schema.fine_index(label)
@@ -497,8 +498,8 @@ class RelationModel:
             wc_f.add_grad(np.outer(dc, g_fwd.data))
             wc_b.add_grad(np.outer(dc, g_bwd.data))
             bc.add_grad(dc)
-            g_fwd.add_grad(wf.data.T @ df + wc_f.data.T @ dc)
-            g_bwd.add_grad(wb.data.T @ db + wc_b.data.T @ dc)
+            g_fwd._backward(wf.data.T @ df + wc_f.data.T @ dc)
+            g_bwd._backward(wb.data.T @ db + wc_b.data.T @ dc)
 
         out._backward = backward
         return out

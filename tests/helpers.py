@@ -11,7 +11,9 @@ model's oracle is its per-gate formulation: one tape node per gate
 product and step, plain cross-entropy of a softmax, an L2 graph over
 every parameter, and the dense AdaDelta rule.  The generic tape ops it
 is built from (matmul, add, mul, concat, tanh, sigmoid, max_over,
-softmax) live here, since the library itself records only fused nodes.
+softmax) live here, since the library itself records only fused nodes,
+and so does tape_backward, the generic reverse pass that runs them: the
+library's backward walks no graph.
 Checkpoint fixtures write the all-JSON version-2 layout and take a
 version-3 file apart and back together, so tests can damage its header.
 """
@@ -252,13 +254,51 @@ def parse_path_line(line: str) -> tuple[int, int, SdpPath]:
 
 
 # ---------------------------------------------------------------------------
-# generic tape ops for the per-gate oracle
+# generic tape ops for the per-gate oracle, and the walk that runs them
 
 
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data, _parents=parents)
     out._backward = backward
     return out
+
+
+def tape_backward(loss: Tensor) -> None:
+    """Reverse pass over any graph of recorded nodes (those with a backward closure).
+
+    A depth-first walk over _parents orders the graph.  Every recorded
+    node's gradient is reset, the loss is seeded with 1, and each recorded
+    node that received a gradient runs its backward, in reverse topological
+    order, adding into its inputs' gradients.  Leaf gradients add up across
+    calls until zeroed.
+    """
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    for node in order:
+        if node._backward is not None:
+            node.grad = None
+    loss.add_grad(np.asarray(1.0))
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def as_loss(root: Tensor) -> Tensor:
+    """root behind one node whose backward is tape_backward(root), for pathrel's backward."""
+    return _node(root.data, (root,), lambda g: tape_backward(root))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

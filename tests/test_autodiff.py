@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import (
     add,
+    as_loss,
     concat,
     cross_entropy,
     matmul,
@@ -13,6 +14,7 @@ from helpers import (
     softmax,
     sum_squares,
     tanh,
+    tape_backward,
 )
 
 from pathrel.autodiff import (
@@ -27,7 +29,7 @@ from pathrel.autodiff import (
 
 
 def check_store(loss_fn, store, tol=1e-4):
-    records = finite_difference_check(loss_fn, store, max_coords=6, rng=0)
+    records = finite_difference_check(lambda: as_loss(loss_fn()), store, max_coords=6, rng=0)
     assert records
     worst = max(records, key=lambda r: r[4])
     assert worst[4] < tol, f"gradient mismatch {worst}"
@@ -68,7 +70,7 @@ class TestForwardValues:
             value, grad = cross_entropy_array(z, 3)
             ref_z = Tensor(z)
             ref = cross_entropy(softmax(ref_z), 3)
-            backward(ref)
+            tape_backward(ref)
             assert abs(value - float(ref.data)) < 1e-12
             assert np.max(np.abs(grad - ref_z.grad)) < 1e-12
 
@@ -100,14 +102,14 @@ class TestBackward:
     def test_square_gradient(self):
         x = ParamStore({"x": 3.0})["x"]
         loss = mul(x, x)
-        backward(loss)
+        tape_backward(loss)
         assert float(x.grad) == 6.0
 
     def test_additive_accumulation_until_zeroed(self):
         store = ParamStore({"x": 3.0})
         x = store["x"]
-        backward(mul(x, x))
-        backward(mul(x, x))
+        tape_backward(mul(x, x))
+        tape_backward(mul(x, x))
         assert float(x.grad) == 12.0
         grad = x.grad
         store.zero_grad()
@@ -117,8 +119,8 @@ class TestBackward:
         # intermediate grads are transient; leaves accumulate exactly
         x = ParamStore({"x": 2.0})["x"]
         loss = mul(mul(x, x), x)  # x^3, grad 12
-        backward(loss)
-        backward(loss)
+        tape_backward(loss)
+        tape_backward(loss)
         assert float(x.grad) == 24.0
 
     def test_non_scalar_loss_rejected(self):
@@ -128,14 +130,14 @@ class TestBackward:
     def test_max_over_routes_to_argmax(self):
         store = ParamStore({"a": [1.0, 5.0], "b": [2.0, 3.0]})
         a, b = store["a"], store["b"]
-        backward(sum_squares(max_over([a, b])))
+        tape_backward(sum_squares(max_over([a, b])))
         assert np.array_equal(a.grad, [0.0, 10.0])
         assert np.array_equal(b.grad, [4.0, 0.0])
 
     def test_max_over_tie_goes_to_first(self):
         store = ParamStore({"a": [1.0], "b": [1.0]})
         a, b = store["a"], store["b"]
-        backward(sum_squares(max_over([a, b])))
+        tape_backward(sum_squares(max_over([a, b])))
         assert np.array_equal(a.grad, [2.0])
         assert np.array_equal(b.grad, [0.0])  # loser receives no contribution at all
 

@@ -23,7 +23,7 @@ from pathrel import cli, training
 from pathrel.autodiff import NonScalarLoss
 from pathrel.checkpoint import load_checkpoint
 from pathrel.cli import main
-from pathrel.data import load_dataset
+from pathrel.data import instance_to_record, load_dataset
 from pathrel.depgraph import serialize_conllu
 from pathrel.model import EmptyPath, ModelConfig, RelationModel
 from pathrel.structreg import CutRule, select_cut_nodes
@@ -179,6 +179,13 @@ class TestExtractSdp:
                                     "label": "Other"}) + "\n")
         assert main(["train", "--train", str(data), "--schema", "synth-k2", "--epochs", "1"]) == 3
         assert capsys.readouterr().err == f"error: {data}:1: {message}\n"
+
+    def test_tab_line_missing_a_column_names_file_and_line(self, tmp_path, capsys):
+        """Split on whitespace, this line would have ten columns: FORM New, LEMMA York."""
+        conllu, pairs = self.write_inputs(tmp_path)
+        conllu.write_text(CONLLU.replace("1\tdogs\t_\t", "1\tNew York\t", 1))
+        assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3
+        assert capsys.readouterr().err == f"error: {conllu}: line 1: expected 10 columns, got 9\n"
 
     @pytest.mark.parametrize("rule", CutRule.VARIANTS)
     def test_every_record_matches_bfs_over_structure_lined_by_hand(self, tmp_path, rule):
@@ -779,6 +786,69 @@ class TestConlluFuzz:
             assert "Traceback" not in err.getvalue()
             if code:
                 assert err.getvalue().startswith((f"error: {conllu}: ", f"error: {pairs}: "))
+
+
+JSON_JUNK = (None, True, -1, 0, 1, 2.5, 10**30, "", "x", "Other", "Rel1(e1,e2)", "Rel9(e1,e2)",
+             [], [1], [1, 1], [2, 2], [0, 1], [3, 1], [1, 99], [1, 2, 3], [1.0, 2.0], ["1", "2"],
+             {}, {"e1": [1, 1]})
+CELL_JUNK = JUNK + ("1", "2", "99", "root", "punct", "PUNCT", "ADP", "a b", " ")
+
+
+@st.composite
+def mutated_records(draw, records):
+    """records with one JSON value, or one cell of one record's CoNLL-U, replaced by junk."""
+    records = [dict(r) for r in records]
+    record = records[draw(st.integers(0, len(records) - 1))]
+    key = draw(st.sampled_from(sorted(record)))
+    if key == "conllu" and draw(st.booleans()):
+        lines = record["conllu"].split("\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        cols = lines[i].split("\t")
+        cols[draw(st.integers(0, len(cols) - 1))] = draw(st.sampled_from(CELL_JUNK))
+        lines[i] = "\t".join(cols)
+        record["conllu"] = "\n".join(lines)
+    else:
+        record[key] = draw(st.sampled_from(JSON_JUNK))
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+class TestDatasetFuzz:
+    """A tiny dataset with one mutated record value or CoNLL-U cell, through `pathrel eval`
+    against a 4/3/4 checkpoint and through `pathrel train --epochs 1`."""
+
+    RECORDS = [instance_to_record(inst) for inst in
+               generate(SynthConfig(n=4, k_types=2, seed=5, blocks=1, fillers=1))]
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("dataset-fuzz")
+        data, ck = work / "train.jsonl", work / "m.ckpt"
+        data.write_text("".join(json.dumps(r) + "\n" for r in self.RECORDS), encoding="utf-8")
+        config = ExperimentConfig(model=ModelConfig(word_dim=4, rel_dim=3, conv_dim=4),
+                                  schema="synth-k2", epochs=1)
+        config.save(work / "config.json")
+        assert main(["train", "--config", str(work / "config.json"), "--train", str(data),
+                     "--checkpoint", str(ck), "--rule", "prep"]) == 0
+        return work
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=mutated_records(RECORDS))
+    def test_mutated_record_never_exits_1(self, work, text):
+        """Exit 0, 3 naming the dataset, or 4 (a label outside the schema); never 1,
+        never a traceback."""
+        data = work / "mutated.jsonl"
+        data.write_text(text, encoding="utf-8")
+        for argv in (["eval", "--checkpoint", str(work / "m.ckpt"), "--data", str(data),
+                      "--out", str(work / "report.json")],
+                     ["train", "--config", str(work / "config.json"), "--train", str(data)]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 3, 4), (argv[0], err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code:
+                assert err.getvalue().startswith(f"error: {data}:" if code == 3
+                                                 else "schema mismatch: "), err.getvalue()
 
 
 class TestDictMatch:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from helpers import bfs_path, random_tree, validate_tree_reference
@@ -95,6 +97,23 @@ class TestParsing:
     def test_space_separated_fallback(self):
         trees = parse_conllu("1 hi _ INTJ _ _ 0 root _ _\n")
         assert trees[0].token(1).pos == "INTJ"
+
+    def test_tab_line_missing_a_column_rejected(self):
+        """Only a line without a tab is split on whitespace: a tab line one column
+        short must not re-split a FORM holding a space into FORM and LEMMA."""
+        with pytest.raises(MalformedLine, match=r"^line 2: expected 10 columns, got 9$"):
+            parse_conllu(MINIMAL + "1\tNew York\tPROPN\t_\t_\t0\troot\t_\t_\n")
+
+    def test_noninteger_head_rejected(self):
+        """HEAD takes ASCII digits only, the same rule as ID: no sign, padding,
+        digit separator or non-ASCII digit."""
+        for head in ("+1", " 1", "1 ", "\u0661", "1_0", "-1", "1.0", "x", ""):
+            text = MINIMAL + f"2\thi\t_\tX\t_\t_\t{head}\tdep\t_\t_\n"
+            message = rf"^line 2: non-integer HEAD {re.escape(repr(head))}$"
+            with pytest.raises(MalformedLine, match=message):
+                parse_conllu(text)
+        with pytest.raises(MalformedLine, match=r"^line 2: HEAD of 5000 digits$"):
+            parse_conllu(MINIMAL + f"2\thi\t_\tX\t_\t_\t{'9' * 5000}\tdep\t_\t_\n")
 
     def test_noninteger_id_rejected(self):
         """Only N is a token, N-M and N.M are skipped; any other ID names its line."""

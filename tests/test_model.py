@@ -5,7 +5,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import PerGateReference, add, json_checkpoint_bytes, per_gate_tensors, sum_squares
+from helpers import (
+    PerGateReference,
+    add,
+    as_loss,
+    json_checkpoint_bytes,
+    per_gate_tensors,
+    sum_squares,
+    tape_backward,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import COMPARISON_GEN, COMPARISON_MODEL
@@ -228,13 +236,13 @@ class TestLstmChannel:
         rng_node, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
         mask = dropout_mask((len(rows), cfg.word_dim), cfg.keep_prob, rng_node)
         states = lstm_channel(model.cells[(direction, "word")], model.emb_word, rows, mask, variant)
-        backward(sum_squares(states))
+        tape_backward(sum_squares(states))
         ref_states = reference._channel(reference._cell(direction, "word"),
                                         reference.store["emb/word"], rows, cfg.word_dim, rng_ref)
         ref_loss = sum_squares(ref_states[0])
         for h in ref_states[1:]:
             ref_loss = add(ref_loss, sum_squares(h))
-        backward(ref_loss)
+        tape_backward(ref_loss)
 
         assert np.max(np.abs(states.data - np.stack([h.data for h in ref_states]))) < 1e-12
         ref_grads = reference.packed_grads()
@@ -249,7 +257,7 @@ class TestLstmChannel:
         cell = model.cells[(FWD, "word")]
 
         def loss_fn():
-            return sum_squares(lstm_channel(cell, model.emb_word, rows, mask, variant))
+            return as_loss(sum_squares(lstm_channel(cell, model.emb_word, rows, mask, variant)))
 
         names = ["emb/word", "fwd/word_cell/w", "fwd/word_cell/b"]
         records = finite_difference_check(loss_fn, model.store, max_coords=8, rng=2, names=names)
@@ -446,6 +454,58 @@ class TestGradientBuffers:
         assert not table_grad.any()
 
 
+class TestBackwardPass:
+    """pathrel's backward: the loss node runs the model's fixed tree of closures itself."""
+
+    CONFIG = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5, l2_lambda=0.0)
+
+    def test_repeated_backward_doubles_every_gradient(self):
+        """No node keeps a gradient between calls: a second pass over the same
+        loss adds the first one's gradient again, exactly where a pass writes an
+        entry once (every dense entry without L2), to rounding in the tables,
+        whose rows both directions write.  zero_grad clears the arena in place."""
+        model = small_model(config=self.CONFIG, seed=2)
+        loss = model.loss(make_path(), "Rel1(e1,e2)", dropout_rng=np.random.default_rng(0))
+        backward(loss)
+        once = model.store.grad.copy()
+        backward(loss)
+        twice = model.store.grad
+        assert once.any()
+        for span in model.store.dense:
+            assert np.array_equal(twice[span], 2.0 * once[span])
+        assert np.allclose(twice, 2.0 * once, rtol=1e-14, atol=0.0)
+        grad, views = model.store.grad, {name: t.grad for name, t in model.store.items()}
+        model.store.zero_grad()
+        assert model.store.grad is grad and not grad.any()
+        assert all(t.grad is views[name] for name, t in model.store.items())
+
+    @pytest.mark.parametrize("forms, rels, order", [
+        (("cat", "chased", "dog"), (("nsubj", "UP"), ("dobj", "DOWN")),
+         ["heads", "conv fwd", "fwd word", "fwd rel", "conv bwd", "bwd word", "bwd rel"]),
+        (("cat",), (), ["heads", "conv fwd", "fwd word", "conv bwd", "bwd word"]),
+    ])
+    def test_closures_run_in_the_order_the_model_writes(self, forms, rels, order):
+        """Heads, then each direction's conv-pool and its word channel before its
+        relation channel, forward direction first; a single-node path's
+        relation channel gets no gradient, so its closure never runs."""
+        model = small_model(config=self.CONFIG, seed=2)
+        loss = model.loss(make_path(forms, rels), "Rel1(e1,e2)",
+                          dropout_rng=np.random.default_rng(0))
+        g_fwd, g_bwd = loss._parents[:2]
+        nodes = {"heads": loss, "conv fwd": g_fwd, "fwd word": g_fwd._parents[0],
+                 "fwd rel": g_fwd._parents[1], "conv bwd": g_bwd,
+                 "bwd word": g_bwd._parents[0], "bwd rel": g_bwd._parents[1]}
+        calls = []
+        for name, node in nodes.items():
+            def recorded(g, name=name, inner=node._backward):
+                calls.append(name)
+                inner(g)
+            node._backward = recorded
+        backward(loss)
+        assert calls == order
+        assert all(node.grad is None for node in nodes.values())
+
+
 class TestPerGateOracle:
     """The fused model against its per-gate tape formulation (tests/helpers.py)."""
 
@@ -482,7 +542,7 @@ class TestPerGateOracle:
             loss = model.loss(path, label, dropout_rng=rng_fused if dropout else None)
             backward(loss)
             ref_loss = reference.loss(path, label, dropout_rng=rng_ref if dropout else None)
-            backward(ref_loss)
+            tape_backward(ref_loss)
 
             case = f"shared={shared} l2_lambda={l2_lambda}"
             assert rng_fused.random() == rng_ref.random(), case  # the same dropout draws
