@@ -100,16 +100,18 @@ class ParamStore:
 
     store.data holds every parameter's values and store.grad their
     gradients, zeroed; each Tensor's data and grad are views into them,
-    at the slice spans[name].  tables names the row-sparse 2-D tables
-    (embeddings): a step touches only some of their rows.  dense holds the
-    nonempty arena ranges around them.
+    at the slice spans[name].  Arrays that are already consecutive views
+    of one writable float64 vector, in sorted-name order (a loaded
+    checkpoint's), make that vector the arena uncopied.  tables names the
+    row-sparse 2-D tables (embeddings): a step touches only some of their
+    rows.  dense holds the nonempty arena ranges around them.
     """
 
     def __init__(self, params, tables=()):
         names = sorted(params)
         arrays = [np.asarray(params[name], dtype=np.float64) for name in names]
         size = sum(a.size for a in arrays)
-        self.data = np.empty(size)
+        self.data = _arena(arrays, size)
         # anonymous pages, mapped on first write, so an eval-only model never touches
         # them; np.zeros may reuse freed heap memory, which calloc must clear
         self.grad = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size)
@@ -118,7 +120,6 @@ class ParamStore:
         lo = 0
         for name, arr in zip(names, arrays):
             span = self.spans[name] = slice(lo, lo + arr.size)
-            self.data[span] = arr.reshape(-1)
             t = self._params[name] = Tensor(self.data[span].reshape(arr.shape))
             t.grad = self.grad[span].reshape(arr.shape)
             lo = span.stop
@@ -156,6 +157,18 @@ class ParamStore:
                 self.grad[span] += c * self.data[span]
 
         return weight * total, write
+
+
+def _arena(arrays, size: int) -> np.ndarray:
+    """The float64 vector that arrays already tile in order, or a new one of their values."""
+    base = arrays[0].base if arrays else None
+    if isinstance(base, np.ndarray) and base.dtype == np.float64 and base.shape == (size,) \
+            and base.flags.c_contiguous and base.flags.writeable:
+        starts = base.ctypes.data + 8 * np.cumsum([0] + [a.size for a in arrays])
+        if all(a.base is base and a.flags.c_contiguous and a.ctypes.data == at
+               for a, at in zip(arrays, starts)):
+            return base
+    return np.concatenate([np.empty(0), *(a.reshape(-1) for a in arrays)])
 
 
 def dropout_mask(shape, keep_prob: float, seed) -> np.ndarray:

@@ -4,9 +4,12 @@ cut rule, the label schema, the model config and the experiment config."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import types
 import typing
+
+_hints = functools.cache(typing.get_type_hints)  # once per document class; callers only read
 
 
 class DocumentError(ValueError):
@@ -70,7 +73,7 @@ class Document:
         missing = [n for n, f in fields.items() if n not in doc and f.default is dataclasses.MISSING]
         if missing:
             raise DocumentError(f"{where} is missing field {missing[0]!r}")
-        hints = typing.get_type_hints(cls)
+        hints = _hints(cls)
         kwargs = dict(doc)
         for name, value in doc.items():
             if isinstance(hints[name], type) and issubclass(hints[name], Document):

@@ -88,8 +88,8 @@ class ModelConfig(Document):
             raise ValueError(f"keep_prob {self.keep_prob} outside (0, 1]")
         if not 0.0 <= self.l2_lambda < math.inf:
             raise ValueError(f"l2_lambda {self.l2_lambda} must be finite and >= 0")
-        if not 0.0 < self.init_scale < math.inf:
-            raise ValueError(f"init_scale {self.init_scale} must be finite and > 0")
+        if not 0.0 < 2.0 * self.init_scale < math.inf:  # uniform(-s, s) needs 2s finite
+            raise ValueError(f"init_scale {self.init_scale} must be finite and > 0, as must twice it")
         if self.lstm_variant not in (LSTM_STANDARD, LSTM_PAPER_LITERAL):
             raise ValueError(f"unknown lstm_variant {self.lstm_variant!r}")
 

@@ -14,8 +14,9 @@ is built from (matmul, add, mul, concat, tanh, sigmoid, max_over,
 softmax) live here, since the library itself records only fused nodes,
 and so does tape_backward, the generic reverse pass that runs them: the
 library's backward walks no graph.
-Checkpoint fixtures write the all-JSON version-2 layout and take a
-version-3 file apart and back together, so tests can damage its header.
+Checkpoint fixtures write the all-JSON layout of versions 1 and 2, which
+are refused, and take a version-3 file apart and back together, so tests
+can damage its header.
 """
 
 import json
@@ -562,7 +563,8 @@ def dense_adadelta_step(params: dict, grads: dict, sq_grad: dict, sq_update: dic
 
 def json_checkpoint_bytes(tensors: dict, meta: dict | None = None, version: int = 2) -> bytes:
     """A checkpoint in the all-JSON layout of version 2 (and, given version=1, the
-    envelope of version 1), as the writer before version 3 made it."""
+    envelope of version 1), as the writer before version 3 made it; only the tests
+    that these versions are refused use it."""
     doc = {
         "format": FORMAT_NAME,
         "version": version,

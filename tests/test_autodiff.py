@@ -246,6 +246,24 @@ class TestParamStore:
             assert np.all(store.data[store.spans[name]] == 7.0)
             assert np.all(store.grad[store.spans[name]] == 3.0)
 
+    def test_views_tiling_one_vector_in_order_become_the_arena(self):
+        """A loaded checkpoint's arrays are adopted uncopied; anything else is copied."""
+        vec = np.arange(6.0)
+        store = ParamStore({"b": vec[2:].reshape(2, 2), "a": vec[:2]})
+        assert store.data is vec and np.shares_memory(store["b"].data, vec)
+        read_only = np.arange(6.0)
+        read_only.flags.writeable = False
+        for params in ({"a": vec[4:], "b": vec[:4]},  # out of sorted-name order
+                       {"a": vec[:2], "b": vec[3:]},  # a gap
+                       {"a": vec[0::2], "b": vec[1::2]},  # strided
+                       {"a": vec[:2], "b": np.ones(4)},  # another array
+                       {"a": read_only[:2], "b": read_only[2:]}):
+            store = ParamStore(params)
+            assert store.data.flags.writeable
+            assert not any(np.shares_memory(store.data, arr) for arr in params.values())
+            for name, arr in params.items():
+                assert np.array_equal(store[name].data, arr), name
+
     def test_spans_tile_the_arena_in_sorted_name_order(self):
         store = self.store()
         assert list(store.spans) == sorted(self.SHAPES)

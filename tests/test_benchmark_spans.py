@@ -8,16 +8,19 @@ SR and plain path lengths off `extract_sr_sdp`'s first argument's `.base` (the
 `DependencyTree` it was cut from) and its result's `.nodes`.  Its oracles
 (`bench/oracles.py`) read each parsed token's `index`, `head` and `deprel`.  Its
 save/reload stages and its `reload_bit_identical` check call the model's
-persistence and prediction API the way the last test here does.
+persistence and prediction API the way the last tests here do; its
+`checkpoint.bytes` is len() of what `checkpoint.checkpoint_bytes` returns.
 """
 
 import importlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pathrel import checkpoint
 from pathrel.depgraph import DependencyTree, PathEdge, SdpPath, parse_conllu
 from pathrel.labels import synth_schema
 from pathrel.model import ModelConfig, Prediction, RelationModel, RelationVocabulary, Vocabulary
@@ -103,3 +106,28 @@ def test_save_reload_and_predict_as_the_benchmark_does(tmp_path):
     assert isinstance(pred, Prediction) and label == label0
     for name in ("y_fwd", "y_bwd", "y_coarse", "y_test"):
         assert getattr(pred, name).tobytes() == getattr(pred0, name).tobytes(), name
+
+
+def test_save_builds_the_file_once_and_load_reads_it_once(tmp_path, monkeypatch):
+    """Through the module attributes the traced run wraps: save builds the file with one
+    checkpoint_bytes call whose len() is the size written, and load reads it with one
+    load_checkpoint call."""
+    sizes, loads = [], []
+    build, load = checkpoint.checkpoint_bytes, checkpoint.load_checkpoint
+
+    def counted_build(*args, **kwargs):
+        raw = build(*args, **kwargs)
+        sizes.append(len(raw))
+        return raw
+
+    def counted_load(*args, **kwargs):
+        loads.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(checkpoint, "checkpoint_bytes", counted_build)
+    monkeypatch.setattr(checkpoint, "load_checkpoint", counted_load)
+    path = str(tmp_path / "model.ckpt")
+    small_model().save(path)
+    assert sizes == [os.path.getsize(path)]
+    RelationModel.load(path)
+    assert loads == [(path,)]

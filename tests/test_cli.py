@@ -9,23 +9,21 @@ from helpers import (
     bfs_path,
     edit_header,
     entity_head_by_scan,
-    json_checkpoint_bytes,
     lined_by_hand,
     parse_path_line,
     punct_cut_oracle,
     random_tree,
     split_checkpoint,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathrel import cli, training
 from pathrel.autodiff import NonScalarLoss
-from pathrel.checkpoint import load_checkpoint
 from pathrel.cli import main
 from pathrel.data import instance_to_record, load_dataset
 from pathrel.depgraph import serialize_conllu
-from pathrel.model import EmptyPath, ModelConfig, RelationModel
+from pathrel.model import EmptyPath, ModelConfig
 from pathrel.structreg import CutRule, select_cut_nodes
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import ExperimentConfig, entity_path, train
@@ -517,7 +515,7 @@ class TestTrainEval:
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: {where}seed -1 must be >= 0\n"
 
-    @pytest.mark.parametrize("damage", ["not-utf8", "not-json", "nan-string", "nan", "infinity"])
+    @pytest.mark.parametrize("damage", ["not-utf8", "not-json", "nan", "infinity"])
     def test_unreadable_or_non_finite_checkpoint_exits_3(self, tmp_path, dataset, capsys, damage):
         ck = tmp_path / "m.ckpt"
         assert main(["train", "--config", str(tiny_config_file(tmp_path)),
@@ -526,11 +524,6 @@ class TestTrainEval:
             ck.write_bytes(b"\xff\xfe" + ck.read_bytes())
         elif damage == "not-json":
             ck.write_bytes(ck.read_bytes()[:-1])
-        elif damage == "nan-string":  # a version-2 file: only JSON can spell the string "NaN"
-            tensors, meta = load_checkpoint(ck)
-            doc = json.loads(json_checkpoint_bytes(tensors, meta))
-            doc["tensors"]["coarse/b"]["data"][0] = "NaN"
-            ck.write_text(json.dumps(doc))
         else:  # the first value of coarse/b in the payload
             raw = ck.read_bytes()
             header, payload = split_checkpoint(raw)
@@ -547,6 +540,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("field, value", [
         ("l2_lambda", math.nan), ("l2_lambda", -1e-5), ("l2_lambda", math.inf),
         ("init_scale", math.nan), ("init_scale", math.inf), ("init_scale", 0.0), ("init_scale", -0.1),
+        ("init_scale", 1e308),
     ])
     @pytest.mark.parametrize("route", ["config", "meta"])
     def test_bad_l2_lambda_or_init_scale_exits_3(self, tmp_path, dataset, capsys, field, value,
@@ -642,40 +636,6 @@ class TestTrainEval:
             assert "parameter names differ" in err
         else:
             assert ("'emb/word'" if damage == "words-one-short" else "'coarse/w_fwd'") in err
-
-
-    def test_version_2_file_and_its_version_3_resave_agree(self, tmp_path, dataset):
-        """A version-2 file still loads, and resaving it writes version 3: equal tensors,
-        predictions and eval reports, bit for bit."""
-        ck, v2, resave = tmp_path / "m.ckpt", tmp_path / "v2.json", tmp_path / "resave.ckpt"
-        assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
-                     "--checkpoint", str(ck), "--rule", "prep"]) == 0
-        v2.write_bytes(json_checkpoint_bytes(*load_checkpoint(ck)))
-        old = RelationModel.load(v2)
-        old.save(resave, extra_meta={"rule": old.meta["rule"]})
-        assert resave.read_bytes() == ck.read_bytes()
-
-        (v2_tensors, v2_meta), (v3_tensors, v3_meta) = load_checkpoint(v2), load_checkpoint(resave)
-        assert v2_meta == v3_meta and set(v2_tensors) == set(v3_tensors)
-        for name, arr in v2_tensors.items():
-            assert arr.shape == v3_tensors[name].shape
-            assert arr.tobytes() == v3_tensors[name].tobytes(), name
-
-        paths = [entity_path(inst.tree, inst.e1, inst.e2, CutRule(variant="prep"))
-                 for inst in load_dataset(dataset)]
-        for (label, pred), (label3, pred3) in zip(old.predict_batch(paths),
-                                                  RelationModel.load(resave).predict_batch(paths)):
-            assert label == label3
-            for field in ("y_fwd", "y_bwd", "y_coarse", "y_test"):
-                assert getattr(pred, field).tobytes() == getattr(pred3, field).tobytes()
-
-        reports = []
-        for file in (v2, resave):
-            out = tmp_path / f"{file.stem}.report.json"
-            assert main(["eval", "--checkpoint", str(file), "--data", str(dataset),
-                         "--out", str(out)]) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
 
 
 class TestCheckpointFuzz:
@@ -849,6 +809,63 @@ class TestDatasetFuzz:
             if code:
                 assert err.getvalue().startswith(f"error: {data}:" if code == 3
                                                  else "schema mismatch: "), err.getvalue()
+
+
+CONFIG_JUNK = (0, -1, 1e308, math.nan, None, True, "x", [], {"x": 1})
+# their defaults would train 10 epochs or 200-wide layers
+KEPT = {("model",), ("epochs",), ("model", "word_dim"), ("model", "rel_dim"), ("model", "conv_dim")}
+
+
+@st.composite
+def mutated_configs(draw, config):
+    """config with one field, top-level or in a nested document, set to junk or removed, or
+    with an unknown key added beside it."""
+    config = json.loads(json.dumps(config))
+    fields = [(key,) for key in config]
+    fields += [(key, sub) for key in config if isinstance(config[key], dict) for sub in config[key]]
+    where = draw(st.sampled_from(sorted(fields)))
+    doc = config if len(where) == 1 else config[where[0]]
+    kind = draw(st.sampled_from(("junk", "unknown", "missing")))
+    if kind == "unknown":
+        doc["bogus"] = 1
+    elif kind == "missing" and where not in KEPT:
+        del doc[where[-1]]
+    else:
+        doc[where[-1]] = draw(st.sampled_from(CONFIG_JUNK))
+    return config
+
+
+class TestConfigFuzz:
+    """A 4/3/4, one-epoch experiment config with one field mutated, through `pathrel train`."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("config-fuzz")
+        data = work / "train.jsonl"
+        records = generate(SynthConfig(n=4, k_types=2, seed=5, blocks=1, fillers=1))
+        data.write_text("".join(json.dumps(instance_to_record(inst)) + "\n" for inst in records),
+                        encoding="utf-8")
+        return work
+
+    CONFIG = ExperimentConfig(model=ModelConfig(word_dim=4, rel_dim=3, conv_dim=4),
+                              schema="synth-k2", epochs=1, train_path="train.jsonl").to_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=mutated_configs(CONFIG))
+    @example(config={**CONFIG, "model": {**CONFIG["model"], "init_scale": 1e308}})
+    def test_mutated_config_never_exits_1(self, work, config):
+        """Exit 0, 3 or 4 (a schema the dataset's labels do not fit); never 1, never a
+        traceback.  Paths are relative to the work directory."""
+        path = work / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.chdir(work), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(path)])
+        assert code in (0, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith("error: " if code == 3 else "schema mismatch: ")
 
 
 class TestDictMatch:

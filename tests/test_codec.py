@@ -82,6 +82,8 @@ class TestFromDict:
         (ModelConfig, {"init_scale": 0}, "ModelConfig: init_scale 0 must be finite and > 0"),
         (ModelConfig, {"init_scale": -0.1}, "ModelConfig: init_scale -0.1 must be finite and > 0"),
         (ExperimentConfig, {"seed": -1}, "ExperimentConfig: seed -1 must be >= 0"),
+        (ModelConfig, {"init_scale": 1e308}, "ModelConfig: init_scale 1e+308 must be finite and > 0, "
+         "as must twice it"),
     ])
     def test_rejects_with_document_and_field(self, cls, doc, message):
         with pytest.raises(DocumentError) as exc:

@@ -552,7 +552,7 @@ class TestPerGateOracle:
                 assert np.max(np.abs(t.grad - ref_grads[name])) < 1e-12, (case, name)
 
     def test_version_1_checkpoint_exits_3(self, tmp_path, capsys):
-        """Version 1 stored per-gate cell tensors; only versions 2 and 3 are read."""
+        """Version 1 stored per-gate cell tensors; only version 3 is read."""
         model = small_model()
         meta = {
             "config": model.config.to_dict(),
@@ -801,6 +801,58 @@ class TestPersistence:
             assert label == label0
             for name in ("y_fwd", "y_bwd", "y_coarse", "y_test"):
                 assert getattr(pred, name).tobytes() == getattr(pred0, name).tobytes(), name
+
+    def test_loaded_parameters_view_the_array_the_payload_was_read_into(self, tmp_path,
+                                                                         monkeypatch):
+        """Nothing is copied after the read: the arena is the array readinto filled, writable."""
+        model = small_model(seed=9)
+        file = tmp_path / "model.ckpt"
+        model.save(file)
+        filled = []
+
+        class Recorded:  # the checkpoint file, recording what its payload is read into
+            def __init__(self, *args):
+                self.fh = open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def readinto(self, buffer):
+                filled.append(buffer)
+                return self.fh.readinto(buffer)
+
+        monkeypatch.setattr(ckpt, "open", Recorded, raising=False)
+        loaded = RelationModel.load(file)
+        arena = loaded.store.data
+        assert arena.flags.writeable and arena.tobytes() == model.store.data.tobytes()
+        assert filled and all(buffer.base is arena for buffer in filled)
+        assert sum(buffer.nbytes for buffer in filled) == arena.nbytes
+        for name, t in loaded.store.items():
+            assert t.data.base is arena and t.data.flags.writeable, name
+
+    def test_loaded_model_takes_the_same_training_step(self, tmp_path):
+        """One more loss, backward and AdaDelta step on the loaded model ends bit-identical to
+        the same step on the model that was saved."""
+        config = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5, l2_lambda=1e-3,
+                             l2_include_embeddings=True)
+        model = small_model(config=config, seed=2)
+        file = tmp_path / "model.ckpt"
+        model.save(file)
+        saved = model.store.data.copy()
+        loaded = RelationModel.load(file)
+        for m in (model, loaded):
+            state = AdaDeltaState(m.store)
+            backward(m.loss(make_path(), "Rel1(e1,e2)", dropout_rng=np.random.default_rng(0)))
+            adadelta_step(m.store, state)
+        assert not np.array_equal(model.store.data, saved)
+        assert loaded.store.data.tobytes() == model.store.data.tobytes()
+        assert loaded.store.grad.tobytes() == model.store.grad.tobytes()
 
     @pytest.mark.parametrize("share", [False, True])
     def test_layout_is_the_built_models_shapes(self, share):
