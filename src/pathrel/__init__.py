@@ -9,7 +9,7 @@ reverse-mode autodiff and AdaDelta.
 
 __version__ = "0.1.0"
 
-from .autodiff import ParamStore, Tensor, backward, finite_difference_check
+from .autodiff import ParamStore, backward, finite_difference_check
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_dataset, save_dataset
 from .depgraph import (
@@ -64,7 +64,6 @@ __all__ = [
     "SchemaMismatch",
     "SdpPath",
     "SynthConfig",
-    "Tensor",
     "Token",
     "adadelta_step",
     "backward",

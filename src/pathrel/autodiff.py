@@ -1,22 +1,22 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Parameters and recorded nodes for reverse-mode automatic differentiation.
 
-Every recorded node keeps its inputs (_parents) and a backward closure
-that writes its parameters' gradients and hands its inputs' gradients
-straight to the closures of the nodes that made them (model.py), so
-backward() seeds the loss node and walks no graph.  A parameter's
-gradient is a view into its ParamStore's zeroed arena; gradients add up
-across backward calls until the optimizer or ParamStore.zero_grad zeroes
-them.
+A parameter (Param) is two views into its ParamStore's arenas: its
+float64 values and its gradient, which starts zeroed and adds up across
+backward calls until the optimizer or ParamStore.zero_grad zeroes it.
+A recorded node (Node) is a value plus the backward closure that writes
+its parameters' gradients and hands its inputs' gradients straight to
+the closures of the nodes that made them (model.py); its _parents name
+those input nodes.  backward() seeds the loss node and walks no graph.
 
-numpy supplies the array arithmetic only; the tensor, the parameter
-store, dropout, the finite-difference checker and the array kernels the
-model's nodes share (sigmoid, softmax, log-sum-exp cross-entropy) live
-here.
+numpy supplies the array arithmetic only; the parameter store, dropout,
+the finite-difference checker and the array kernels the model's nodes
+share (sigmoid, softmax, log-sum-exp cross-entropy) live here.
 """
 
 from __future__ import annotations
 
 import mmap
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,30 +25,22 @@ class NonScalarLoss(ValueError):
     pass
 
 
-class Tensor:
-    """A float64 array plus the tape bookkeeping for reverse mode."""
+class Param(NamedTuple):
+    """A trainable parameter: its values and its gradient, views into a store's arenas."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    data: np.ndarray
+    grad: np.ndarray
 
-    def __init__(self, data, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self._parents = _parents
-        self._backward = _backward
 
-    @property
-    def shape(self):
-        return self.data.shape
+class Node:
+    """A recorded value, the closure that runs its reverse pass, and the nodes it read."""
 
-    def add_grad(self, g):
-        """Accumulate g into the gradient; an empty slot takes a copy."""
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+    __slots__ = ("data", "_backward", "_parents")
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
+    def __init__(self, data, backward, parents=()):
+        self.data = data
+        self._backward = backward
+        self._parents = parents
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
@@ -79,7 +71,7 @@ def cross_entropy_array(z: np.ndarray, target: int):
 # reverse pass
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Node) -> None:
     """Accumulate d(loss)/d(parameter) into the parameters' gradients.
 
     Each recorded node runs its inputs' backward closures itself (model.py),
@@ -96,10 +88,10 @@ def backward(loss: Tensor) -> None:
 
 
 class ParamStore:
-    """Named trainable tensors laid out once in one float64 arena, in sorted-name order.
+    """Named trainable parameters laid out once in one float64 arena, in sorted-name order.
 
     store.data holds every parameter's values and store.grad their
-    gradients, zeroed; each Tensor's data and grad are views into them,
+    gradients, zeroed; each Param's data and grad are views into them,
     at the slice spans[name].  Arrays that are already consecutive views
     of one writable float64 vector, in sorted-name order (a loaded
     checkpoint's), make that vector the arena uncopied.  tables names the
@@ -116,19 +108,18 @@ class ParamStore:
         # them; np.zeros may reuse freed heap memory, which calloc must clear
         self.grad = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size)
         self.spans: dict[str, slice] = {}
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, Param] = {}
         lo = 0
         for name, arr in zip(names, arrays):
             span = self.spans[name] = slice(lo, lo + arr.size)
-            t = self._params[name] = Tensor(self.data[span].reshape(arr.shape))
-            t.grad = self.grad[span].reshape(arr.shape)
+            self._params[name] = Param(*(a[span].reshape(arr.shape) for a in (self.data, self.grad)))
             lo = span.stop
         self.tables = tuple(tables)
         cuts = sorted(i for name in self.tables for i in (self.spans[name].start, self.spans[name].stop))
         edges = [0, *cuts, size]
         self.dense = [slice(lo, hi) for lo, hi in zip(edges[::2], edges[1::2]) if hi > lo]
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
     def items(self):
@@ -192,7 +183,7 @@ def finite_difference_check(loss_fn, store: ParamStore, h=1e-5, max_coords=5, rn
     """Compare analytic gradients with central differences.
 
     loss_fn must deterministically rebuild the forward graph from the
-    store's current values and return the scalar loss tensor.  Up to
+    store's current values and return the scalar loss node.  Up to
     max_coords coordinates per parameter are sampled.  Returns a list of records
     (name, flat_index, analytic, numeric, rel_err) with
     rel_err = |a - n| / max(|a|, |n|, 1e-6); the floor keeps FD noise on

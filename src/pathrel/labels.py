@@ -36,6 +36,8 @@ class LabelSchema(Document):
             raise ValueError("duplicate relation types")
         if self.residual in self.types:
             raise ValueError("residual class must be distinct from the relation types")
+        if self.residual in {f"{t}({d})" for t in self.types for d in ("e1,e2", "e2,e1")}:
+            raise ValueError(f"residual class {self.residual!r} is also a directed label")
 
     @property
     def k(self) -> int:

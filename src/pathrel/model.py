@@ -20,8 +20,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .autodiff import (
+    Node,
+    Param,
     ParamStore,
-    Tensor,
     cross_entropy_array,
     dropout_mask,
     sigmoid_array,
@@ -149,7 +150,7 @@ class LstmCell:
     def __init__(self, store: ParamStore, prefix: str):
         self.w, self.b = store[f"{prefix}/w"], store[f"{prefix}/b"]
         self.hidden_dim = len(self.b.data) // 4
-        self.input_dim = self.w.shape[1] - self.hidden_dim
+        self.input_dim = self.w.data.shape[1] - self.hidden_dim
 
 
 def lstm_step(cell: LstmCell, z: np.ndarray, h_prev, s_prev, variant: str = LSTM_STANDARD):
@@ -194,7 +195,7 @@ def channel_forward(cell: LstmCell, table: np.ndarray, rows, mask=None, variant=
     return x, acts, hs, ss
 
 
-def lstm_channel(cell: LstmCell, table: Tensor, rows, mask=None, variant=LSTM_STANDARD) -> Tensor:
+def lstm_channel(cell: LstmCell, table: Param, rows, mask=None, variant=LSTM_STANDARD) -> Node:
     """channel_forward over one path as one tape node: the (T, H) hidden states.
 
     The backward pass is backpropagation through time; the packed weight
@@ -205,7 +206,6 @@ def lstm_channel(cell: LstmCell, table: Tensor, rows, mask=None, variant=LSTM_ST
     w = cell.w.data
     x, acts, hs, ss = channel_forward(cell, table.data, rows, mask, variant)
     steps = x.shape[0]
-    out = Tensor(hs[1:], _parents=(table, cell.w, cell.b))
 
     def backward(dh_out):
         gates = acts.reshape(steps, 4, n)
@@ -238,11 +238,10 @@ def lstm_channel(cell: LstmCell, table: Tensor, rows, mask=None, variant=LSTM_ST
         if mask is not None:
             dx *= mask
         np.add.at(table.grad, rows, dx)
-        cell.w.add_grad(dz.T @ np.hstack([x, hs[:-1]]))
-        cell.b.add_grad(dz.sum(axis=0))
+        cell.w.grad[...] += dz.T @ np.hstack([x, hs[:-1]])
+        cell.b.grad[...] += dz.sum(axis=0)
 
-    out._backward = backward
-    return out
+    return Node(hs[1:], backward)
 
 
 def conv_forward(hw: np.ndarray, hr: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -260,7 +259,7 @@ def conv_forward(hw: np.ndarray, hr: np.ndarray, w: np.ndarray, b: np.ndarray):
     return units, act, act.max(axis=0)
 
 
-def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Tensor) -> Tensor:
+def conv_pool(word_states: Node, rel_states: Node, w_con: Param, b_con: Param) -> Node:
     """conv_forward over one path's states as one tape node: its (C,) pooled features.
 
     A single-node path (both entity heads identical) pools one pseudo-unit
@@ -274,13 +273,12 @@ def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Ten
     units, act, pooled = conv_forward(hw, rel_states.data, w_con.data, b_con.data)
     winner = np.argmax(act, axis=0)  # the max's first occurrence takes the gradient
     cols = np.arange(act.shape[1])
-    out = Tensor(pooled, _parents=(word_states, rel_states, w_con, b_con))
 
     def backward(g):
         dpre = np.zeros_like(act)
-        dpre[winner, cols] = g * (1.0 - out.data**2)
-        w_con.add_grad(dpre.T @ units)
-        b_con.add_grad(dpre.sum(axis=0))
+        dpre[winner, cols] = g * (1.0 - pooled**2)
+        w_con.grad[...] += dpre.T @ units
+        b_con.grad[...] += dpre.sum(axis=0)
         du = dpre @ w_con.data
         dw = np.zeros_like(hw)  # unit i holds words i and i+1; the pseudo-unit word 0 twice
         dw[: len(du)] += du[:, :dim]
@@ -289,8 +287,7 @@ def conv_pool(word_states: Tensor, rel_states: Tensor, w_con: Tensor, b_con: Ten
         if n_words > 1:
             rel_states._backward(du[:, dim:-dim])
 
-    out._backward = backward
-    return out
+    return Node(pooled, backward, (word_states, rel_states))
 
 
 @dataclass
@@ -444,7 +441,7 @@ class RelationModel:
         ):
             mask = None
             if dropout_rng is not None and cfg.keep_prob < 1.0:
-                mask = dropout_mask((len(rows), table.shape[1]), cfg.keep_prob, dropout_rng)
+                mask = dropout_mask((len(rows), table.data.shape[1]), cfg.keep_prob, dropout_rng)
             cell = self.cells[(direction, channel)]
             states.append(lstm_channel(cell, table, rows, mask, cfg.lstm_variant))
         return tuple(states)
@@ -458,7 +455,7 @@ class RelationModel:
         z_coarse = (g_fwd @ wc_f.data.T + g_bwd @ wc_b.data.T) + bc.data
         return z_fwd, z_bwd, z_coarse
 
-    def loss(self, path: SdpPath, label: str, dropout_rng=None) -> Tensor:
+    def loss(self, path: SdpPath, label: str, dropout_rng=None) -> Node:
         """The joint objective as one heads node over the two conv-pool nodes.
 
         Its value is l2 + ((ce_fwd + ce_bwd) + ce_coarse): the three
@@ -484,25 +481,22 @@ class RelationModel:
         if cfg.l2_lambda > 0.0:
             l2, l2_write = self.store.l2_penalty(cfg.l2_lambda, cfg.l2_include_embeddings)
             value = l2 + value
-        weights = dict.fromkeys((wf, bf, wb, bb, wc_f, wc_b, bc))  # a shared head once
-        out = Tensor(value, _parents=(g_fwd, g_bwd, *weights))
 
         def backward(g):
             if l2_write is not None:
                 l2_write(g)
             df, db, dc = g * dz_f, g * dz_b, g * dz_c
-            wf.add_grad(np.outer(df, g_fwd.data))
-            bf.add_grad(df)
-            wb.add_grad(np.outer(db, g_bwd.data))
-            bb.add_grad(db)
-            wc_f.add_grad(np.outer(dc, g_fwd.data))
-            wc_b.add_grad(np.outer(dc, g_bwd.data))
-            bc.add_grad(dc)
+            wf.grad[...] += np.outer(df, g_fwd.data)
+            bf.grad[...] += df
+            wb.grad[...] += np.outer(db, g_bwd.data)
+            bb.grad[...] += db
+            wc_f.grad[...] += np.outer(dc, g_fwd.data)
+            wc_b.grad[...] += np.outer(dc, g_bwd.data)
+            bc.grad[...] += dc
             g_fwd._backward(wf.data.T @ df + wc_f.data.T @ dc)
             g_bwd._backward(wb.data.T @ db + wc_b.data.T @ dc)
 
-        out._backward = backward
-        return out
+        return Node(np.asarray(value, dtype=np.float64), backward, (g_fwd, g_bwd))
 
     # -- inference -------------------------------------------------------
 

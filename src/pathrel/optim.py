@@ -25,8 +25,8 @@ class AdaDeltaState:
     def __init__(self, store: ParamStore, rho: float = 0.95, epsilon: float = 1e-6):
         if not 0.0 < rho < 1.0:
             raise ValueError(f"rho {rho} outside (0, 1)")
-        if epsilon <= 0.0:
-            raise ValueError(f"epsilon {epsilon} must be positive")
+        if not 0.0 < epsilon < np.inf:
+            raise ValueError(f"epsilon {epsilon} must be finite and positive")
         self.rho = rho
         self.epsilon = epsilon
         self.sq_grad = np.zeros(store.data.size)

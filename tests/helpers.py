@@ -12,8 +12,10 @@ product and step, plain cross-entropy of a softmax, an L2 graph over
 every parameter, and the dense AdaDelta rule.  The generic tape ops it
 is built from (matmul, add, mul, concat, tanh, sigmoid, max_over,
 softmax) live here, since the library itself records only fused nodes,
-and so does tape_backward, the generic reverse pass that runs them: the
-library's backward walks no graph.
+and so do Tensor, the node they record, and tape_backward, the generic
+reverse pass that runs them: the library's backward walks no graph.
+leaves() and adopt() bring the library's parameters and nodes onto that
+tape.
 Checkpoint fixtures write the all-JSON layout of versions 1 and 2, which
 are refused, and take a version-3 file apart and back together, so tests
 can damage its header.
@@ -27,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pathrel.autodiff import ParamStore, Tensor, dropout_mask, sigmoid_array, softmax_array
+from pathrel.autodiff import ParamStore, dropout_mask, sigmoid_array, softmax_array
 from pathrel.checkpoint import FORMAT_NAME, MAGIC, PREAMBLE
 from pathrel.data import DatasetError
 from pathrel.depgraph import (
@@ -258,6 +260,56 @@ def parse_path_line(line: str) -> tuple[int, int, SdpPath]:
 # generic tape ops for the per-gate oracle, and the walk that runs them
 
 
+class Tensor:
+    """A float64 array plus the tape bookkeeping for the generic reverse pass."""
+
+    __slots__ = ("data", "grad", "_parents", "_backward")
+
+    def __init__(self, data, _parents=(), _backward=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+        self._parents = _parents
+        self._backward = _backward
+
+    def add_grad(self, g):
+        """Accumulate g into the gradient; an empty slot takes a copy."""
+        if self.grad is None:
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
+
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape})"
+
+
+def leaves(store: ParamStore) -> dict:
+    """Each of the store's parameters as a leaf Tensor over its data and grad views,
+    so the generic ops read its values and add into its gradient arena."""
+    out = {}
+    for name, param in store.items():
+        leaf = out[name] = Tensor(param.data)
+        leaf.grad = param.grad
+    return out
+
+
+def adopt(node) -> Tensor:
+    """A library Node as a recorded Tensor: tape_backward runs its closure on the
+    gradient the generic ops hand it."""
+    return Tensor(node.data, _backward=node._backward)
+
+
+def tape_nodes(root) -> list:
+    """Every node reachable from root by a walk of _parents, root first, each once: what
+    the benchmark's traced run counts as the tape."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data, _parents=parents)
     out._backward = backward
@@ -451,12 +503,12 @@ class PerGateReference:
 
     def __init__(self, model):
         self.model = model
-        self.store = ParamStore(per_gate_tensors(model))
+        self.params = leaves(ParamStore(per_gate_tensors(model)))
 
     def _cell(self, direction, channel):
         prefix = f"{direction}/{channel}_cell/"
         return SimpleNamespace(**{
-            name[len(prefix):]: t for name, t in self.store.items() if name.startswith(prefix)
+            name[len(prefix):]: t for name, t in self.params.items() if name.startswith(prefix)
         })
 
     def _step(self, c, x, h_prev, s_prev, variant):
@@ -484,14 +536,14 @@ class PerGateReference:
         m = self.model
         p = path if direction == FWD else invert_path(path)
         words = self._channel(
-            self._cell(direction, "word"), self.store["emb/word"],
+            self._cell(direction, "word"), self.params["emb/word"],
             [m.word_vocab.index(form) for form in p.forms], m.config.word_dim, dropout_rng,
         )
         rels = self._channel(
-            self._cell(direction, "rel"), self.store["emb/rel"],
+            self._cell(direction, "rel"), self.params["emb/rel"],
             [m.rel_vocab.row(e.deprel, e.direction) for e in p.edges], m.config.rel_dim, dropout_rng,
         )
-        w_con, b_con = self.store[f"{direction}/conv/w"], self.store[f"{direction}/conv/b"]
+        w_con, b_con = self.params[f"{direction}/conv/w"], self.params[f"{direction}/conv/b"]
         if len(words) == 1:
             units = [concat([words[0], Tensor(np.zeros(m.config.rel_dim)), words[0]])]
         else:
@@ -501,7 +553,7 @@ class PerGateReference:
     def forward(self, path, dropout_rng=None):
         g_fwd = self._pooled(path, FWD, dropout_rng)
         g_bwd = self._pooled(path, BWD, dropout_rng)
-        st = self.store
+        st = self.params
         bwd = "fine_fwd" if self.model.config.share_fine_heads else "fine_bwd"
         y_fwd = softmax(add(matmul(st["fine_fwd/w"], g_fwd), st["fine_fwd/b"]))
         y_bwd = softmax(add(matmul(st[f"{bwd}/w"], g_bwd), st[f"{bwd}/b"]))
@@ -520,7 +572,7 @@ class PerGateReference:
         )
         if cfg.l2_lambda > 0.0:
             total = Tensor(0.0)
-            for name, t in self.store.items():
+            for name, t in self.params.items():
                 if cfg.l2_include_embeddings or not name.startswith("emb/"):
                     total = add(total, sum_squares(t))
             j = add(j, scale(total, cfg.l2_lambda))
@@ -533,7 +585,7 @@ class PerGateReference:
 
     def packed_grads(self) -> dict:
         """The accumulated gradients, repacked into the model's parameter layout."""
-        grads = {name: t.grad for name, t in self.store.items()}
+        grads = {name: t.grad for name, t in self.params.items()}
         out = {}
         for name, t in self.model.store.items():
             cell = name.rsplit("/", 1)[0]

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from helpers import (
+    Tensor,
     add,
     as_loss,
     concat,
     cross_entropy,
+    leaves,
     matmul,
     max_over,
     mul,
@@ -18,9 +20,10 @@ from helpers import (
 )
 
 from pathrel.autodiff import (
+    Node,
     NonScalarLoss,
+    Param,
     ParamStore,
-    Tensor,
     backward,
     cross_entropy_array,
     dropout_mask,
@@ -100,14 +103,14 @@ class TestForwardValues:
 
 class TestBackward:
     def test_square_gradient(self):
-        x = ParamStore({"x": 3.0})["x"]
+        x = leaves(ParamStore({"x": 3.0}))["x"]
         loss = mul(x, x)
         tape_backward(loss)
         assert float(x.grad) == 6.0
 
     def test_additive_accumulation_until_zeroed(self):
         store = ParamStore({"x": 3.0})
-        x = store["x"]
+        x = leaves(store)["x"]
         tape_backward(mul(x, x))
         tape_backward(mul(x, x))
         assert float(x.grad) == 12.0
@@ -117,7 +120,7 @@ class TestBackward:
 
     def test_repeated_backward_same_graph(self):
         # intermediate grads are transient; leaves accumulate exactly
-        x = ParamStore({"x": 2.0})["x"]
+        x = leaves(ParamStore({"x": 2.0}))["x"]
         loss = mul(mul(x, x), x)  # x^3, grad 12
         tape_backward(loss)
         tape_backward(loss)
@@ -125,18 +128,16 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(NonScalarLoss):
-            backward(Tensor([1.0, 2.0]))
+            backward(Node(np.array([1.0, 2.0]), None))
 
     def test_max_over_routes_to_argmax(self):
-        store = ParamStore({"a": [1.0, 5.0], "b": [2.0, 3.0]})
-        a, b = store["a"], store["b"]
+        a, b = leaves(ParamStore({"a": [1.0, 5.0], "b": [2.0, 3.0]})).values()
         tape_backward(sum_squares(max_over([a, b])))
         assert np.array_equal(a.grad, [0.0, 10.0])
         assert np.array_equal(b.grad, [4.0, 0.0])
 
     def test_max_over_tie_goes_to_first(self):
-        store = ParamStore({"a": [1.0], "b": [1.0]})
-        a, b = store["a"], store["b"]
+        a, b = leaves(ParamStore({"a": [1.0], "b": [1.0]})).values()
         tape_backward(sum_squares(max_over([a, b])))
         assert np.array_equal(a.grad, [2.0])
         assert np.array_equal(b.grad, [0.0])  # loser receives no contribution at all
@@ -163,7 +164,8 @@ class TestFiniteDifferenceAgainstOps:
     def test_dense_chain(self):
         rng = np.random.default_rng(1)
         store = ParamStore({"w": rng.normal(size=(3, 4)) * 0.3, "b": rng.normal(size=3) * 0.3})
-        w, b = store["w"], store["b"]
+        params = leaves(store)
+        w, b = params["w"], params["b"]
         x = rng.normal(size=4)
 
         def loss_fn():
@@ -175,7 +177,7 @@ class TestFiniteDifferenceAgainstOps:
     def test_gates_and_pool(self):
         rng = np.random.default_rng(2)
         store = ParamStore({name: rng.normal(size=5) * 0.5 for name in "uvw"})
-        u, v, w = (store[name] for name in "uvw")
+        u, v, w = leaves(store).values()
 
         def loss_fn():
             gated = mul(sigmoid(u), tanh(v))
@@ -189,9 +191,10 @@ class TestFiniteDifferenceAgainstOps:
         x = store["x"]
 
         def bad_square():
-            out = Tensor(x.data * x.data, _parents=(x,))
-            out._backward = lambda g: x.add_grad(g * x.data)  # missing factor 2
-            return out
+            def back(g):
+                x.grad[...] += g * x.data  # missing factor 2
+
+            return Node(x.data * x.data, back)
 
         records = finite_difference_check(bad_square, store, rng=0)
         assert max(r[4] for r in records) > 0.1
@@ -239,6 +242,7 @@ class TestParamStore:
         store = self.store()
         assert store.data.dtype == store.grad.dtype == np.float64
         for name, t in store.items():
+            assert isinstance(t, Param) and t is store[name], name
             assert np.shares_memory(t.data, store.data), name
             assert np.shares_memory(t.grad, store.grad), name
             t.data[...] = 7.0

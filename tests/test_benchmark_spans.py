@@ -19,8 +19,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import tape_nodes
 
 from pathrel import checkpoint
+from pathrel.autodiff import Node
 from pathrel.depgraph import DependencyTree, PathEdge, SdpPath, parse_conllu
 from pathrel.labels import synth_schema
 from pathrel.model import ModelConfig, Prediction, RelationModel, RelationVocabulary, Vocabulary
@@ -67,10 +69,18 @@ PATH = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),), forms=("a", "b"),
 
 
 def test_loss_node_exposes_its_parents():
+    """The walk of _parents from the loss, as the traced run's tape count makes it,
+    finds the heads, the 2 conv-pools and their 4 channel nodes, which read only
+    parameters: 7 nodes, and no parameter."""
     model = small_model()
     node = model.loss(PATH, model.schema.fine_label(0), dropout_rng=np.random.default_rng(0))
-    assert node._parents
-    assert all(hasattr(parent, "_parents") for parent in node._parents)
+    assert len(node._parents) == 2
+    channels = [channel for pool in node._parents for channel in pool._parents]
+    assert len(channels) == 4 and all(channel._parents == () for channel in channels)
+    nodes = tape_nodes(node)
+    assert len(nodes) == 7
+    params = {id(param) for _, param in model.store.items()}
+    assert all(isinstance(n, Node) and id(n) not in params for n in nodes)
 
 
 CONLLU = (

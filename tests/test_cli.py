@@ -684,9 +684,9 @@ JUNK = ("-1", "1.x", "_", "0", str(10**30), "")
 
 
 @st.composite
-def mutated_lines(draw, lines):
-    """lines with 1-3 of: a column replaced by junk, a line dropped, duplicated or
-    split, a CR or a blank line inserted."""
+def mutated_lines(draw, lines, junk=JUNK, sep="\t"):
+    """lines with 1-3 of: a sep-separated column replaced by junk, a line dropped,
+    duplicated or split, a CR or a blank line inserted."""
     lines = list(lines)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
@@ -694,9 +694,9 @@ def mutated_lines(draw, lines):
         at = draw(st.integers(0, len(line)))
         kind = draw(st.sampled_from(("junk", "drop", "duplicate", "split", "cr", "blank")))
         if kind == "junk":
-            cols = line.split("\t")
-            cols[draw(st.integers(0, len(cols) - 1))] = draw(st.sampled_from(JUNK))
-            lines[i] = "\t".join(cols)
+            cols = line.split(sep)
+            cols[draw(st.integers(0, len(cols) - 1))] = draw(st.sampled_from(junk))
+            lines[i] = sep.join(cols)
         elif kind == "drop":
             del lines[i]
         elif kind == "duplicate":
@@ -835,16 +835,21 @@ def mutated_configs(draw, config):
     return config
 
 
+def write_tiny_dataset(path, **synth) -> list:
+    """A few synthetic k=2 records, written to path as a dataset; returns the instances."""
+    instances = generate(SynthConfig(k_types=2, seed=5, blocks=1, fillers=1, **{"n": 4, **synth}))
+    path.write_text("".join(json.dumps(instance_to_record(inst)) + "\n" for inst in instances),
+                    encoding="utf-8")
+    return instances
+
+
 class TestConfigFuzz:
     """A 4/3/4, one-epoch experiment config with one field mutated, through `pathrel train`."""
 
     @pytest.fixture(scope="class")
     def work(self, tmp_path_factory):
         work = tmp_path_factory.mktemp("config-fuzz")
-        data = work / "train.jsonl"
-        records = generate(SynthConfig(n=4, k_types=2, seed=5, blocks=1, fillers=1))
-        data.write_text("".join(json.dumps(instance_to_record(inst)) + "\n" for inst in records),
-                        encoding="utf-8")
+        write_tiny_dataset(work / "train.jsonl")
         return work
 
     CONFIG = ExperimentConfig(model=ModelConfig(word_dim=4, rel_dim=3, conv_dim=4),
@@ -866,6 +871,126 @@ class TestConfigFuzz:
         assert "Traceback" not in err.getvalue()
         if code:
             assert err.getvalue().startswith("error: " if code == 3 else "schema mismatch: ")
+
+
+LABEL_POOL = ("Rel1", "Rel2", "Rel3", "Other", "Null", "", "Rel1(e1,e2)", "Rel2(e2,e1)",
+              "Other(e1,e2)", "Rel1(e1,e2)(e2,e1)")
+
+
+@st.composite
+def mutated_schemas(draw, schema):
+    """schema with its types edited (a label inserted, one dropped or replaced, or the
+    order reversed), then one field set to junk or a label, or removed, or an unknown key
+    added; either step may leave the schema as it was."""
+    schema = json.loads(json.dumps(schema))
+    types = schema["types"]
+    edit = draw(st.sampled_from(("keep", "insert", "drop", "replace", "reverse")))
+    if edit == "insert":
+        types.insert(draw(st.integers(0, len(types))), draw(st.sampled_from(LABEL_POOL)))
+    elif edit == "drop":
+        del types[draw(st.integers(0, len(types) - 1))]
+    elif edit == "replace":
+        types[draw(st.integers(0, len(types) - 1))] = draw(st.sampled_from(LABEL_POOL + JSON_JUNK))
+    elif edit == "reverse":
+        types.reverse()
+    field = draw(st.sampled_from(sorted(schema)))
+    kind = draw(st.sampled_from(("keep", "junk", "label", "missing", "unknown")))
+    if kind == "junk":
+        schema[field] = draw(st.sampled_from(JSON_JUNK))
+    elif kind == "label":
+        schema[field] = draw(st.sampled_from(LABEL_POOL))
+    elif kind == "missing":
+        del schema[field]
+    elif kind == "unknown":
+        schema["bogus"] = 1
+    return schema
+
+
+class TestSchemaFuzz:
+    """A schema file that fits a tiny dataset's labels, mutated, through `pathrel train
+    --schema` with a 4/3/4, one-epoch config."""
+
+    SCHEMA = {"name": "tiny", "types": ["Rel1", "Rel2"], "residual": "Other"}
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("schema-fuzz")
+        instances = write_tiny_dataset(work / "train.jsonl", n=6, residual_frac=0.3)
+        assert {inst.label for inst in instances} >= {"Other", "Rel1(e1,e2)", "Rel2(e1,e2)"}
+        ExperimentConfig(model=ModelConfig(word_dim=4, rel_dim=3, conv_dim=4),
+                         epochs=1).save(work / "config.json")
+        assert self.run(work, self.SCHEMA) == (0, "")
+        return work
+
+    def run(self, work, schema) -> tuple[int, str]:
+        path = work / "schema.json"
+        path.write_text(json.dumps(schema), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(work / "config.json"),
+                         "--train", str(work / "train.jsonl"), "--schema", str(path)])
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("residual", ["Rel1(e1,e2)", "Rel2(e2,e1)"])
+    def test_residual_equal_to_a_directed_label_exits_3(self, work, residual):
+        code, err = self.run(work, {**self.SCHEMA, "residual": residual})
+        assert code == 3 and err.startswith(f"error: {work / 'schema.json'}: ")
+        assert "directed label" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(schema=mutated_schemas(SCHEMA))
+    def test_mutated_schema_never_exits_1(self, work, schema):
+        """Exit 0, 3 naming the schema file or the dataset (a label the schema does not
+        hold), or 4 (a schema mismatch); never 1, never a traceback."""
+        code, err = self.run(work, schema)
+        assert code in (0, 3, 4), err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("schema mismatch: " if code == 4 else
+                                  (f"error: {work / 'schema.json'}: ",
+                                   f"error: {work / 'train.jsonl'}:")), err
+
+
+EMBEDDINGS_JUNK = JUNK + ("nan", "inf", "-inf", "1e400", "1e300", "-1e300", "0x1p3", "1_0",
+                          "word", "\u00a0", "\ufeff", "0.5 0.5")
+
+
+class TestEmbeddingsFuzz:
+    """A word-embeddings file for a 4/3/4 model, mutated line by line, through `pathrel
+    train --embeddings` for one epoch."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("embeddings-fuzz")
+        write_tiny_dataset(work / "train.jsonl")
+        ExperimentConfig(model=ModelConfig(word_dim=4, rel_dim=3, conv_dim=4),
+                         schema="synth-k2", epochs=1).save(work / "config.json")
+        assert self.run(work, "\n".join(self.LINES) + "\n") == (0, "")
+        return work
+
+    # three words of the training vocabulary and one outside it
+    LINES = ("ent7 0.1 -0.2 0.3 -0.4", "verb_1_f 1 2 3 4", "prep0 0 0 0 0", "zebra 0.5 0.5 0.5 0.5")
+
+    def run(self, work, text) -> tuple[int, str]:
+        path = work / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(work / "config.json"),
+                         "--train", str(work / "train.jsonl"), "--embeddings", str(path)])
+        return code, err.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=mutated_lines(LINES, EMBEDDINGS_JUNK, " "))
+    def test_mutated_embeddings_never_exit_1(self, work, text):
+        """Exit 0, 3 naming the embeddings file, or 4 (a schema mismatch); never 1,
+        never a traceback."""
+        code, err = self.run(work, text)
+        assert code in (0, 3, 4), err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith(f"error: {work / 'emb.txt'}:" if code == 3
+                                  else "schema mismatch: "), err
 
 
 class TestDictMatch:

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion as a standalone program."""
+"""Every demo script runs to completion as a standalone program, with no warning."""
 
 import os
 import subprocess
@@ -19,6 +19,7 @@ def test_demos_found():
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"  # a numpy overflow or invalid-value warning fails the demo
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathrel.labels import (
     BUILTIN_SCHEMAS,
@@ -107,6 +109,31 @@ class TestConstruction:
             LabelSchema(name="x", types=("A", "A"))
         with pytest.raises(ValueError):
             LabelSchema(name="x", types=("Other",))
+        for residual in ("A(e1,e2)", "A(e2,e1)", "B(e1,e2)"):
+            with pytest.raises(ValueError, match="directed label"):
+                LabelSchema(name="x", types=("A", "B"), residual=residual)
+
+    # labels built from pieces that can make a residual, a type and a directed label collide
+    LABELS = st.lists(st.sampled_from(("A", "B", "Other", "(e1,e2)", "(e2,e1)", "e1,e2", "")),
+                      max_size=3).map("".join)
+
+    @settings(max_examples=300, deadline=None)
+    @given(types=st.lists(LABELS, max_size=4), residual=LABELS)
+    def test_every_schema_that_constructs_indexes_one_to_one(self, types, residual):
+        """A schema constructs unless its types are empty or repeat, or its residual is a
+        type or a directed label; one that constructs maps every fine class to a label
+        that indexes back to it, and flip is an involution."""
+        directed = {f"{t}({d})" for t in types for d in ("e1,e2", "e2,e1")}
+        valid = types and len(set(types)) == len(types) and residual not in {*types, *directed}
+        try:
+            schema = LabelSchema(name="x", types=types, residual=residual)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
+        labels = [schema.fine_label(i) for i in range(schema.fine_size)]
+        assert [schema.fine_index(label) for label in labels] == list(range(schema.fine_size))
+        assert all(schema.flip(schema.flip(i)) == i for i in range(schema.fine_size))
 
     def test_synth_schema(self):
         s = synth_schema(4)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 from types import SimpleNamespace
@@ -8,11 +9,13 @@ import pytest
 from helpers import (
     PerGateReference,
     add,
+    adopt,
     as_loss,
     json_checkpoint_bytes,
     per_gate_tensors,
     sum_squares,
     tape_backward,
+    tape_nodes,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +24,9 @@ from test_acceptance import COMPARISON_GEN, COMPARISON_MODEL
 from pathrel import checkpoint as ckpt
 from pathrel import model as model_module
 from pathrel.autodiff import (
+    Node,
+    Param,
     ParamStore,
-    Tensor,
     backward,
     dropout_mask,
     finite_difference_check,
@@ -165,19 +169,19 @@ class TestLstmStep:
 
 
 class TestConvPool:
+    @staticmethod
+    def weights():
+        return Param(np.ones((1, 3)), np.zeros((1, 3))), Param(np.zeros(1), np.zeros(1))
+
     def test_two_unit_max(self):
-        w = Tensor(np.ones((1, 3)))
-        b = Tensor(np.zeros(1))
-        words = Tensor([[1.0], [-1.0], [0.5]])
-        rels = Tensor([[0.25], [-0.25]])
-        out = conv_pool(words, rels, w, b)
+        words = Node(np.array([[1.0], [-1.0], [0.5]]), None)
+        rels = Node(np.array([[0.25], [-0.25]]), None)
+        out = conv_pool(words, rels, *self.weights())
         # units tanh(1 + 0.25 - 1) and tanh(-1 - 0.25 + 0.5); max wins
         assert out.data[0] == np.tanh(0.25)
 
     def test_single_node_pseudo_unit(self):
-        w = Tensor(np.ones((1, 3)))
-        b = Tensor(np.zeros(1))
-        out = conv_pool(Tensor([[0.3]]), Tensor(np.zeros((0, 1))), w, b)
+        out = conv_pool(Node(np.array([[0.3]]), None), Node(np.zeros((0, 1)), None), *self.weights())
         assert out.data[0] == np.tanh(0.6)
 
 
@@ -236,9 +240,9 @@ class TestLstmChannel:
         rng_node, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
         mask = dropout_mask((len(rows), cfg.word_dim), cfg.keep_prob, rng_node)
         states = lstm_channel(model.cells[(direction, "word")], model.emb_word, rows, mask, variant)
-        tape_backward(sum_squares(states))
+        tape_backward(sum_squares(adopt(states)))
         ref_states = reference._channel(reference._cell(direction, "word"),
-                                        reference.store["emb/word"], rows, cfg.word_dim, rng_ref)
+                                        reference.params["emb/word"], rows, cfg.word_dim, rng_ref)
         ref_loss = sum_squares(ref_states[0])
         for h in ref_states[1:]:
             ref_loss = add(ref_loss, sum_squares(h))
@@ -257,7 +261,8 @@ class TestLstmChannel:
         cell = model.cells[(FWD, "word")]
 
         def loss_fn():
-            return as_loss(sum_squares(lstm_channel(cell, model.emb_word, rows, mask, variant)))
+            states = lstm_channel(cell, model.emb_word, rows, mask, variant)
+            return as_loss(sum_squares(adopt(states)))
 
         names = ["emb/word", "fwd/word_cell/w", "fwd/word_cell/b"]
         records = finite_difference_check(loss_fn, model.store, max_coords=8, rng=2, names=names)
@@ -326,20 +331,19 @@ class TestForward:
         (False, 1e-5, 28), (False, 0.0, 28), (True, 1e-5, 26), (True, 0.0, 26),
     ])
     def test_tape_holds_one_heads_node(self, shared, l2_lambda, size):
-        """Leaves (21 with separate fine heads), 4 channels, 2 conv nodes and
-        the heads node, which holds the L2 term: 7 recorded nodes in all."""
+        """The tape is 7 nodes and no parameter: 4 channels, 2 conv nodes and the
+        heads node, which holds the L2 term.  Their closures write all the
+        parameters, 21 with separate fine heads: size counts both."""
         cfg = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, l2_lambda=l2_lambda,
                           share_fine_heads=shared)
-        loss = small_model(config=cfg).loss(make_path(), "Rel1(e1,e2)",
-                                            dropout_rng=np.random.default_rng(0))
-        seen, stack = {id(loss): loss}, [loss]
-        while stack:
-            for parent in stack.pop()._parents:
-                if id(parent) not in seen:
-                    seen[id(parent)] = parent
-                    stack.append(parent)
-        assert len(seen) == size
-        assert sum(t._backward is not None for t in seen.values()) == 7
+        model = small_model(config=cfg)
+        loss = model.loss(make_path(), "Rel1(e1,e2)", dropout_rng=np.random.default_rng(0))
+        nodes = tape_nodes(loss)
+        assert len(nodes) == 7 and all(isinstance(node, Node) for node in nodes)
+        backward(loss)
+        written = [name for name, param in model.store.items() if param.grad.any()]
+        assert written == list(model.store.spans)
+        assert len(nodes) + len(written) == size
 
     @pytest.mark.parametrize("l2_lambda", [1e-3, 0.0])
     def test_l2_penalty_runs_once_per_loss(self, monkeypatch, l2_lambda):
@@ -503,7 +507,24 @@ class TestBackwardPass:
             node._backward = recorded
         backward(loss)
         assert calls == order
-        assert all(node.grad is None for node in nodes.values())
+        assert not any(hasattr(node, "grad") for node in nodes.values())
+
+    def test_a_dropped_loss_leaves_no_cycle(self):
+        """No closure refers to its own node, so reference counting frees an example's
+        nodes and their arrays as soon as the loss is dropped; the cycle collector finds
+        nothing left."""
+        model = small_model(config=self.CONFIG, seed=2)
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                loss = model.loss(make_path(), "Rel1(e1,e2)", dropout_rng=rng)
+                backward(loss)
+                del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPerGateOracle:
@@ -860,7 +881,7 @@ class TestPersistence:
         model = small_model(config=config)
         shapes = model_module.layout(config, model.schema, len(model.word_vocab),
                                      model.rel_vocab.table_size)
-        assert shapes == {name: t.shape for name, t in model.store.items()}
+        assert shapes == {name: t.data.shape for name, t in model.store.items()}
         assert ("fine_bwd/w" in shapes) is not share
 
 

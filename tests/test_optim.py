@@ -75,7 +75,7 @@ class TestZeroGradient:
 class TestOptimization:
     def test_quadratic_descends_monotonically(self):
         store = ParamStore({"x": 1.0})
-        x = store["x"]
+        x = helpers.leaves(store)["x"]
         state = AdaDeltaState(store)
         values = []
         for _ in range(100):
@@ -110,8 +110,9 @@ class TestValidation:
             AdaDeltaState(ParamStore({}), rho=-0.1)
 
     def test_epsilon_positive(self):
-        with pytest.raises(ValueError):
-            AdaDeltaState(ParamStore({}), epsilon=0.0)
+        for epsilon in (0.0, -1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                AdaDeltaState(ParamStore({}), epsilon=epsilon)
 
 
 class TestRowSparseOracle:
