@@ -144,7 +144,8 @@ def cmd_eval(args) -> int:
 
 def cmd_dict_match(args) -> int:
     text = "".join(read_lines(args.text, newline=""))  # offsets index the file's own newlines
-    entries = [line.rstrip("\n") for line in read_lines(args.dictionary) if line.strip()]
+    entries = [line.rstrip("\n") for line in read_lines(args.dictionary, encoding="utf-8-sig")
+               if line.strip()]
     _write_out(args.out, format_standoff(dict_match(text, entries)))
     return 0
 

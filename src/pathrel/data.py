@@ -41,12 +41,13 @@ class DatasetError(ValueError):
     pass
 
 
-def read_lines(path, newline=None):
+def read_lines(path, newline=None, encoding="utf-8"):
     """open(path, newline=newline)'s UTF-8 lines; newline="" keeps every line end as stored.
 
-    A file that is not UTF-8 raises ValueError naming it.
+    encoding="utf-8-sig" also drops one leading byte-order mark.  A file
+    that is not UTF-8 raises ValueError naming it.
     """
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+    with open(path, "r", encoding=encoding, newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as err:
@@ -189,6 +190,8 @@ def load_entity_pairs(path) -> list[tuple[EntitySpan, EntitySpan]]:
         if len(fields) != 4:
             raise DatasetError(f"{path}:{line_no}: expected 4 integers, got {len(fields)} fields")
         try:
+            if not all(v.isascii() and "_" not in v for v in fields):
+                raise ValueError  # int() also reads `1_0` and non-ASCII digits
             a, b, c, d = (int(v) for v in fields)
         except ValueError:
             raise DatasetError(f"{path}:{line_no}: non-integer span bound") from None

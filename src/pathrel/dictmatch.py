@@ -3,7 +3,9 @@
 Greedy leftmost-longest matching: scan the text left to right; at each
 position the longest dictionary entry starting there wins and the scan
 resumes after it, so the output spans never overlap.  Offsets are 0-based
-character positions with exclusive ends, written as standoff TSV.
+character positions with exclusive ends, written as standoff TSV.  The
+entries are indexed by first character, so a position tries only the
+lengths of the entries that begin with its character.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ class Match:
 def dict_match(text: str, dictionary) -> list[Match]:
     """Non-overlapping entity mentions, leftmost-longest."""
     entries = set(dictionary) - {""}
-    lengths = sorted({len(e) for e in entries}, reverse=True)
+    lengths = {}  # first character -> the lengths of the entries it begins, longest first
+    for k, c in sorted({(len(e), e[0]) for e in entries}, reverse=True):
+        lengths.setdefault(c, []).append(k)
     matches = []
     i = 0
     n = len(text)
     while i < n:
-        for k in lengths:
+        for k in lengths.get(text[i], ()):
             # a slice past the end is shorter than k and could equal a shorter entry
             if i + k <= n and text[i : i + k] in entries:
                 matches.append(Match(i, i + k, text[i : i + k]))

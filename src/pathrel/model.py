@@ -319,15 +319,20 @@ def _check_path(path: SdpPath) -> None:
 def load_word_embeddings(path, dim: int) -> dict[str, np.ndarray]:
     """Text embeddings, one `word v1 v2 ... vd` line per word; trailing whitespace is ignored.
 
-    Every vector must be finite and hold dim values (the model's
-    word_dim); a line that breaks either rule raises ValueError naming
+    One leading byte-order mark is dropped.  Every value must be an ASCII
+    number without `_`, and every vector finite with dim values (the
+    model's word_dim); a line that breaks a rule raises ValueError naming
     `file:line`, whether or not the word is in the vocabulary.
     """
     table = {}
-    for line_no, line in enumerate(read_lines(path), start=1):
+    for line_no, line in enumerate(read_lines(path, encoding="utf-8-sig"), start=1):
         parts = line.rstrip().split(" ")
         if len(parts) < 2:
             raise ValueError(f"{path}:{line_no}: expected `word v1 ... vd`")
+        bad = [v for v in parts[1:] if not v.isascii() or "_" in v]  # float() reads `1_0`, `١`
+        if bad:
+            raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} holds {bad[0]!r}, "
+                             "not an ASCII number")
         try:
             vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
         except ValueError as err:

@@ -144,6 +144,8 @@ class TestExtractSdp:
         ("1 2 2 3", "entity spans overlap"),
         ("3 4 1 3", "entity spans overlap"),
         ("2 2 2 2", "entity spans overlap"),
+        ("1_0 1_0 2 2", "non-integer span bound"),
+        ("\u0661 1 +3 3", "non-integer span bound"),
     ])
     def test_bad_or_overlapping_spans_exit_3(self, tmp_path, capsys, line, message):
         conllu, pairs = self.write_inputs(tmp_path, pairs=f"# e1 e2\n{line}\n")
@@ -474,9 +476,12 @@ class TestTrainEval:
         pytest.param("cat 0.5 0.5 0.5 0.5 0.5 0.5\nzzz nan 0 0 0 0 0\n", 2, id="nan"),
         pytest.param("zzz 0 0 0 inf 0 0\n", 1, id="inf"),
         pytest.param("cat 0.5 0.5 0.5 0.5 0.5 0.5\ndog 1 2 3\n", 2, id="ragged"),
+        pytest.param("cat 1_0 0 0 0 0 0\n", 1, id="underscore"),
+        pytest.param("cat 0.5 0.5 0.5 0.5 0.5 0.5\ndog 0 \u0661 0 0 0 0\n", 2, id="non-ascii-digit"),
     ])
     def test_malformed_embeddings_exit_3(self, tmp_path, dataset, capsys, vectors, line):
-        """NaN, infinite and ragged vectors are refused at load, even for unused words."""
+        """NaN, infinite and ragged vectors, and values float() reads but that are not
+        ASCII numbers, are refused at load, even for unused words."""
         emb = tmp_path / "emb.txt"
         emb.write_text(vectors, encoding="utf-8")
         capsys.readouterr()
@@ -1011,6 +1016,14 @@ class TestDictMatch:
         assert rows == [["4", "6", "cd"], ["8", "9", "x"], ["9", "10", "x"], ["11", "13", "cd"]]
         raw = text.read_bytes().decode("utf-8")
         assert all(raw[int(start):int(end)] == surface for start, end, surface in rows)
+
+    def test_dictionary_byte_order_mark_dropped(self, tmp_path, capsys):
+        """A dictionary saved with a BOM still matches its first entry."""
+        text, dic = tmp_path / "t.txt", tmp_path / "d.txt"
+        text.write_text("ent100 ent101", encoding="utf-8")
+        dic.write_text("\ufeffent100\nent101\n", encoding="utf-8")
+        assert main(["dict-match", "--text", str(text), "--dictionary", str(dic)]) == 0
+        assert capsys.readouterr().out == "0\t6\tent100\n7\t13\tent101\n"
 
     def test_output_file(self, tmp_path):
         text = tmp_path / "t.txt"

@@ -55,13 +55,26 @@ class TestBasics:
         assert dict_match("aa", ["a", "a"]) == [Match(0, 1, "a"), Match(1, 2, "a")]
 
 
+@st.composite
+def pasted_text(draw):
+    """Entries of 1-8 characters, several lengths per first character, and a
+    text pasted from their prefixes and from characters that start no entry;
+    a short text is shorter than the long entries."""
+    entry = st.builds(str.__add__, st.sampled_from("ab木"), st.text(alphabet="ab木树", max_size=7))
+    dictionary = draw(st.lists(entry, min_size=1, max_size=8))
+    prefix = st.builds(lambda e, k: e[:k], st.sampled_from(dictionary), st.integers(1, 8))
+    pieces = draw(st.lists(prefix | st.text(alphabet="树xy", max_size=2), max_size=10))
+    return "".join(pieces), dictionary
+
+
 class TestAgainstOracle:
-    @given(
-        text=st.text(alphabet="ab木树白杨", max_size=40),
-        dictionary=st.lists(st.text(alphabet="ab木树白杨", min_size=1, max_size=4), max_size=8),
-    )
+    @given(case=st.tuples(
+        st.text(alphabet="ab木树白杨", max_size=40),
+        st.lists(st.text(alphabet="ab木树白杨", min_size=1, max_size=4), max_size=8),
+    ) | pasted_text())
     @settings(max_examples=300, deadline=None)
-    def test_matches_brute_force(self, text, dictionary):
+    def test_matches_brute_force(self, case):
+        text, dictionary = case
         assert dict_match(text, dictionary) == oracle_match(text, dictionary)
 
     @given(

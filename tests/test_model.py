@@ -893,6 +893,12 @@ class TestWordEmbeddings:
         assert set(table) == {"hello", "world"}
         assert np.array_equal(table["hello"], [0.25, -1.5])
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        """A file saved with a BOM loads its first word without it."""
+        file = tmp_path / "vecs.txt"
+        file.write_text("\ufeffent7 1.0 2.0\n", encoding="utf-8")
+        assert list(load_word_embeddings(file, 2)) == ["ent7"]
+
     def test_malformed_line_reports_position(self, tmp_path):
         file = tmp_path / "vecs.txt"
         file.write_text("hello 1.0\njunk\n", encoding="utf-8")
