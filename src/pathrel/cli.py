@@ -20,7 +20,8 @@ import sys
 from . import __version__
 from .atomic import atomic_open
 from .autodiff import NonScalarLoss
-from .data import DatasetError, format_paths, load_dataset, load_entity_pairs, read_lines, save_dataset
+from .data import (DatasetError, format_paths, load_dataset, load_entity_pairs, read_lines, read_text,
+                   save_dataset)
 from .depgraph import ConlluError, parse_conllu
 from .dictmatch import dict_match, format_standoff
 from .model import EmptyPath, RelationModel
@@ -61,7 +62,7 @@ def _write_out(path: str | None, text: str) -> None:
 
 def cmd_extract_sdp(args) -> int:
     try:
-        trees = parse_conllu("".join(read_lines(args.conllu, newline="")))
+        trees = parse_conllu(read_text(args.conllu, encoding="utf-8-sig"))
     except ConlluError as err:
         raise type(err)(f"{args.conllu}: {err}") from None
     pairs = load_entity_pairs(args.pairs)
@@ -143,7 +144,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dict_match(args) -> int:
-    text = "".join(read_lines(args.text, newline=""))  # offsets index the file's own newlines
+    text = read_text(args.text)  # offsets index the file's own newlines
     entries = [line.rstrip("\n") for line in read_lines(args.dictionary, encoding="utf-8-sig")
                if line.strip()]
     _write_out(args.out, format_standoff(dict_match(text, entries)))

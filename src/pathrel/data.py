@@ -41,15 +41,24 @@ class DatasetError(ValueError):
     pass
 
 
-def read_lines(path, newline=None, encoding="utf-8"):
-    """open(path, newline=newline)'s UTF-8 lines; newline="" keeps every line end as stored.
+def read_lines(path, encoding="utf-8"):
+    """The file's UTF-8 lines, any line end read as LF.
 
     encoding="utf-8-sig" also drops one leading byte-order mark.  A file
     that is not UTF-8 raises ValueError naming it.
     """
-    with open(path, "r", encoding=encoding, newline=newline) as fh:
+    with open(path, "r", encoding=encoding) as fh:
         try:
             yield from fh
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: not UTF-8 ({err})") from None
+
+
+def read_text(path, encoding="utf-8") -> str:
+    """The whole UTF-8 file in one read, every line end kept as stored; as read_lines otherwise."""
+    with open(path, "r", encoding=encoding, newline="") as fh:
+        try:
+            return fh.read()
         except UnicodeDecodeError as err:
             raise ValueError(f"{path}: not UTF-8 ({err})") from None
 
@@ -179,10 +188,11 @@ def format_paths(rows, as_json: bool = False) -> str:
 def load_entity_pairs(path) -> list[tuple[EntitySpan, EntitySpan]]:
     """One `e1_start e1_end e2_start e2_end` line per sentence, in order.
 
-    Blank lines and lines starting with '#' are skipped.
+    Blank lines and lines starting with '#' are skipped, and so is one
+    leading byte-order mark.
     """
     pairs = []
-    for line_no, line in enumerate(read_lines(path), start=1):
+    for line_no, line in enumerate(read_lines(path, encoding="utf-8-sig"), start=1):
         body = line.strip()
         if not body or body.startswith("#"):
             continue

@@ -3,14 +3,16 @@
 Sentences arrive as CoNLL-U text (one token per line, ten tab-separated
 columns, blank line between sentences).  Only ID, FORM, UPOS, HEAD and
 DEPREL are interpreted; the remaining columns are preserved verbatim so
-that parse -> serialize -> parse round-trips exactly.
+that parse -> serialize -> parse round-trips exactly.  A parsed tree holds
+the sentence as one tuple per column, with no object per token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from itertools import islice, repeat
+from typing import Iterable, NamedTuple, NoReturn
 
 UP = "UP"
 DOWN = "DOWN"
@@ -52,34 +54,60 @@ class Token(NamedTuple):
     extras: tuple[str, str, str, str, str] = ("_", "_", "_", "_", "_")
 
 
-@dataclass(frozen=True)
-class DependencyTree:
-    """A rooted labeled dependency tree over a sentence.
+_COLUMNS = ("forms", "pos", "heads", "deprels", "lemmas", "xpos", "feats", "deps", "misc")
 
-    Exactly one token has head 0 (the root); following head pointers from
-    any token reaches the virtual root without cycles.  Construction
-    validates these invariants and raises the matching ConlluError.  It
-    also builds heads and deprels, indexed by token with slot 0 for the
-    virtual root, and root, the root token's index.
+
+@dataclass(frozen=True, slots=True, init=False)
+class DependencyTree:
+    """A rooted labeled dependency tree over a sentence, held as columns.
+
+    Each column is a tuple indexed by token, slot 0 for the virtual root:
+    forms, pos (UPOS), heads, deprels, then LEMMA, XPOS, FEATS, DEPS and
+    MISC as read; root is the root token.  Exactly one token has head 0,
+    and every head chain reaches it without a cycle: DependencyTree(tokens)
+    raises the matching ConlluError otherwise.  tokens and token(i) are
+    built from the columns when asked; trees are equal when their tokens are.
     """
 
-    tokens: tuple[Token, ...]
-    heads: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    deprels: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    root: int = field(init=False, repr=False, compare=False)
+    forms: tuple[str, ...]
+    pos: tuple[str, ...]
+    heads: tuple[int, ...]
+    deprels: tuple[str, ...]
+    lemmas: tuple[str, ...] = field(repr=False)
+    xpos: tuple[str, ...] = field(repr=False)
+    feats: tuple[str, ...] = field(repr=False)
+    deps: tuple[str, ...] = field(repr=False)
+    misc: tuple[str, ...] = field(repr=False)
+    root: int = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        tokens = tuple(self.tokens)
-        built = (tokens, *_validate_tree(tokens))
-        for name, value in zip(("tokens", "heads", "deprels", "root"), built):
-            object.__setattr__(self, name, value)
+    def __init__(self, tokens: Iterable[Token]):
+        tokens = tuple(tokens)
+        if not tokens:
+            raise MalformedLine("empty sentence")
+        indices, forms, pos, heads, deprels, extras = zip(*tokens)
+        if indices != tuple(range(1, len(tokens) + 1)):
+            p, i = next((p, i) for p, i in enumerate(indices, start=1) if i != p)
+            raise MalformedLine(
+                f"token IDs must be contiguous 1..{len(tokens)}, found {i} at position {p}")
+        self._set(("", *forms), ("", *pos), (0, *heads), ("", *deprels), *zip(("",) * 5, *extras))
+
+    def _set(self, *columns) -> DependencyTree:
+        for name, column in zip(_COLUMNS, columns):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "root", _tree_root(self.heads))
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.tokens)
+        return len(self.heads) - 1
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(map(self.token, range(1, len(self.heads))))
 
     def token(self, index: int) -> Token:
-        return self.tokens[index - 1]
+        row = [getattr(self, name)[index] for name in _COLUMNS]
+        return Token(index, *row[:4], tuple(row[4:]))
 
     def depth(self, index: int) -> int:
         """Number of head steps from the token to the virtual root's child."""
@@ -91,41 +119,28 @@ class DependencyTree:
         return steps
 
 
-def _validate_tree(tokens: tuple[Token, ...]) -> tuple[tuple[int, ...], tuple[str, ...], int]:
-    """(heads, deprels, root) of a valid tree; the first violation raises."""
-    n = len(tokens)
-    if n == 0:
-        raise MalformedLine("empty sentence")
-    indices, _, _, heads, deprels, _ = zip(*tokens)
-    if indices != tuple(range(1, n + 1)):
-        pos_i = next(p for p, i in enumerate(indices, start=1) if i != p)
-        raise MalformedLine(
-            f"token IDs must be contiguous 1..{n}, found {indices[pos_i - 1]} at position {pos_i}"
-        )
-    heads = (0, *heads)
-    n_roots = heads.count(0) - 1  # slot 0 holds the virtual root's 0
+def _tree_root(heads: tuple[int, ...]) -> int:
+    """The root of the tree that heads (slot 0 the virtual root's 0) form; the first violation raises."""
+    n = len(heads) - 1
+    n_roots = heads.count(0) - 1
     if n_roots > 1:
-        roots = [i for i in indices if heads[i] == 0]
-        raise MultipleRoots(f"tokens {roots} all have head 0")
+        raise MultipleRoots(f"tokens {[i for i in range(1, n + 1) if heads[i] == 0]} all have head 0")
     if not n_roots:
         raise NoRoot("no token has head 0")
-    for i in indices:
-        if not 0 <= heads[i] <= n:
-            raise HeadOutOfRange(f"token {i} has head {heads[i]}, valid range 0..{n}")
-    # walk each token up until it meets one known to reach the root; a walk
-    # that meets itself never does, while every token before it did
-    reached = [True] + [False] * n
-    for start in indices:
-        walk = set()
-        cur = start
-        while not reached[cur]:
-            if cur in walk:
-                raise CycleDetected(f"head chain from token {start} never reaches the root")
-            walk.add(cur)
-            cur = heads[cur]
-        for i in walk:
-            reached[i] = True
-    return heads, ("", *deprels), heads.index(0, 1)
+    if min(heads) < 0 or max(heads) > n:
+        i = next(i for i in range(1, n + 1) if not 0 <= heads[i] <= n)
+        raise HeadOutOfRange(f"token {i} has head {heads[i]}, valid range 0..{n}")
+    # with one root and heads in range, a walk down from the root misses the cycling tokens
+    children = [[] for _ in heads]
+    for i, head in enumerate(heads):
+        children[head].append(i)
+    reached = children[0][1:]  # slot 0 is its own child
+    for i in reached:
+        reached += children[i]
+    if len(reached) < n:
+        start = min(set(range(1, n + 1)).difference(reached))
+        raise CycleDetected(f"head chain from token {start} never reaches the root")
+    return reached[0]
 
 
 @dataclass(frozen=True)
@@ -197,32 +212,9 @@ class SdpPath:
 # CoNLL-U reading and writing
 
 
+# a run of lines that are not blank: one sentence, with its comments
+_SENTENCE = re.compile(r"^[^\S\n]*\S.*(?:\n[^\S\n]*\S.*)*", re.M)
 _SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
-
-
-def _parse_token_line(line: str, line_no: int) -> Token | None:
-    cols = line.split("\t") if "\t" in line else line.split()  # no tab: whitespace columns
-    if len(cols) != 10:
-        raise MalformedLine(f"line {line_no}: expected 10 columns, got {len(cols)}")
-    tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
-    if tok_id.isascii() and tok_id.isdigit():
-        try:
-            index = int(tok_id)
-        except ValueError:  # more digits than int() converts
-            raise MalformedLine(f"line {line_no}: ID of {len(tok_id)} digits") from None
-    elif _SKIPPED_ID.fullmatch(tok_id):
-        return None  # multi-word token or empty node: not part of the basic tree
-    else:
-        raise MalformedLine(
-            f"line {line_no}: ID {tok_id!r} is not N, a range N-M or an empty node N.M"
-        )
-    if not (head.isascii() and head.isdigit()):
-        raise MalformedLine(f"line {line_no}: non-integer HEAD {head!r}")
-    try:
-        head_i = int(head)
-    except ValueError:  # more digits than int() converts
-        raise MalformedLine(f"line {line_no}: HEAD of {len(head)} digits") from None
-    return Token(index, form, upos, head_i, deprel, (lemma, xpos, feats, deps, misc))
 
 
 def parse_conllu(text: str) -> list[DependencyTree]:
@@ -235,60 +227,101 @@ def parse_conllu(text: str) -> list[DependencyTree]:
     is not a number raises MalformedLine.  Structural violations raise
     MultipleRoots, NoRoot, CycleDetected, HeadOutOfRange or MalformedLine,
     each naming the sentence and line where it was found.
+
+    Each sentence's lines are split once and zipped into the tree's
+    columns, which are checked whole; only a sentence that fails those
+    checks is walked line by line, to raise its first fault.
     """
     trees = []
-    block: list[Token] = []
-    block_start = None
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.removesuffix("\r")
-        if not line.strip():
-            if block:
-                trees.append(_finish_block(block, len(trees) + 1, block_start))
-                block = []
-                block_start = None
-            continue
-        if line.lstrip().startswith("#"):
-            continue
-        tok = _parse_token_line(line, line_no)
-        if tok is None:
-            continue
-        if block_start is None:
-            block_start = line_no
-        block.append(tok)
-    if block:
-        trees.append(_finish_block(block, len(trees) + 1, block_start))
+    for block in _SENTENCE.finditer(text):
+        sentence = block.group()
+        columns = _token_columns(sentence)
+        if columns is not None:
+            if len(columns[0]) == 1:
+                continue  # comments, ranges and empty nodes only
+            try:
+                trees.append(object.__new__(DependencyTree)._set(*columns))
+                continue
+            except ConlluError:
+                pass  # raised again below, naming the sentence and its first line
+        _raise_first_fault(sentence.split("\n"), text.count("\n", 0, block.start()) + 1,
+                           len(trees) + 1)
     return trees
 
 
-def _finish_block(block: list[Token], ordinal: int, start_line) -> DependencyTree:
+def _token_columns(sentence: str) -> list[tuple] | None:
+    """The columns of a sentence's token lines in DependencyTree's order, slot 0
+    for the virtual root, HEAD as ints; None when a line is faulty or IDs are not 1..n."""
+    lines = sentence.split("\n")
+    if "#" in sentence:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    rows = [("0", "", "", "", "", "", "0", "", "", "")]  # the virtual root
+    rows += map(str.split, lines, repeat("\t"))
+    widths = set(map(len, rows))
+    if 1 in widths:  # a line without a tab has whitespace columns
+        rows = [row if len(row) > 1 else row[0].split() for row in rows]
+        widths = set(map(len, rows))
+    if widths != {10}:
+        return None
+    ids, forms, lemmas, upos, xpos, feats, heads, deprels, deps, misc = zip(*rows)
+    if _integers(ids) != tuple(range(len(rows))):
+        # multiword ranges and empty nodes are not part of the basic tree
+        rows = [row for row in rows if not _SKIPPED_ID.fullmatch(row[0])]
+        ids, forms, lemmas, upos, xpos, feats, heads, deprels, deps, misc = zip(*rows)
+        if _integers(ids) != tuple(range(len(rows))):
+            return None
+    heads = _integers(heads)
+    if heads is None:
+        return None
+    if "\r" in sentence:
+        misc = tuple(value.removesuffix("\r") for value in misc)
+    return [forms, upos, heads, deprels, lemmas, xpos, feats, deps, misc]
+
+
+def _integers(column: tuple[str, ...]) -> tuple[int, ...] | None:
+    """The column as ints when every value is ASCII digits that int() converts."""
+    digits = "".join(column)
     try:
-        return DependencyTree(tuple(block))
+        return tuple(map(int, column)) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # an empty value, or more digits than int() converts
+        return None
+
+
+def _raise_first_fault(lines: list[str], line_no: int, ordinal: int) -> NoReturn:
+    """Walk a sentence that failed its column checks in line order and raise
+    its first fault: a malformed line, else the first violation of the tree."""
+    start, tokens = None, []
+    for line_no, line in enumerate(lines, start=line_no):
+        if line.lstrip().startswith("#"):
+            continue
+        cols = line.split("\t") if "\t" in line else line.split()  # no tab: whitespace columns
+        if len(cols) != 10:
+            raise MalformedLine(f"line {line_no}: expected 10 columns, got {len(cols)}")
+        tok_id, head = cols[0], cols[6]
+        if _SKIPPED_ID.fullmatch(tok_id):
+            continue  # multiword token or empty node: not part of the basic tree
+        id_fault = f"ID {tok_id!r} is not N, a range N-M or an empty node N.M"
+        for name, value, fault in (("ID", tok_id, id_fault), ("HEAD", head, f"non-integer HEAD {head!r}")):
+            if not (value.isascii() and value.isdigit()):
+                raise MalformedLine(f"line {line_no}: {fault}")
+            if _integers((value,)) is None:  # more digits than int() converts
+                raise MalformedLine(f"line {line_no}: {name} of {len(value)} digits")
+        start = start or line_no
+        tokens.append(Token(int(tok_id), "", "", int(head), ""))
+    try:
+        DependencyTree(tokens)
     except ConlluError as err:
-        raise type(err)(f"sentence {ordinal} (starting line {start_line}): {err}") from None
+        raise type(err)(f"sentence {ordinal} (starting line {start}): {err}") from None
+    raise AssertionError(f"sentence {ordinal} failed its column checks but has no faulty line")
 
 
 def serialize_conllu(trees: Iterable[DependencyTree]) -> str:
     """Inverse of parse_conllu for the consumed and preserved columns."""
     out = []
     for tree in trees:
-        for tok in tree.tokens:
-            lemma, xpos, feats, deps, misc = tok.extras
-            out.append(
-                "\t".join(
-                    (
-                        str(tok.index),
-                        tok.form,
-                        lemma,
-                        tok.pos,
-                        xpos,
-                        feats,
-                        str(tok.head),
-                        tok.deprel,
-                        deps,
-                        misc,
-                    )
-                )
-            )
+        rows = zip(map(str, range(tree.n + 1)), tree.forms, tree.lemmas, tree.pos, tree.xpos,
+                   tree.feats, map(str, tree.heads), tree.deprels, tree.deps, tree.misc)
+        out += map("\t".join, islice(rows, 1, None))  # slot 0 is the virtual root
         out.append("")
     return "\n".join(out) + ("\n" if out else "")
 
@@ -312,13 +345,13 @@ def entity_head(tree: DependencyTree, span: EntitySpan) -> int:
 def path_between(structure, a: int, b: int) -> SdpPath:
     """The unique simple tree path between two tokens.
 
-    Works on any structure exposing heads, deprels and tokens, i.e. both
+    Works on any structure exposing heads, deprels, forms and pos, i.e. both
     DependencyTree and RegularizedTree.  Each edge carries its relation
     label and a traversal direction: UP when moving dependent -> head,
     DOWN when moving head -> dependent.  a == b yields a single-node path.
     a's ancestors are walked once; b is walked up to the first of them.
     """
-    heads, deprels, tokens = structure.heads, structure.deprels, structure.tokens
+    heads, deprels = structure.heads, structure.deprels
     chain = {}  # a and its ancestors -> position on a's chain
     cur = a
     while cur:
@@ -336,6 +369,6 @@ def path_between(structure, a: int, b: int) -> SdpPath:
     return SdpPath(
         nodes=tuple(nodes),
         edges=tuple(edges),
-        forms=tuple(tokens[i - 1].form for i in nodes),
-        pos=tuple(tokens[i - 1].pos for i in nodes),
+        forms=tuple(map(structure.forms.__getitem__, nodes)),
+        pos=tuple(map(structure.pos.__getitem__, nodes)),
     )

@@ -578,7 +578,8 @@ class RelationModel:
         expected, got = set(shapes), set(tensors)
         if expected != got:
             raise ckpt.CheckpointError(
-                f"{path}: parameter names differ (missing {expected - got}, extra {got - expected})"
+                f"{path}: parameter names differ "
+                f"(missing {sorted(expected - got)}, extra {sorted(got - expected)})"
             )
         for name, arr in tensors.items():
             if arr.shape != shapes[name]:

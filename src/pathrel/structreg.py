@@ -80,23 +80,22 @@ def select_cut_nodes(tree: DependencyTree, rule: CutRule, ordinal: int = 0) -> s
     root = tree.root
     if rule.variant == "none":
         return set()
+    pos, indices = tree.pos, range(1, tree.n + 1)
     if rule.variant == "prep":
-        return {
-            tok.index for tok in tree.tokens if tok.pos in rule.tag_set and tok.index != root
-        }
+        return {i for i in indices if pos[i] in rule.tag_set and i != root}
     if rule.variant == "random":
         state = (rule.seed ^ ordinal) & _MASK64
         selected = set()
-        for tok in tree.tokens:
+        for i in indices:
             state, z = splitmix64(state)
-            if tok.index != root and _unit_interval(z) < rule.p:
-                selected.add(tok.index)
+            if i != root and _unit_interval(z) < rule.p:
+                selected.add(i)
         return selected
     # punct: a token's run number counts the PUNCT tokens up to it, so each
     # maximal non-PUNCT run has its own; every run but the root's is cut
     # loose at its tokens whose head lies outside the run.
-    runs = accumulate(tok.pos == "PUNCT" for tok in tree.tokens)
-    run = {tok.index: r for tok, r in zip(tree.tokens, runs) if tok.pos != "PUNCT"}
+    runs = accumulate(p == "PUNCT" for p in pos)
+    run = {i: r for i, (p, r) in enumerate(zip(pos, runs)) if i and p != "PUNCT"}
     root_run = run.get(root)
     return {i for i, r in run.items() if r != root_run and run.get(tree.heads[i]) != r}
 
@@ -119,8 +118,12 @@ class RegularizedTree:
     deprels: list[str] = field(repr=False, compare=False)
 
     @property
-    def tokens(self):
-        return self.base.tokens
+    def forms(self) -> tuple[str, ...]:
+        return self.base.forms
+
+    @property
+    def pos(self) -> tuple[str, ...]:
+        return self.base.pos
 
     @property
     def n(self) -> int:

@@ -159,7 +159,7 @@ def generate(cfg: SynthConfig) -> list[Instance]:
 
 def oracle_label(instance: Instance) -> str:
     """Recover the gold label from the marker verb at the tree root."""
-    form = instance.tree.token(instance.tree.root).form
+    form = instance.tree.forms[instance.tree.root]
     if form == RESIDUAL_VERB:
         return "Other"
     _, t, d = form.split("_")

@@ -5,7 +5,8 @@ from breadth-first search over an undirected adjacency list (over a
 lined structure rebuilt by hand, if need be), partitions and entity
 heads from direct upward walks, the punct rule's cuts from a direct scan
 of the sentence, tree checks from union-find, tree validation from a
-walk of every token to the root, and text path lines from
+walk of every token to the root, CoNLL-U from a line-by-line parser
+that builds one Token per line, and text path lines from
 parse_path_line, the inverse of data.format_path_line.  The relation
 model's oracle is its per-gate formulation: one tape node per gate
 product and step, plain cross-entropy of a softmax, an L2 graph over
@@ -22,6 +23,7 @@ can damage its header.
 """
 
 import json
+import re
 import struct
 from collections import deque
 from pathlib import Path
@@ -33,6 +35,7 @@ from pathrel.autodiff import ParamStore, dropout_mask, sigmoid_array, softmax_ar
 from pathrel.checkpoint import FORMAT_NAME, MAGIC, PREAMBLE
 from pathrel.data import DatasetError
 from pathrel.depgraph import (
+    ConlluError,
     CycleDetected,
     DependencyTree,
     HeadOutOfRange,
@@ -175,6 +178,69 @@ def validate_tree_reference(tokens) -> None:
                 break
         else:
             raise CycleDetected(f"head chain from token {tok.index} never reaches the root")
+
+
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
+
+
+def _parse_token_line(line: str, line_no: int) -> Token | None:
+    cols = line.split("\t") if "\t" in line else line.split()  # no tab: whitespace columns
+    if len(cols) != 10:
+        raise MalformedLine(f"line {line_no}: expected 10 columns, got {len(cols)}")
+    tok_id, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
+    if tok_id.isascii() and tok_id.isdigit():
+        try:
+            index = int(tok_id)
+        except ValueError:  # more digits than int() converts
+            raise MalformedLine(f"line {line_no}: ID of {len(tok_id)} digits") from None
+    elif _SKIPPED_ID.fullmatch(tok_id):
+        return None  # multi-word token or empty node: not part of the basic tree
+    else:
+        raise MalformedLine(
+            f"line {line_no}: ID {tok_id!r} is not N, a range N-M or an empty node N.M"
+        )
+    if not (head.isascii() and head.isdigit()):
+        raise MalformedLine(f"line {line_no}: non-integer HEAD {head!r}")
+    try:
+        head_i = int(head)
+    except ValueError:  # more digits than int() converts
+        raise MalformedLine(f"line {line_no}: HEAD of {len(head)} digits") from None
+    return Token(index, form, upos, head_i, deprel, (lemma, xpos, feats, deps, misc))
+
+
+def parse_conllu_reference(text: str) -> list[DependencyTree]:
+    """CoNLL-U parsed one line at a time into Tokens, each sentence's tree
+    built by DependencyTree(tokens) at its end: the library's parser before
+    it read a sentence as columns."""
+    trees = []
+    block: list[Token] = []
+    block_start = None
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r")
+        if not line.strip():
+            if block:
+                trees.append(_finish_block(block, len(trees) + 1, block_start))
+                block = []
+                block_start = None
+            continue
+        if line.lstrip().startswith("#"):
+            continue
+        tok = _parse_token_line(line, line_no)
+        if tok is None:
+            continue
+        if block_start is None:
+            block_start = line_no
+        block.append(tok)
+    if block:
+        trees.append(_finish_block(block, len(trees) + 1, block_start))
+    return trees
+
+
+def _finish_block(block: list[Token], ordinal: int, start_line) -> DependencyTree:
+    try:
+        return DependencyTree(tuple(block))
+    except ConlluError as err:
+        raise type(err)(f"sentence {ordinal} (starting line {start_line}): {err}") from None
 
 
 def entity_head_by_scan(tree, start, end):

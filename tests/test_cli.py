@@ -126,6 +126,21 @@ class TestExtractSdp:
                          "--json", "--out", str(out)]) == 0
             assert json.loads(out.read_text(encoding="utf-8"))["forms"] == forms, repr(ending)
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_byte_order_marks_dropped(self, tmp_path, capsys, json_flag):
+        """A CoNLL-U file and a pair file saved with a BOM give the same bytes as without it."""
+        text = CONLLU + "\n" + CONLLU
+        conllu, pairs = self.write_inputs(tmp_path, pairs="# c\n1 1 4 4\n2 2 3 3\n")
+        conllu.write_text(text, encoding="utf-8")
+        bom_conllu, bom_pairs = tmp_path / "bom.conllu", tmp_path / "p_bom.txt"
+        bom_conllu.write_text("\ufeff" + text, encoding="utf-8")
+        bom_pairs.write_text("\ufeff" + pairs.read_text(encoding="utf-8"), encoding="utf-8")
+        outputs = []
+        for c, p in ((conllu, pairs), (bom_conllu, bom_pairs)):
+            assert main(["extract-sdp", "--conllu", str(c), "--pairs", str(p), *json_flag]) == 0
+            outputs.append(capsys.readouterr().out.encode("utf-8"))
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 2
+
     def test_count_mismatch_exits_3(self, tmp_path, capsys):
         conllu, pairs = self.write_inputs(tmp_path, pairs="1 1 4 4\n1 1 2 2\n")
         assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs)]) == 3

@@ -1,8 +1,9 @@
+import gc
 import re
 
 import numpy as np
 import pytest
-from helpers import bfs_path, random_tree, validate_tree_reference
+from helpers import bfs_path, parse_conllu_reference, random_tree, validate_tree_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,3 +291,129 @@ class TestValidationOracle:
         assert tree.heads == (0, *(t.head for t in tokens))
         assert tree.deprels[1:] == tuple(t.deprel for t in tokens)
         assert len(tree.deprels) == len(tokens) + 1
+
+
+COLUMNS = ("forms", "pos", "heads", "deprels", "lemmas", "xpos", "feats", "deps", "misc")
+ODD_NUMBERS = ("+1", " 1", "1 ", "\u0661", "\uff11", "1_0", "x", "", "-1", "1.5", "9" * 4301)
+ODD_FORMS = ("#", "a b", "#x", "\x0c", "\u2028", "\r")
+
+
+@st.composite
+def sentence_lines(draw):
+    """A sentence as CoNLL-U columns, one list per line: three times in four a
+    valid tree, else token_lists(); then comment, range and empty-node lines,
+    zero-padded numbers and odd FORMs, none of which is a fault, and now and
+    then a fault: an odd ID or HEAD, a column short or extra, two lines swapped."""
+    if draw(st.integers(0, 3)):
+        n = draw(st.integers(1, 12))
+        order = draw(st.permutations(range(1, n + 1)))
+        heads = {order[0]: 0}
+        for k in range(1, n):
+            heads[order[k]] = order[draw(st.integers(0, k - 1))]
+        tokens = [Token(i, f"w{i}", "X", heads[i], "dep") for i in range(1, n + 1)]
+    else:
+        tokens = draw(token_lists())
+    lines = [[str(t.index), t.form, "_", t.pos, "_", "_", str(t.head), t.deprel, "_", "_"]
+             for t in tokens]
+    for _ in range(draw(st.integers(0, 3))):
+        cols = draw(st.sampled_from(lines))
+        kind = draw(st.sampled_from(["comment", "skip", "pad", "form"]))
+        if kind in ("comment", "skip"):
+            new = ([draw(st.sampled_from(["# sent_id = 1", "  # text = a\tb", "#"]))]
+                   if kind == "comment" else
+                   [draw(st.sampled_from(["1-2", "2.1", "10-11", "0.1"])), "x", "_", "_", "_",
+                    "_", "_", "_", "2:dep", "_"])
+            lines.insert(draw(st.integers(0, len(lines))), new)
+        elif len(cols) == 10:
+            k = {"pad": draw(st.sampled_from([0, 6])), "form": 1}[kind]
+            cols[k] = "0" + cols[k] if kind == "pad" else draw(st.sampled_from(ODD_FORMS))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        cols = draw(st.sampled_from(lines))
+        kind = draw(st.sampled_from(["id", "head", "width", "swap"]))
+        if kind in ("id", "head") and len(cols) == 10:
+            cols[0 if kind == "id" else 6] = draw(st.sampled_from(ODD_NUMBERS))
+        elif kind == "width":
+            cols.append("_") if draw(st.booleans()) else cols.pop()
+        elif kind == "swap" and len(lines) > 1:
+            i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
+                                 unique=True))
+            lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+@st.composite
+def conllu_texts(draw):
+    """1-3 sentence_lines() joined by tabs, or now and then by spaces, with LF
+    or CRLF ends and blank or whitespace-only separator lines."""
+    text = draw(st.sampled_from(["", "\n", " \n", "# doc\n"]))
+    for _ in range(draw(st.integers(1, 3))):
+        for cols in draw(sentence_lines()):
+            sep = " " if len(cols) > 1 and draw(st.integers(0, 9)) == 0 else "\t"
+            text += sep.join(cols) + draw(st.sampled_from(["\n", "\n", "\r\n"]))
+        text += draw(st.sampled_from(["\n", "\r\n", " \n", "\t\r\n", "\u3000\n\n", ""]))
+    return text
+
+
+class TestParserOracle:
+    @given(conllu_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_same_error_or_same_trees_as_line_by_line_reference(self, text):
+        """parse_conllu raises what the line-by-line parser raises, or returns
+        the trees it builds, column for column."""
+        try:
+            expected = parse_conllu_reference(text)
+        except ConlluError as err:
+            with pytest.raises(ConlluError) as got:
+                parse_conllu(text)
+            assert type(got.value) is type(err) and str(got.value) == str(err)
+            return
+        trees = parse_conllu(text)
+        assert trees == expected
+        assert [t.tokens for t in trees] == [t.tokens for t in expected]
+        for tree, want in zip(trees, expected):
+            assert tree.root == want.root
+            for name in COLUMNS:
+                assert getattr(tree, name) == getattr(want, name), name
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_serialize_then_parse_round_trips(self, seed, count):
+        rng = np.random.default_rng(seed)
+        trees = [random_tree(rng) for _ in range(count)]
+        parsed = parse_conllu(serialize_conllu(trees))
+        assert parsed == trees
+        assert [(t.tokens, t.heads, t.deprels, t.root) for t in parsed] == [
+            (t.tokens, t.heads, t.deprels, t.root) for t in trees]
+
+
+class TestColumns:
+    @staticmethod
+    def chains(count, n):
+        return serialize_conllu([DependencyTree(
+            tuple(Token(i, f"w{i}", "X", i - 1, "dep") for i in range(1, n + 1)))] * count)
+
+    def test_parsed_columns_are_untracked_tuples(self):
+        """Every column is an exact tuple of strings or ints, which the
+        collector stops tracking: it need not walk a parsed tree's tokens."""
+        trees = parse_conllu(self.chains(3, 4) + MINIMAL)
+        gc.collect()
+        for tree in trees:
+            for name in COLUMNS:
+                column = getattr(tree, name)
+                assert type(column) is tuple and len(column) == tree.n + 1
+                assert not gc.is_tracked(column), name
+
+    def test_tracked_objects_grow_with_sentences_not_tokens(self):
+        def tracked_after_parse(n):
+            text = self.chains(200, n)
+            gc.collect()
+            before = len(gc.get_objects())
+            trees = parse_conllu(text)
+            gc.collect()
+            alive = len(gc.get_objects()) - before
+            assert len(trees) == 200
+            return alive
+
+        short, long = tracked_after_parse(5), tracked_after_parse(50)
+        assert short <= 2 * 200 + 10
+        assert abs(long - short) <= 10

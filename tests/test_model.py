@@ -793,6 +793,18 @@ class TestPersistence:
         with pytest.raises(ckpt.CheckpointError, match="fine_fwd/b"):
             RelationModel.load(file)
 
+    def test_parameter_name_mismatch_lists_names_sorted(self, tmp_path):
+        """The message is the same under every PYTHONHASHSEED: sorted lists, not sets."""
+        model = small_model()
+        file = tmp_path / "model.ckpt"
+        model.save(file)
+        tensors, meta = ckpt.load_checkpoint(file)
+        ckpt.save_checkpoint(file, {"zz/extra": np.zeros(1), "aa/extra": np.zeros(1)}, meta)
+        with pytest.raises(ckpt.CheckpointError) as err:
+            RelationModel.load(file)
+        expected = f"missing {sorted(tensors)}, extra ['aa/extra', 'zz/extra']"
+        assert str(err.value) == f"{file}: parameter names differ ({expected})"
+
     def test_load_rejects_wrong_shape(self, tmp_path):
         model = small_model()
         file = tmp_path / "model.ckpt"
