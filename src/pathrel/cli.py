@@ -27,25 +27,27 @@ from .dictmatch import dict_match, format_standoff
 from .model import EmptyPath, RelationModel
 from .structreg import CutRule
 from .synth import SynthConfig, generate
-from .training import ExperimentConfig, SchemaMismatch, entity_path, evaluate, train
+from .training import ExperimentConfig, SchemaMismatch, entity_paths, evaluate, train
+
+
+_CUT_FLAGS = {"--cut-p": "cut_p", "--cut-seed": "cut_seed", "--cut-tags": "cut_tags"}
 
 
 def _add_rule_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", choices=CutRule.VARIANTS, default=None, help="cut rule")
-    p.add_argument("--cut-p", type=float, default=0.5, help="random-rule cut probability")
-    p.add_argument("--cut-seed", type=int, default=0, help="random-rule seed")
-    p.add_argument("--cut-tags", default="ADP,P,IN", help="prep-rule POS tags, comma-separated")
+    p.add_argument("--cut-p", type=float, help="random-rule cut probability (default 0.5)")
+    p.add_argument("--cut-seed", type=int, help="random-rule seed (default 0)")
+    p.add_argument("--cut-tags", help="prep-rule POS tags, comma-separated (default ADP,P,IN)")
 
 
 def _rule_from_args(args) -> CutRule:
+    """The rule --rule names, with the cut flags given; CutRule's defaults fill the rest."""
     if args.rule is None:
         return CutRule()
-    return CutRule(
-        variant=args.rule,
-        p=args.cut_p,
-        seed=args.cut_seed,
-        tag_set=frozenset(t for t in args.cut_tags.split(",") if t),
-    )
+    given = {"p": args.cut_p, "seed": args.cut_seed}
+    if args.cut_tags is not None:
+        given["tag_set"] = frozenset(t for t in args.cut_tags.split(",") if t)
+    return CutRule(variant=args.rule, **{k: v for k, v in given.items() if v is not None})
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -69,15 +71,15 @@ def cmd_extract_sdp(args) -> int:
     if len(pairs) != len(trees):
         raise DatasetError(f"{args.pairs}: {len(pairs)} entity-pair lines but {args.conllu} has "
                            f"{len(trees)} sentences; they must correspond 1:1")
-    rule = _rule_from_args(args)
-    rows = []
-    for ordinal, (tree, (e1, e2)) in enumerate(zip(trees, pairs)):
-        for span in (e1, e2):
-            if span.end > tree.n:
+    for ordinal, (tree, spans) in enumerate(zip(trees, pairs)):
+        n = tree.n
+        for span in spans:
+            if span.end > n:
                 raise DatasetError(f"{args.pairs}: sentence {ordinal + 1}: span "
-                                   f"[{span.start}, {span.end}] exceeds length {tree.n}")
-        path = entity_path(tree, e1, e2, rule, ordinal)
-        rows.append((path.nodes[0], path.nodes[-1], path))
+                                   f"[{span.start}, {span.end}] exceeds length {n}")
+    paths = entity_paths(trees, pairs, _rule_from_args(args),
+                         lambda o: f"{args.conllu}: sentence {o + 1}")
+    rows = [(path.nodes[0], path.nodes[-1], path) for path in paths]
     _write_out(args.out, format_paths(rows, args.json))
     return 0
 
@@ -226,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "rule" in args and args.rule is None:
+        for flag, dest in _CUT_FLAGS.items():
+            if getattr(args, dest) is not None:
+                parser.error(f"argument {flag}: not allowed without argument --rule")
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

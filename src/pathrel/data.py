@@ -153,11 +153,8 @@ def load_dataset(path, schema: LabelSchema | None = None) -> list[Instance]:
 
 
 def format_path_line(e1_head: int, e2_head: int, path: SdpPath) -> str:
-    parts = [f"tok:{path.nodes[0]}"]
-    for edge, node in zip(path.edges, path.nodes[1:]):
-        parts.append(f"{edge.direction}:{edge.deprel}")
-        parts.append(f"tok:{node}")
-    return f"{e1_head} {e2_head}\t" + " ".join(parts)
+    steps = "".join(map(" {}:{} tok:{}".format, path.directions, path.deprels, path.nodes[1:]))
+    return f"{e1_head} {e2_head}\ttok:{path.nodes[0]}{steps}"
 
 
 def path_record(e1_head: int, e2_head: int, path: SdpPath) -> dict:
@@ -165,17 +162,19 @@ def path_record(e1_head: int, e2_head: int, path: SdpPath) -> dict:
         "e1_head": e1_head,
         "e2_head": e2_head,
         "nodes": list(path.nodes),
-        "edges": [[e.deprel, e.direction] for e in path.edges],
+        "edges": list(map(list, zip(path.deprels, path.directions))),
         "forms": list(path.forms),
         "pos": list(path.pos),
     }
 
 
+_PATH_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def format_paths(rows, as_json: bool = False) -> str:
     """One text or JSON line per (e1_head, e2_head, SdpPath) row."""
     lines = (
-        json.dumps(path_record(*row), sort_keys=True, separators=(",", ":")) if as_json
-        else format_path_line(*row)
+        _PATH_JSON.encode(path_record(*row)) if as_json else format_path_line(*row)
         for row in rows
     )
     return "".join(line + "\n" for line in lines)

@@ -183,26 +183,42 @@ class PathEdge(NamedTuple):
     direction: str  # UP (dependent -> head) or DOWN (head -> dependent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SdpPath:
     """A shortest dependency path: alternating tokens and directed relations.
 
-    nodes are token indices; edges[i] annotates the step nodes[i] -> nodes[i+1].
-    forms and pos mirror nodes with surface words and coarse POS tags.
+    nodes are token indices; deprels[i] and directions[i] (UP or DOWN)
+    annotate the step nodes[i] -> nodes[i+1].  forms and pos mirror nodes
+    with surface words and coarse POS tags.  Every column is an exact
+    tuple, with no object per edge: SdpPath(nodes, edges, forms, pos)
+    takes (deprel, direction) pairs and checks them against nodes, and
+    edges builds the PathEdges when asked.
     """
 
     nodes: tuple[int, ...]
-    edges: tuple[PathEdge, ...]
-    forms: tuple[str, ...] = ()
-    pos: tuple[str, ...] = ()
+    deprels: tuple[str, ...]
+    directions: tuple[str, ...]
+    forms: tuple[str, ...]
+    pos: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.edges) != len(self.nodes) - 1:
-            raise ValueError(
-                f"{len(self.nodes)} nodes need {len(self.nodes) - 1} edges, got {len(self.edges)}"
-            )
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"repeated node in path {self.nodes}")
+    def __init__(self, nodes, edges, forms=(), pos=()):
+        nodes, edges = tuple(nodes), tuple(edges)
+        if len(edges) != len(nodes) - 1:
+            raise ValueError(f"{len(nodes)} nodes need {len(nodes) - 1} edges, got {len(edges)}")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"repeated node in path {nodes}")
+        deprels, directions = zip(*edges) if edges else ((), ())
+        self._set(nodes, deprels, directions, tuple(forms), tuple(pos))
+
+    def _set(self, nodes, deprels, directions, forms, pos) -> SdpPath:
+        for name, column in zip(("nodes", "deprels", "directions", "forms", "pos"),
+                                (nodes, deprels, directions, forms, pos)):
+            object.__setattr__(self, name, column)
+        return self
+
+    @property
+    def edges(self) -> tuple[PathEdge, ...]:
+        return tuple(map(PathEdge, self.deprels, self.directions))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -351,7 +367,7 @@ def path_between(structure, a: int, b: int) -> SdpPath:
     DOWN when moving head -> dependent.  a == b yields a single-node path.
     a's ancestors are walked once; b is walked up to the first of them.
     """
-    heads, deprels = structure.heads, structure.deprels
+    heads = structure.heads
     chain = {}  # a and its ancestors -> position on a's chain
     cur = a
     while cur:
@@ -364,11 +380,13 @@ def path_between(structure, a: int, b: int) -> SdpPath:
         cur = heads[cur]
     up = list(chain)[: chain[cur] + 1]
     down.reverse()
-    nodes = up + down
-    edges = [PathEdge(deprels[u], UP) for u in up[:-1]] + [PathEdge(deprels[v], DOWN) for v in down]
-    return SdpPath(
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        forms=tuple(map(structure.forms.__getitem__, nodes)),
-        pos=tuple(map(structure.pos.__getitem__, nodes)),
+    nodes = tuple(up + down)
+    # the step from u UP to its head, then DOWN from its head to each v, carries the child's label
+    deprels = tuple(map(structure.deprels.__getitem__, up[:-1] + down))
+    return object.__new__(SdpPath)._set(
+        nodes,
+        deprels,
+        (UP,) * (len(up) - 1) + (DOWN,) * len(down),
+        tuple(map(structure.forms.__getitem__, nodes)),
+        tuple(map(structure.pos.__getitem__, nodes)),
     )

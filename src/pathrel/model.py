@@ -426,7 +426,7 @@ class RelationModel:
         """
         _check_path(path)
         words = [self.word_vocab.index(form) for form in path.forms]
-        rels = [self.rel_vocab.row(edge.deprel, edge.direction) for edge in path.edges]
+        rels = list(map(self.rel_vocab.row, path.deprels, path.directions))
         if direction == BWD:
             unk = self.rel_vocab.table_size - 1
             words, rels = words[::-1], [r if r == unk else r ^ 1 for r in reversed(rels)]

@@ -11,36 +11,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import Sequence
+
+import numpy as np
 
 from .codec import Document
-from .depgraph import DependencyTree, PathEdge, SdpPath, path_between
+from .depgraph import DOWN, UP, DependencyTree, SdpPath, path_between
 
 SR_LINK = "SR-LINK"
 
 _MASK64 = (1 << 64) - 1
+# splitmix64 (Steele, Lea & Flood 2014), pinned so that seeded cuts are the same on
+# every platform: the state advances by _GOLDEN per draw, and each output mixes
+# the state by two xor-shift-multiplies and a final xor-shift
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 
 
 class CutRootRequested(ValueError):
     pass
-
-
-def splitmix64(state: int) -> tuple[int, int]:
-    """One step of the splitmix64 generator: (state, output), both 64-bit.
-
-    Fixed, portable algorithm (Steele et al.); pinned so that seeded cut
-    selections are identical across platforms and runs.
-    """
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z = z ^ (z >> 31)
-    return state, z
-
-
-def _unit_interval(z: int) -> float:
-    # top 53 bits -> [0, 1), the standard double conversion
-    return (z >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -70,27 +60,51 @@ class CutRule(Document):
         object.__setattr__(self, "tag_set", frozenset(self.tag_set))
 
 
-def select_cut_nodes(tree: DependencyTree, rule: CutRule, ordinal: int = 0) -> set[int]:
-    """Token indices to cut under the given rule.  Never selects the root.
+def select_cuts(trees: Sequence[DependencyTree], rule: CutRule, first: int = 0) -> list[set[int]]:
+    """Each tree's token indices to cut under rule, in order.  Never selects a root.
 
-    ordinal is the sentence's position in its corpus; the random rule
-    mixes it into the seed so corpus reordering does not reshuffle every
-    sentence's cuts.
+    trees[o] is the sentence at corpus position first + o.  The random rule
+    mixes that position into its seed, so reordering a corpus does not
+    reshuffle every sentence's cuts: token k (1-based) is cut when output k
+    of splitmix64 seeded with seed XOR position, its top 53 bits read as a
+    fraction of 1, is below p.  Output k mixes the state seed + k times the
+    generator's increment, so the whole corpus is drawn in one np.uint64
+    pass, which wraps modulo 2**64 as the scalar generator does.
     """
+    if rule.variant != "random":
+        return [_tree_cuts(tree, rule) for tree in trees]
+    if not trees:
+        return []
+    sizes = np.fromiter((len(tree.heads) - 1 for tree in trees), np.intp, len(trees))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    index = np.arange(1, ends[-1] + 1)
+    index -= np.repeat(starts, sizes)  # token k of its sentence
+    position = np.arange(len(trees), dtype=np.uint64) + np.uint64(first & _MASK64)
+    z = np.repeat(position ^ np.uint64(rule.seed & _MASK64), sizes)
+    z += index.astype(np.uint64) * _GOLDEN
+    for shift, multiplier in _MIX:
+        z ^= z >> shift
+        z *= multiplier
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    drawn = z * 2.0**-53 < rule.p
+    drawn[starts + np.fromiter((tree.root for tree in trees), np.intp, len(trees)) - 1] = False
+    picked = np.flatnonzero(drawn)
+    cuts = index[picked].tolist()
+    bounds = [0, *np.searchsorted(picked, ends).tolist()]
+    return [set(cuts[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _tree_cuts(tree: DependencyTree, rule: CutRule) -> set[int]:
+    """select_cuts over one tree under the none, prep and punct rules."""
     root = tree.root
     if rule.variant == "none":
         return set()
-    pos, indices = tree.pos, range(1, tree.n + 1)
+    pos = tree.pos
     if rule.variant == "prep":
-        return {i for i in indices if pos[i] in rule.tag_set and i != root}
-    if rule.variant == "random":
-        state = (rule.seed ^ ordinal) & _MASK64
-        selected = set()
-        for i in indices:
-            state, z = splitmix64(state)
-            if i != root and _unit_interval(z) < rule.p:
-                selected.add(i)
-        return selected
+        tags = rule.tag_set
+        return {i for i in range(1, len(pos)) if pos[i] in tags and i != root}
     # punct: a token's run number counts the PUNCT tokens up to it, so each
     # maximal non-PUNCT run has its own; every run but the root's is cut
     # loose at its tokens whose head lies outside the run.
@@ -98,6 +112,11 @@ def select_cut_nodes(tree: DependencyTree, rule: CutRule, ordinal: int = 0) -> s
     run = {i: r for i, (p, r) in enumerate(zip(pos, runs)) if i and p != "PUNCT"}
     root_run = run.get(root)
     return {i for i, r in run.items() if r != root_run and run.get(tree.heads[i]) != r}
+
+
+def select_cut_nodes(tree: DependencyTree, rule: CutRule, ordinal: int = 0) -> set[int]:
+    """Token indices to cut in one tree, the sentence at corpus position ordinal (see select_cuts)."""
+    return select_cuts((tree,), rule, first=ordinal)[0]
 
 
 @dataclass(frozen=True)
@@ -147,9 +166,10 @@ def cut_and_line(tree: DependencyTree, cut_nodes: set[int]) -> RegularizedTree:
     root = tree.root
     if root in cut_nodes:
         raise CutRootRequested(f"token {root} is the root and cannot be cut")
-    unknown = [i for i in cut_nodes if not 1 <= i <= tree.n]
+    n = tree.n
+    unknown = [i for i in cut_nodes if not 1 <= i <= n]
     if unknown:
-        raise ValueError(f"cut nodes {unknown} outside 1..{tree.n}")
+        raise ValueError(f"cut nodes {unknown} outside 1..{n}")
 
     roots = sorted(set(cut_nodes) | {root})
     links = tuple(zip(roots, roots[1:]))
@@ -179,14 +199,6 @@ def extract_sr_sdp(rt: RegularizedTree, e1_head: int, e2_head: int) -> SdpPath:
 
 def invert_path(p: SdpPath) -> SdpPath:
     """Reverse a path: mirrored nodes, UP/DOWN flipped, labels kept."""
-    from .depgraph import DOWN, UP
-
-    flipped = tuple(
-        PathEdge(e.deprel, UP if e.direction == DOWN else DOWN) for e in reversed(p.edges)
-    )
-    return SdpPath(
-        nodes=p.nodes[::-1],
-        edges=flipped,
-        forms=p.forms[::-1],
-        pos=p.pos[::-1],
-    )
+    directions = tuple(UP if d == DOWN else DOWN for d in reversed(p.directions))
+    return object.__new__(SdpPath)._set(p.nodes[::-1], p.deprels[::-1], directions,
+                                        p.forms[::-1], p.pos[::-1])

@@ -25,12 +25,12 @@ from .atomic import atomic_open
 from .autodiff import backward
 from .codec import Document
 from .data import load_dataset
-from .depgraph import DependencyTree, Instance, SdpPath, entity_head
+from .depgraph import SdpPath, entity_head
 from .labels import UnknownLabel, load_schema
 from .metrics import ConfusionMatrix
 from .model import ModelConfig, RelationModel, RelationVocabulary, Vocabulary, load_word_embeddings
 from .optim import AdaDeltaState, adadelta_step
-from .structreg import CutRule, cut_and_line, extract_sr_sdp, select_cut_nodes
+from .structreg import CutRule, cut_and_line, extract_sr_sdp, select_cuts
 
 logger = logging.getLogger(__name__)
 
@@ -82,26 +82,29 @@ class ExperimentConfig(Document):
 # preprocessing
 
 
-def entity_path(tree: DependencyTree, e1, e2, rule: CutRule, ordinal: int = 0) -> SdpPath:
-    """The path between the heads of entity spans e1 and e2 once rule has cut and lined tree."""
-    rt = cut_and_line(tree, select_cut_nodes(tree, rule, ordinal=ordinal))
-    return extract_sr_sdp(rt, entity_head(tree, e1), entity_head(tree, e2))
+def entity_paths(trees, pairs, rule: CutRule, name) -> list[SdpPath]:
+    """Each tree's path between the heads of its entity spans (e1, e2) after rule cuts and lines it.
 
-
-def prepare_example(inst: Instance, rule: CutRule, ordinal: int = 0) -> PreparedExample:
-    path = entity_path(inst.tree, inst.e1, inst.e2, rule, ordinal)
-    return PreparedExample(path=path, label=inst.label, sid=inst.sid)
+    trees[o] is the sentence at corpus position o; every cut set comes from
+    one select_cuts pass over the corpus.  A ValueError raised for tree o
+    is raised again as a ValueError led by name(o).
+    """
+    paths = []
+    for ordinal, (tree, cuts, (e1, e2)) in enumerate(zip(trees, select_cuts(trees, rule), pairs)):
+        try:
+            rt = cut_and_line(tree, cuts)
+            paths.append(extract_sr_sdp(rt, entity_head(tree, e1), entity_head(tree, e2)))
+        except ValueError as err:
+            raise ValueError(f"{name(ordinal)}: {err}") from None
+    return paths
 
 
 def prepare_paths(instances, rule: CutRule) -> list[PreparedExample]:
     """Cut, line, and extract the entity-head path for every instance."""
-    out = []
-    for ordinal, inst in enumerate(instances):
-        try:
-            out.append(prepare_example(inst, rule, ordinal))
-        except ValueError as err:
-            raise ValueError(f"instance {inst.sid or ordinal}: {err}") from None
-    return out
+    instances = list(instances)
+    trees, pairs = [inst.tree for inst in instances], [(inst.e1, inst.e2) for inst in instances]
+    paths = entity_paths(trees, pairs, rule, lambda o: f"instance {instances[o].sid or o}")
+    return [PreparedExample(path, inst.label, inst.sid) for path, inst in zip(paths, instances)]
 
 
 def build_vocabs(prepared) -> tuple[Vocabulary, RelationVocabulary]:
@@ -109,7 +112,7 @@ def build_vocabs(prepared) -> tuple[Vocabulary, RelationVocabulary]:
     deprels = set()
     for ex in prepared:
         forms.update(ex.path.forms)
-        deprels.update(e.deprel for e in ex.path.edges)
+        deprels.update(ex.path.deprels)
     return Vocabulary(forms), RelationVocabulary(deprels)
 
 

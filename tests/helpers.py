@@ -5,7 +5,8 @@ from breadth-first search over an undirected adjacency list (over a
 lined structure rebuilt by hand, if need be), partitions and entity
 heads from direct upward walks, the punct rule's cuts from a direct scan
 of the sentence, tree checks from union-find, tree validation from a
-walk of every token to the root, CoNLL-U from a line-by-line parser
+walk of every token to the root, cut sets from a scalar splitmix64 loop
+and a scan of the tags (cut_oracle), CoNLL-U from a line-by-line parser
 that builds one Token per line, and text path lines from
 parse_path_line, the inverse of data.format_path_line.  The relation
 model's oracle is its per-gate formulation: one tape node per gate
@@ -81,6 +82,45 @@ def random_cut_set(rng, tree) -> set:
         return set()
     k = int(rng.integers(0, len(candidates) + 1))
     return {int(i) for i in rng.choice(candidates, size=k, replace=False)}
+
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state: int) -> tuple[int, int]:
+    """One step of the splitmix64 generator (Steele, Lea & Flood 2014): (state, output), both 64-bit."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = z ^ (z >> 31)
+    return state, z
+
+
+def unit_interval(z: int) -> float:
+    # top 53 bits -> [0, 1), the standard double conversion
+    return (z >> 11) * 2.0**-53
+
+
+def cut_oracle(tree, rule, ordinal=0) -> set:
+    """A rule's cut set for the sentence at corpus position ordinal, one token at a
+    time: the random rule steps splitmix64 seeded with seed XOR ordinal once per
+    token, the prep rule scans the POS tags, the punct rule is punct_cut_oracle."""
+    if rule.variant == "none":
+        return set()
+    if rule.variant == "punct":
+        return punct_cut_oracle(tree)
+    cut = set()
+    state = (rule.seed ^ ordinal) & MASK64
+    for tok in tree.tokens:
+        if rule.variant == "prep":
+            picked = tok.pos in rule.tag_set
+        else:
+            state, z = splitmix64(state)
+            picked = unit_interval(z) < rule.p
+        if picked and tok.head != 0:
+            cut.add(tok.index)
+    return cut
 
 
 def bfs_path(structure, a, b):

@@ -5,28 +5,34 @@ The traced run (`bench/run.py --trace 1`) wraps each `<function>` named by a
 observers also read pathrel objects: the parameter count off
 `model.store.items()`, the tape size off the loss node's `_parents`, and the
 SR and plain path lengths off `extract_sr_sdp`'s first argument's `.base` (the
-`DependencyTree` it was cut from) and its result's `.nodes`.  Its oracles
+`DependencyTree` it was cut from) and its result's `.nodes`, so extract-sdp and
+`prepare_paths` call it once per sentence.  Its oracles
 (`bench/oracles.py`) read each parsed token's `index`, `head` and `deprel`.  Its
 save/reload stages and its `reload_bit_identical` check call the model's
 persistence and prediction API the way the last tests here do; its
 `checkpoint.bytes` is len() of what `checkpoint.checkpoint_bytes` returns.
 """
 
+import gc
 import importlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import tape_nodes
 
-from pathrel import checkpoint
+from pathrel import checkpoint, structreg
 from pathrel.autodiff import Node
+from pathrel.cli import main
 from pathrel.depgraph import DependencyTree, PathEdge, SdpPath, parse_conllu
 from pathrel.labels import synth_schema
 from pathrel.model import ModelConfig, Prediction, RelationModel, RelationVocabulary, Vocabulary
 from pathrel.structreg import CutRule, cut_and_line, extract_sr_sdp, select_cut_nodes
+from pathrel.synth import SynthConfig, generate
+from pathrel.training import prepare_paths
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -102,6 +108,62 @@ def test_extract_sr_sdp_exposes_its_base_tree_and_nodes():
     rt = cut_and_line(tree, select_cut_nodes(tree, CutRule(variant="prep")))
     assert isinstance(rt.base, DependencyTree) and rt.base is tree
     assert extract_sr_sdp(rt, 1, 4).nodes == (1, 2, 3, 4)
+
+
+def record_calls(monkeypatch, fn) -> list:
+    """(arguments, result) of every call of fn, wrapped where the traced run
+    wraps it: in every pathrel module that holds it."""
+    calls = []
+
+    def recorded(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    for key, module in list(sys.modules.items()):
+        if key == "pathrel" or key.startswith("pathrel."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("rule", CutRule.VARIANTS)
+def test_extract_sdp_calls_extract_sr_sdp_once_per_sentence(tmp_path, monkeypatch, rule):
+    text = CONLLU + "\n" + CONLLU.replace("mats", "rugs") + "\n" + CONLLU
+    conllu, pairs = tmp_path / "s.conllu", tmp_path / "pairs.txt"
+    conllu.write_text(text)
+    pairs.write_text("1 1 4 4\n2 2 4 4\n4 4 1 1\n")
+    calls = record_calls(monkeypatch, structreg.extract_sr_sdp)
+    assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), "--rule", rule,
+                 "--out", str(tmp_path / "p.txt")]) == 0
+    trees = parse_conllu(text)
+    assert [(type(rt.base), rt.base, h1, h2) for (rt, h1, h2), _ in calls] == [
+        (DependencyTree, trees[0], 1, 4), (DependencyTree, trees[1], 2, 4),
+        (DependencyTree, trees[2], 4, 1)]
+
+
+def test_prepare_paths_calls_extract_sr_sdp_once_per_instance(monkeypatch):
+    instances = generate(SynthConfig(n=12, k_types=2, seed=1))
+    calls = record_calls(monkeypatch, structreg.extract_sr_sdp)
+    prepared = prepare_paths(instances, CutRule(variant="random", seed=2))
+    assert len(calls) == len(instances)
+    assert all(args[0].base is inst.tree for (args, _), inst in zip(calls, instances))
+    assert [path.nodes for _, path in calls] == [ex.path.nodes for ex in prepared]
+
+
+def test_prepared_paths_hold_no_path_edges():
+    """A path holds its edges as columns: preparing a corpus adds no PathEdge
+    for the collector to track."""
+    def path_edges():
+        return sum(type(o) is PathEdge for o in gc.get_objects())
+
+    instances = generate(SynthConfig(n=60, k_types=2, seed=3))
+    gc.collect()
+    before = path_edges()
+    prepared = prepare_paths(instances, CutRule(variant="random", seed=5))
+    assert sum(len(ex.path) - 1 for ex in prepared) > 60
+    assert path_edges() == before
 
 
 def test_save_reload_and_predict_as_the_benchmark_does(tmp_path):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from helpers import (
     bfs_path,
+    cut_oracle,
     edit_header,
     entity_head_by_scan,
     lined_by_hand,
     parse_path_line,
-    punct_cut_oracle,
     random_tree,
     split_checkpoint,
 )
@@ -24,9 +24,9 @@ from pathrel.cli import main
 from pathrel.data import instance_to_record, load_dataset
 from pathrel.depgraph import serialize_conllu
 from pathrel.model import EmptyPath, ModelConfig
-from pathrel.structreg import CutRule, select_cut_nodes
+from pathrel.structreg import CutRule
 from pathrel.synth import SynthConfig, generate
-from pathrel.training import ExperimentConfig, entity_path, train
+from pathrel.training import ExperimentConfig, prepare_paths, train
 
 CONLLU = (
     "1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
@@ -77,6 +77,45 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--data", "x.jsonl"])
         assert exc.value.code == 2
+
+
+CUT_FLAGS = [("--cut-p", "0.9"), ("--cut-seed", "3"), ("--cut-tags", "NOUN")]
+
+
+def assert_cut_flag_refused(argv, flag, capsys):
+    """A cut flag without --rule is a usage error (exit 2) that names the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: not allowed without argument --rule" in capsys.readouterr().err
+
+
+class TestCutFlagsNeedRule:
+    @pytest.mark.parametrize("flag, value", CUT_FLAGS)
+    def test_extract_sdp(self, tmp_path, capsys, flag, value):
+        conllu, pairs, out = tmp_path / "s.conllu", tmp_path / "pairs.txt", tmp_path / "p.txt"
+        conllu.write_text(CONLLU)
+        pairs.write_text("1 1 4 4\n")
+        argv = ["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), "--out", str(out)]
+        assert_cut_flag_refused(argv + [flag, value], flag, capsys)
+        assert not out.exists()
+        assert main(argv + ["--rule", "random", flag, value]) == 0
+
+    @pytest.mark.parametrize("flag, value", CUT_FLAGS)
+    def test_train(self, tmp_path, dataset, capsys, flag, value):
+        ck = tmp_path / "m.ckpt"
+        assert_cut_flag_refused(["train", "--config", str(tiny_config_file(tmp_path)), "--train",
+                                 str(dataset), "--checkpoint", str(ck), flag, value], flag, capsys)
+        assert not ck.exists()
+
+    @pytest.mark.parametrize("flag, value", CUT_FLAGS)
+    def test_eval(self, tmp_path, dataset, capsys, flag, value):
+        ck, report = tmp_path / "m.ckpt", tmp_path / "report.json"
+        assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),
+                     "--checkpoint", str(ck), "--rule", "prep"]) == 0
+        assert_cut_flag_refused(["eval", "--checkpoint", str(ck), "--data", str(dataset),
+                                 "--out", str(report), flag, value], flag, capsys)
+        assert not report.exists()
 
 
 class TestExtractSdp:
@@ -204,7 +243,8 @@ class TestExtractSdp:
 
     @pytest.mark.parametrize("rule", CutRule.VARIANTS)
     def test_every_record_matches_bfs_over_structure_lined_by_hand(self, tmp_path, rule):
-        """extract-sdp's JSON heads and paths against BFS over the cut set lined by hand."""
+        """extract-sdp's text and JSON heads and paths against a per-sentence
+        oracle: the scalar cut set, lined by hand, then BFS."""
         rng = np.random.default_rng(12)
         trees, spans = [], []
         for _ in range(50):
@@ -213,24 +253,41 @@ class TestExtractSdp:
             pair = [(int(rng.integers(1, a + 1)), a), (b, int(rng.integers(b, tree.n + 1)))]
             trees.append(tree)
             spans.append(pair[::-1] if rng.random() < 0.5 else pair)
-        conllu, pairs, out = tmp_path / "s.conllu", tmp_path / "pairs.txt", tmp_path / "p.jsonl"
+        assert {"ADP", "PUNCT"} <= {tag for tree in trees for tag in tree.pos}
+        conllu, pairs = tmp_path / "s.conllu", tmp_path / "pairs.txt"
         conllu.write_text(serialize_conllu(trees), encoding="utf-8")
         pairs.write_text("".join(f"{s1} {t1} {s2} {t2}\n" for (s1, t1), (s2, t2) in spans))
-        assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), "--rule", rule,
-                     "--cut-p", "0.4", "--cut-seed", "11", "--json", "--out", str(out)]) == 0
-        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
-        assert len(records) == len(trees)
-        for ordinal, (tree, ((s1, t1), (s2, t2)), rec) in enumerate(zip(trees, spans, records)):
+        outputs = {}
+        for fmt, extra in (("text", []), ("json", ["--json"])):
+            outputs[fmt] = tmp_path / f"p.{fmt}"
+            assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), "--rule",
+                         rule, "--cut-p", "0.4", "--cut-seed", "11", "--out", str(outputs[fmt]),
+                         *extra]) == 0
+        records = [json.loads(line) for line in outputs["json"].read_text(encoding="utf-8").splitlines()]
+        lines = outputs["text"].read_text(encoding="utf-8").splitlines()
+        assert len(records) == len(lines) == len(trees)
+        cut_rule = CutRule(rule, p=0.4, seed=11)
+        for ordinal, (tree, ((s1, t1), (s2, t2)), rec, line) in enumerate(
+                zip(trees, spans, records, lines)):
             h1, h2 = entity_head_by_scan(tree, s1, t1), entity_head_by_scan(tree, s2, t2)
-            if rule == "none":
-                cuts = set()
-            elif rule == "punct":
-                cuts = punct_cut_oracle(tree)
-            else:  # the random draws and the prep tags, as the benchmark's check takes them
-                cuts = select_cut_nodes(tree, CutRule(rule, p=0.4, seed=11), ordinal)
-            nodes, edges = bfs_path(lined_by_hand(tree, cuts), h1, h2)
+            nodes, edges = bfs_path(lined_by_hand(tree, cut_oracle(tree, cut_rule, ordinal)), h1, h2)
             assert (rec["e1_head"], rec["e2_head"]) == (h1, h2)
             assert rec["nodes"] == nodes and [tuple(e) for e in rec["edges"]] == edges
+            assert rec["forms"] == [f"w{i}" for i in nodes]
+            assert rec["pos"] == [tree.pos[i] for i in nodes]
+            e1, e2, path = parse_path_line(line)
+            assert (e1, e2, list(path.nodes), list(path.edges)) == (h1, h2, nodes, edges)
+
+    @pytest.mark.parametrize("rule", CutRule.VARIANTS)
+    def test_empty_inputs_exit_0_and_write_nothing(self, tmp_path, capsys, rule):
+        conllu, pairs = tmp_path / "s.conllu", tmp_path / "pairs.txt"
+        conllu.write_text("")
+        pairs.write_text("")
+        for extra in ([], ["--json"]):
+            capsys.readouterr()
+            assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs),
+                         "--rule", rule, *extra]) == 0
+            assert capsys.readouterr() == ("", "")
 
 
 class TestSynth:
@@ -441,8 +498,7 @@ class TestTrainEval:
 
         The embeddings reader refuses NaN, so the table is handed to train past it.
         """
-        forms = [f for inst in load_dataset(dataset) for f in
-                 entity_path(inst.tree, inst.e1, inst.e2, CutRule()).forms]
+        forms = [f for ex in prepare_paths(load_dataset(dataset), CutRule()) for f in ex.path.forms]
         word = max(set(forms), key=forms.count)
         emb = tmp_path / "emb.txt"
         emb.write_text(f"{word} 0 0 0 0 0 0\n", encoding="utf-8")
@@ -508,8 +564,7 @@ class TestTrainEval:
     def test_embeddings_of_another_length_than_word_dim_exit_3(self, tmp_path, dataset, capsys,
                                                                in_vocab):
         """A vector whose length is not the model's word_dim (6) names the file and line."""
-        inst = load_dataset(dataset)[0]
-        word = entity_path(inst.tree, inst.e1, inst.e2, CutRule()).forms[0] if in_vocab else "zzz"
+        word = prepare_paths(load_dataset(dataset)[:1], CutRule())[0].path.forms[0] if in_vocab else "zzz"
         emb = tmp_path / "emb.txt"
         emb.write_text(f"{word} 0.5 0.5 0.5\n", encoding="utf-8")
         capsys.readouterr()

@@ -4,10 +4,15 @@ from helpers import (
     bfs_path,
     check_lined_tree,
     components_by_walk,
+    cut_oracle,
     punct_cut_oracle,
     random_cut_set,
     random_tree,
+    splitmix64,
+    unit_interval,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_depgraph import make_tree
 
 from pathrel.depgraph import DOWN, UP, DependencyTree, PathEdge, SdpPath, path_between
@@ -19,12 +24,13 @@ from pathrel.structreg import (
     extract_sr_sdp,
     invert_path,
     select_cut_nodes,
-    splitmix64,
-    _unit_interval,
+    select_cuts,
 )
 
 
 class TestSplitmix64:
+    """The scalar generator the cut oracle steps, checked on its own."""
+
     def test_reference_vectors(self):
         # first outputs of the published reference implementation, seed 0
         s = 0
@@ -38,7 +44,7 @@ class TestSplitmix64:
         s = 12345
         for _ in range(200):
             s, z = splitmix64(s)
-            u = _unit_interval(z)
+            u = unit_interval(z)
             assert 0.0 <= u < 1.0
 
     def test_64_bit_wraparound(self):
@@ -153,6 +159,59 @@ class TestSelectCutNodes:
             cut = select_cut_nodes(tree, CutRule("punct"))
             assert cut == punct_cut_oracle(tree)
             assert tree.root not in cut
+
+
+def corpus(shapes):
+    """One random tree per (length, seed) shape."""
+    return [random_tree(np.random.default_rng(seed), n=n) for n, seed in shapes]
+
+
+# a seed's low 64 bits seed the draws: negative seeds, seeds past 2**64 and
+# seeds around 2**63 wrap as the scalar loop's masking does
+SEEDS = st.one_of(st.integers(-(2**70), 2**70),
+                  st.sampled_from([-1, -(2**63), 2**63 - 1, 2**63, 2**63 + 1, 2**64, 2**64 + 3]))
+
+
+class TestSelectCuts:
+    @given(shapes=st.lists(st.tuples(st.integers(1, 30), st.integers(0, 2**32 - 1)), max_size=12),
+           seed=SEEDS, first=st.integers(-(2**65), 2**65),
+           p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    @example(shapes=[(1, 0), (1, 1), (2, 2)], seed=0, first=0, p=1.0)  # a root-only sentence
+    @example(shapes=[(13, 5)] * 3, seed=-1, first=2**64 - 2, p=0.5)  # positions wrap past 2**64
+    @settings(max_examples=300, deadline=None)
+    def test_random_draws_equal_the_scalar_loop(self, shapes, seed, first, p):
+        """Sentence by sentence: the corpus pass, and select_cut_nodes at that
+        ordinal, equal splitmix64 stepped once per token."""
+        trees = corpus(shapes)
+        rule = CutRule("random", p=p, seed=seed)
+        expected = [cut_oracle(tree, rule, first + o) for o, tree in enumerate(trees)]
+        assert select_cuts(trees, rule, first=first) == expected
+        assert [select_cut_nodes(tree, rule, first + o) for o, tree in enumerate(trees)] == expected
+
+    @pytest.mark.parametrize("variant", CutRule.VARIANTS)
+    def test_every_rule_equals_its_oracle(self, variant):
+        trees = corpus((int(n), seed) for seed, n in enumerate(
+            np.random.default_rng(13).integers(1, 25, size=60)))
+        rule = CutRule(variant, p=0.3, seed=21)
+        assert select_cuts(trees, rule, first=4) == [
+            cut_oracle(tree, rule, 4 + o) for o, tree in enumerate(trees)]
+
+    def test_draw_equal_to_p_is_not_cut(self):
+        """A token is cut when its draw is below p: at p equal to the draw it is
+        kept, at the next double above it is cut."""
+        tree = make_tree([2, 0, 2, 2])
+        state, draws = 9 ^ 3, []
+        for _ in range(tree.n):
+            state, z = splitmix64(state)
+            draws.append(unit_interval(z))
+        u = draws[3]  # token 4, not the root
+        assert 4 not in select_cuts([tree], CutRule("random", p=u, seed=9), first=3)[0]
+        assert 4 in select_cuts([tree], CutRule("random", p=float(np.nextafter(u, 1.0)), seed=9),
+                                first=3)[0]
+
+    @pytest.mark.parametrize("variant", CutRule.VARIANTS)
+    def test_empty_corpus(self, variant):
+        assert select_cuts([], CutRule(variant)) == []
 
 
 class TestCutAndLine:

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from helpers import cut_oracle
 
 from pathrel.checkpoint import load_checkpoint
 from pathrel.data import save_dataset
-from pathrel.depgraph import DependencyTree, EntitySpan, Instance, Token, path_between
+from pathrel.depgraph import DependencyTree, EntitySpan, Instance, SdpPath, Token, entity_head, path_between
 from pathrel.model import ModelConfig
 from pathrel.structreg import CutRule, cut_and_line, extract_sr_sdp
 from pathrel.synth import SynthConfig, generate
@@ -16,7 +17,6 @@ from pathrel.training import (
     SchemaMismatch,
     build_vocabs,
     evaluate,
-    prepare_example,
     prepare_paths,
     train,
 )
@@ -40,10 +40,8 @@ def tiny_corpus(n=12, **kw):
 class TestPreparation:
     def test_rule_none_reproduces_plain_path(self):
         for inst in tiny_corpus(8):
-            ex = prepare_example(inst, CutRule())
+            (ex,) = prepare_paths([inst], CutRule())
             rt = cut_and_line(inst.tree, set())
-            from pathrel.depgraph import entity_head
-
             h1, h2 = entity_head(inst.tree, inst.e1), entity_head(inst.tree, inst.e2)
             assert ex.path == extract_sr_sdp(rt, h1, h2)
             plain = path_between(inst.tree, h1, h2)
@@ -66,7 +64,7 @@ class TestPreparation:
             label="Rel1(e1,e2)",
             sid="t",
         )
-        ex = prepare_example(inst, CutRule(variant="random", p=1.0, seed=0))
+        (ex,) = prepare_paths([inst], CutRule(variant="random", p=1.0, seed=0))
         assert ex.path.nodes[0] == 1
         assert ex.path.nodes[-1] == 4
 
@@ -81,14 +79,26 @@ class TestPreparation:
             prepare_paths([inst, bad], CutRule())
 
     def test_ordinal_drives_random_rule(self):
+        """Each instance is cut as the scalar oracle cuts the sentence at its
+        corpus position, so reversing the corpus moves the cuts with it."""
         insts = tiny_corpus(20, blocks=2, fillers=2)
         rule = CutRule(variant="random", p=0.5, seed=3)
-        a = prepare_paths(insts, rule)
-        b = [prepare_example(inst, rule, ordinal) for ordinal, inst in enumerate(insts)]
-        assert [x.path for x in a] == [y.path for y in b]
-        moved = prepare_example(insts[0], rule, ordinal=7)
-        same = prepare_example(insts[0], rule, ordinal=7)
-        assert moved.path == same.path
+        for corpus in (insts, insts[::-1]):
+            expected = [
+                extract_sr_sdp(cut_and_line(inst.tree, cut_oracle(inst.tree, rule, ordinal)),
+                               entity_head(inst.tree, inst.e1), entity_head(inst.tree, inst.e2))
+                for ordinal, inst in enumerate(corpus)
+            ]
+            assert [ex.path for ex in prepare_paths(corpus, rule)] == expected
+        assert prepare_paths(insts, rule) == prepare_paths(insts, rule)
+
+    @pytest.mark.parametrize("variant", CutRule.VARIANTS)
+    def test_prepared_paths_equal_paths_built_from_edges(self, variant):
+        for ex in prepare_paths(tiny_corpus(15, blocks=2), CutRule(variant=variant, seed=4)):
+            path = ex.path
+            built = SdpPath(nodes=path.nodes, edges=path.edges, forms=path.forms, pos=path.pos)
+            assert built == path and hash(built) == hash(path)
+            assert built.deprels == path.deprels and built.directions == path.directions
 
     def test_build_vocabs_cover_paths(self):
         prepared = prepare_paths(tiny_corpus(10), CutRule(variant="prep"))
