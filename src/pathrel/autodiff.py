@@ -2,7 +2,8 @@
 
 A parameter (Param) is two views into its ParamStore's arenas: its
 float64 values and its gradient, which starts zeroed and adds up across
-backward calls until the optimizer or ParamStore.zero_grad zeroes it.
+backward calls until the optimizer consumes it (leaving zeros, or the next
+step's L2 term when asked to refill) or ParamStore.zero_grad zeroes it.
 A recorded node (Node) is a value plus the backward closure that writes
 its parameters' gradients and hands its inputs' gradients straight to
 the closures of the nodes that made them (model.py); its _parents name
@@ -16,9 +17,19 @@ share (sigmoid, softmax, log-sum-exp cross-entropy) live here.
 from __future__ import annotations
 
 import mmap
+import sys
 from typing import NamedTuple
 
 import numpy as np
+
+# Elements per pass of an arena-wide update: the block's working arrays stay in cache.
+BLOCK = 16384
+
+if sys.platform.startswith("linux"):
+    # a private anonymous page dropped by MADV_DONTNEED reads as zeros when next touched
+    _GRAD_PAGES, _DROP_PAGES = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}, mmap.MADV_DONTNEED
+else:
+    _GRAD_PAGES, _DROP_PAGES = {}, None
 
 
 class NonScalarLoss(ValueError):
@@ -106,7 +117,8 @@ class ParamStore:
         self.data = _arena(arrays, size)
         # anonymous pages, mapped on first write, so an eval-only model never touches
         # them; np.zeros may reuse freed heap memory, which calloc must clear
-        self.grad = np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size)
+        self._grad_pages = mmap.mmap(-1, max(8 * size, 1), **_GRAD_PAGES)
+        self.grad = np.frombuffer(self._grad_pages, np.float64, size)
         self.spans: dict[str, slice] = {}
         self._params: dict[str, Param] = {}
         lo = 0
@@ -126,7 +138,11 @@ class ParamStore:
         return list(self._params.items())
 
     def zero_grad(self):
-        self.grad.fill(0.0)
+        """Zero every gradient; on Linux the arena's pages also go back to the system."""
+        if _DROP_PAGES is None:
+            self.grad.fill(0.0)
+        else:
+            self._grad_pages.madvise(_DROP_PAGES)
 
     def l2_penalty(self, weight: float, tables: bool = False):
         """(value, write): weight * sum of squared entries over the dense parameters,
@@ -143,9 +159,13 @@ class ParamStore:
         spans = [slice(0, self.data.size)] if tables else self.dense
 
         def write(g):
+            # block by block through one scratch buffer: no arena-sized temporary
             c = 2.0 * weight * g
+            scratch = np.empty(min(BLOCK, self.data.size))
             for span in spans:
-                self.grad[span] += c * self.data[span]
+                for lo in range(span.start, span.stop, BLOCK):
+                    hi = min(lo + BLOCK, span.stop)
+                    self.grad[lo:hi] += np.multiply(self.data[lo:hi], c, out=scratch[: hi - lo])
 
         return weight * total, write
 

@@ -460,7 +460,7 @@ class RelationModel:
         z_coarse = (g_fwd @ wc_f.data.T + g_bwd @ wc_b.data.T) + bc.data
         return z_fwd, z_bwd, z_coarse
 
-    def loss(self, path: SdpPath, label: str, dropout_rng=None) -> Node:
+    def loss(self, path: SdpPath, label: str, dropout_rng=None, l2_written: bool = False) -> Node:
         """The joint objective as one heads node over the two conv-pool nodes.
 
         Its value is l2 + ((ce_fwd + ce_bwd) + ce_coarse): the three
@@ -470,7 +470,9 @@ class RelationModel:
         gradient first, then softmax - onehot per head: outer(dz, g) into
         each head weight (fine forward, fine backward, coarse: the order a
         shared fine head accumulates in), then runs the forward conv-pool's
-        backward on W^T dz, then the backward direction's.
+        backward on W^T dz, then the backward direction's.  With l2_written
+        the store's gradient already holds the L2 term for a backward seeded
+        with 1 (adadelta_step's refill), and the backward does not write it.
         """
         cfg = self.config
         t_fwd = self.schema.fine_index(label)
@@ -486,6 +488,8 @@ class RelationModel:
         if cfg.l2_lambda > 0.0:
             l2, l2_write = self.store.l2_penalty(cfg.l2_lambda, cfg.l2_include_embeddings)
             value = l2 + value
+            if l2_written:
+                l2_write = None
 
         def backward(g):
             if l2_write is not None:

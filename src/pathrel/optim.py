@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ParamStore
-
-# Elements per pass of the dense update: the block's working arrays stay in cache.
-BLOCK = 16384
+from .autodiff import BLOCK, ParamStore
 
 
 class AdaDeltaState:
@@ -61,18 +58,22 @@ def _update(x, g, eg2, edx2, rho, eps, t1, t2) -> None:
     x -= t1
 
 
-def _dense_update(x, g, eg2, edx2, state: AdaDeltaState) -> None:
-    """The rule over x block by block, zeroing each gradient block after use."""
+def _dense_update(x, g, eg2, edx2, state: AdaDeltaState, refill: float = 0.0) -> None:
+    """The rule over x block by block; then each gradient block holds 0.0 + refill * x."""
     x, g, eg2, edx2 = (a.reshape(-1) for a in (x, g, eg2, edx2))
     s1, s2 = state._scratch
     for lo in range(0, x.size, BLOCK):
         hi = min(lo + BLOCK, x.size)
         n = hi - lo
         _update(x[lo:hi], g[lo:hi], eg2[lo:hi], edx2[lo:hi], state.rho, state.epsilon, s1[:n], s2[:n])
-        g[lo:hi] = 0.0
+        if refill:
+            np.multiply(x[lo:hi], refill, out=g[lo:hi])
+            g[lo:hi] += 0.0  # -0.0 becomes 0.0, as in 0.0 + refill * x
+        else:
+            g[lo:hi] = 0.0
 
 
-def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
+def adadelta_step(store: ParamStore, state: AdaDeltaState, refill: float = 0.0) -> None:
     """Apply one accumulated-gradient update and zero the gradients it consumed.
 
     Per coordinate: E[g2] <- rho E[g2] + (1-rho) g2;
@@ -80,11 +81,15 @@ def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
     E[dx2] <- rho E[dx2] + (1-rho) dx2;  x <- x + dx.
     The ranges between the tables update and zero whole; a table's gradient
     only at the rows it updated, since its other rows hold zeros already.
+    A nonzero refill leaves refill * x in the ranges between the tables
+    instead of zeros: the L2 gradient that ParamStore.l2_penalty(refill / 2)
+    would write next over the dense parameters, written while each block is
+    still in cache.
     """
     state.steps += 1
     arrays = (store.data, store.grad, state.sq_grad, state.sq_update)
     for span in store.dense:
-        _dense_update(*(a[span] for a in arrays), state)
+        _dense_update(*(a[span] for a in arrays), state, refill)
     for name, last in state.row_step.items():
         table, span = store[name], store.spans[name]
         g = table.grad

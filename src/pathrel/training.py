@@ -176,20 +176,26 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
 
     optimizer = AdaDeltaState(model.store)
     result = TrainResult(model=model)
-    best = None
-    use_dropout = config.model.keep_prob < 1.0
+    best = None  # the best epoch's parameters, copied only while a later epoch may replace them
+    cfg = config.model
+    use_dropout = cfg.keep_prob < 1.0
+    # each step leaves the next one's L2 gradient over the dense parameters in place
+    refill = 2.0 * cfg.l2_lambda if cfg.l2_lambda > 0.0 and not cfg.l2_include_embeddings else 0.0
+    refilled = False
     for epoch in range(1, config.epochs + 1):
         order = master.permutation(len(fit))
         total = 0.0
         for i in order:
             ex = fit[int(i)]
-            loss = model.loss(ex.path, ex.label, dropout_rng=master if use_dropout else None)
+            loss = model.loss(ex.path, ex.label, dropout_rng=master if use_dropout else None,
+                              l2_written=refilled)
             value = float(loss.data)
             if not math.isfinite(value):
                 ordinal = int(perm[config.val_size + int(i)])
                 raise NonFiniteError(f"epoch {epoch}: instance {ex.sid or ordinal}: loss is {value}")
             backward(loss)
-            adadelta_step(model.store, optimizer)
+            adadelta_step(model.store, optimizer, refill)
+            refilled = bool(refill)
             total += value
         if not np.isfinite(model.store.data).all():
             bad = [name for name, t in model.store.items() if not np.isfinite(t.data).all()]
@@ -199,11 +205,15 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
         result.history.append({"epoch": epoch, "loss": mean_loss, "macro_f1": f1})
         logger.info("epoch %d: loss %.6f, macro-F1 %.4f", epoch, mean_loss, f1)
         # >= so ties go to the later epoch (more training at equal score)
-        if best is None or f1 >= result.best_macro_f1:
+        if epoch == 1 or f1 >= result.best_macro_f1:
             result.best_epoch = epoch
             result.best_macro_f1 = f1
-            best = model.store.data.copy()
-    model.store.data[...] = best
+            if epoch < config.epochs:
+                best = model.store.data.copy()
+    if result.best_epoch < config.epochs:
+        model.store.data[...] = best
+    # the returned model holds no gradient, nor pages for one
+    model.store.zero_grad()
 
     if config.checkpoint_path:
         model.save(config.checkpoint_path, extra_meta={"rule": config.rule.to_dict()})

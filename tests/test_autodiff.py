@@ -20,6 +20,7 @@ from helpers import (
 )
 
 from pathrel.autodiff import (
+    BLOCK,
     Node,
     NonScalarLoss,
     Param,
@@ -159,6 +160,25 @@ class TestBackward:
         assert store["emb/w"].grad[0] == 0.0 and store["dense/w"].grad[0] == 2.0
         assert store.l2_penalty(1.0, tables=True)[0] == 2.0
 
+    def test_l2_penalty_write_across_blocks_matches_one_pass(self):
+        """Spans longer than BLOCK, split by a table, accumulate as grad += c * w would."""
+        rng = np.random.default_rng(3)
+        params = {"a/w": rng.normal(size=2 * BLOCK + 7), "b/emb": rng.normal(size=(5, 3)),
+                  "c/w": rng.normal(size=BLOCK + 1)}
+        for tables in (False, True):
+            store = ParamStore(params, tables=("b/emb",))
+            _, write = store.l2_penalty(3e-4, tables=tables)
+            g = np.asarray(0.7)
+            write(g)
+            write(g)
+            c = 2.0 * 3e-4 * g
+            for name, t in store.items():
+                want = np.zeros_like(t.data)
+                if tables or name != "b/emb":
+                    want += c * t.data
+                    want += c * t.data
+                assert np.array_equal(t.grad, want), (tables, name)
+
 
 class TestFiniteDifferenceAgainstOps:
     def test_dense_chain(self):
@@ -286,6 +306,13 @@ class TestParamStore:
         store.zero_grad()
         assert store.grad is grad and not store.grad.any()
         assert all(not t.grad.any() for _, t in store.items())
+
+    def test_gradients_add_up_again_after_zero_grad(self):
+        store = ParamStore({"w": np.ones(3 * BLOCK)})
+        store["w"].grad[::7] = 2.5
+        store.zero_grad()
+        store["w"].grad[...] += 1.5
+        assert np.array_equal(store.grad, np.full(3 * BLOCK, 1.5))
 
     def test_empty_store(self):
         store = ParamStore({})

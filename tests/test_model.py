@@ -446,6 +446,21 @@ class TestGradientBuffers:
             assert t.grad is before[name], name
             assert not t.grad.any(), name
 
+    def test_refilled_l2_steps_equal_written_ones(self):
+        """loss(l2_written=True) after a refilled step trains bit for bit as the L2 write does."""
+        models = [small_model(config=self.CONFIG, seed=2) for _ in range(2)]
+        states = [AdaDeltaState(m.store) for m in models]
+        refill = 2.0 * self.CONFIG.l2_lambda
+        for step, label in enumerate(["Rel1(e1,e2)", "Other", "Rel1(e2,e1)"]):
+            for k, (model, state) in enumerate(zip(models, states)):
+                loss = model.loss(make_path(), label, dropout_rng=np.random.default_rng(step),
+                                  l2_written=bool(k and step))
+                backward(loss)
+                adadelta_step(model.store, state, refill if k else 0.0)
+            assert models[0].store.data.tobytes() == models[1].store.data.tobytes()
+            assert states[0].sq_update.tobytes() == states[1].sq_update.tobytes()
+        assert not models[0].store.grad.any() and models[1].store.grad.any()
+
     def test_training_steps_reuse_the_table_gradient(self):
         model = small_model(config=self.CONFIG, seed=2)
         state = AdaDeltaState(model.store)

@@ -193,3 +193,38 @@ class TestArena:
         store.grad[...] = 1.0
         adadelta_step(store, AdaDeltaState(store))
         assert not store.grad.any() and np.all(store.data < 0)
+
+
+class TestRefill:
+    """A refilled step updates as a plain one, then leaves the next L2 gradient in place."""
+
+    def stores(self):
+        """Two equal stores with dense ranges around a table and gradients on some table rows."""
+        rng = np.random.default_rng(4)
+        params = {"a/w": rng.normal(size=2 * optim.BLOCK + 3), "b/emb": rng.normal(size=(6, 3)),
+                  "c/w": rng.normal(size=(5, 7))}
+        params["a/w"][:3] = [-0.0, 0.0, -3e-321]  # zeros of both signs, and a product that underflows
+        grad = rng.normal(size=sum(np.size(a) for a in params.values()))
+        grad[:3] = 0.0
+        out = []
+        for _ in range(2):
+            store = ParamStore(params, tables=("b/emb",))
+            store.grad[...] = grad
+            store["b/emb"].grad[[0, 2, 3, 5]] = 0.0
+            out.append((store, AdaDeltaState(store)))
+        return out
+
+    def test_refill_equals_a_plain_step_then_the_l2_write(self):
+        lam = 3e-4
+        (plain, plain_state), (filled, filled_state) = self.stores()
+        for _ in range(2):
+            adadelta_step(plain, plain_state)
+            plain.l2_penalty(lam)[1](np.asarray(1.0))
+            adadelta_step(filled, filled_state, 2.0 * lam)
+            assert plain.data.tobytes() == filled.data.tobytes()
+            assert plain.grad.tobytes() == filled.grad.tobytes()
+            for a, b in ((plain_state.sq_grad, filled_state.sq_grad),
+                         (plain_state.sq_update, filled_state.sq_update)):
+                assert a.tobytes() == b.tobytes()
+        assert not filled["b/emb"].grad.any()
+        assert np.array_equal(filled.grad[:3], [0.0, 0.0, 0.0]) and not np.signbit(filled.grad[:3]).any()

@@ -171,12 +171,37 @@ class TestTrainLoop:
         assert res.best_epoch == 1 and res.best_macro_f1 == 0.9
         assert ck.read_bytes() == once.read_bytes()
 
+    def test_best_middle_epoch_restored(self, tmp_path, monkeypatch):
+        """Scores 0.1, 0.9, 0.5 make epoch 2 the best of 3: its checkpoint is an epochs=2 run's."""
+        twice = tmp_path / "twice.ckpt"
+        train(tiny_config(epochs=2, checkpoint_path=str(twice)), train_instances=tiny_corpus())
+
+        class Scores:
+            scores = iter([0.1, 0.9, 0.5])
+
+            def __init__(self, model, prepared):
+                pass
+
+            def macro_f1(self):
+                return next(self.scores)
+
+        monkeypatch.setattr(training, "_score_prepared", Scores)
+        ck = tmp_path / "best.ckpt"
+        res = train(tiny_config(epochs=3, checkpoint_path=str(ck)), train_instances=tiny_corpus())
+        assert res.best_epoch == 2 and res.best_macro_f1 == 0.9
+        assert ck.read_bytes() == twice.read_bytes()
+
+    def test_trained_model_gradients_are_zero(self):
+        model = train(tiny_config(model=ModelConfig(word_dim=6, rel_dim=4, conv_dim=6)),
+                      train_instances=tiny_corpus()).model
+        assert model.store.grad.size and not model.store.grad.any()
+
     def test_non_finite_parameter_stops_the_epoch(self, tmp_path, monkeypatch):
         """A step that leaves a parameter NaN stops train before scoring or writing."""
         step = training.adadelta_step
 
-        def poisoning_step(store, state):
-            step(store, state)
+        def poisoning_step(store, state, refill=0.0):
+            step(store, state, refill)
             store["coarse/b"].data[0] = np.nan
 
         monkeypatch.setattr(training, "adadelta_step", poisoning_step)
