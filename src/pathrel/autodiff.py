@@ -2,8 +2,9 @@
 
 A parameter (Param) is two views into its ParamStore's arenas: its
 float64 values and its gradient, which starts zeroed and adds up across
-backward calls until the optimizer consumes it (leaving zeros, or the next
-step's L2 term when asked to refill) or ParamStore.zero_grad zeroes it.
+backward calls until the optimizer consumes it (leaving zeros, or with an
+L2 weight the next step's L2 gradient, which the optimizer alone writes)
+or ParamStore.zero_grad zeroes it.
 A recorded node (Node) is a value plus the backward closure that writes
 its parameters' gradients and hands its inputs' gradients straight to
 the closures of the nodes that made them (model.py); its _parents name
@@ -21,9 +22,6 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-
-# Elements per pass of an arena-wide update: the block's working arrays stay in cache.
-BLOCK = 16384
 
 if sys.platform.startswith("linux"):
     # a private anonymous page dropped by MADV_DONTNEED reads as zeros when next touched
@@ -144,30 +142,15 @@ class ParamStore:
         else:
             self._grad_pages.madvise(_DROP_PAGES)
 
-    def l2_penalty(self, weight: float, tables: bool = False):
-        """(value, write): weight * sum of squared entries over the dense parameters,
-        and the tables if asked.
-
-        write(g) adds 2 * weight * g * w to the gradient once per penalized
-        arena range; the node that holds the penalty calls it from its backward.
-        """
-        params = [t for name, t in self.items() if tables or name not in self.tables]
+    def l2_penalty(self, weight: float) -> float:
+        """weight * the sum of squared entries outside the tables; its gradient over
+        the dense ranges is AdaDeltaState(store, l2_lambda=weight)'s to write."""
         total = 0.0
-        for t in params:
-            flat = t.data.reshape(-1)
-            total += float(np.dot(flat, flat))
-        spans = [slice(0, self.data.size)] if tables else self.dense
-
-        def write(g):
-            # block by block through one scratch buffer: no arena-sized temporary
-            c = 2.0 * weight * g
-            scratch = np.empty(min(BLOCK, self.data.size))
-            for span in spans:
-                for lo in range(span.start, span.stop, BLOCK):
-                    hi = min(lo + BLOCK, span.stop)
-                    self.grad[lo:hi] += np.multiply(self.data[lo:hi], c, out=scratch[: hi - lo])
-
-        return weight * total, write
+        for name, t in self.items():
+            if name not in self.tables:
+                flat = t.data.reshape(-1)
+                total += float(np.dot(flat, flat))
+        return weight * total
 
 
 def _arena(arrays, size: int) -> np.ndarray:

@@ -49,8 +49,8 @@ class CheckpointError(ValueError):
     pass
 
 
-def checkpoint_bytes(tensors: dict[str, np.ndarray], meta: dict | None = None) -> bytearray:
-    """The whole version-3 file for (name -> array, meta), built in one buffer."""
+def checkpoint_bytes(tensors: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
+    """The whole version-3 file for (name -> array, meta), built with one join."""
     arrays = {name: np.asarray(tensors[name], F8) for name in sorted(tensors)}
     specs, end = {}, 0
     for name, arr in arrays.items():
@@ -59,12 +59,9 @@ def checkpoint_bytes(tensors: dict[str, np.ndarray], meta: dict | None = None) -
     doc = {"format": FORMAT_NAME, "meta": meta or {}, "tensors": specs, "version": FORMAT_VERSION}
     header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     header += b" " * (-len(header) % 8)
-    start = PREAMBLE + len(header)
-    raw = bytearray(start + end)
-    raw[:start] = MAGIC + struct.pack("<Q", len(header)) + header
-    np.concatenate([np.empty(0, F8), *(arr.reshape(-1) for arr in arrays.values())],
-                   out=np.frombuffer(raw, F8, offset=start))
-    return raw
+    # each array's own buffer, flat: a (0, 0) array's memoryview cannot be cast
+    payload = (memoryview(np.ascontiguousarray(arr).reshape(-1)).cast("B") for arr in arrays.values())
+    return b"".join([MAGIC, struct.pack("<Q", len(header)), header, *payload])
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:

@@ -6,8 +6,9 @@ over every adjacent (word, relation, word) dependency unit, and max
 pooling into a per-direction feature vector G.  Each direction feeds a
 fine-grained (2K+1)-way softmax head; the concatenated pools feed a
 coarse (K+1)-way head.  The training objective sums the three
-cross-entropies plus an L2 penalty; decoding mixes the forward
-distribution with the direction-swapped backward one.
+cross-entropies (RelationModel.loss) plus an L2 penalty (the optimizer
+writes its gradient); decoding mixes the forward distribution with the
+direction-swapped backward one.
 """
 
 from __future__ import annotations
@@ -406,7 +407,8 @@ class RelationModel:
                             f"embedding for {w!r} has dim {vec.shape}, expected ({config.word_dim},)"
                         )
                     params["emb/word"][word_vocab.index(w)] = vec
-        st = self.store = ParamStore(params, tables=EMBEDDING_TABLES)
+        # a penalized table has a gradient at every row on every step: it updates as dense
+        st = self.store = ParamStore(params, () if config.l2_include_embeddings else EMBEDDING_TABLES)
         self.emb_word, self.emb_rel = st["emb/word"], st["emb/rel"]
         self.cells = {(d, c): LstmCell(st, f"{d}/{c}_cell")
                       for d in (FWD, BWD) for c in ("word", "rel")}
@@ -460,21 +462,19 @@ class RelationModel:
         z_coarse = (g_fwd @ wc_f.data.T + g_bwd @ wc_b.data.T) + bc.data
         return z_fwd, z_bwd, z_coarse
 
-    def loss(self, path: SdpPath, label: str, dropout_rng=None, l2_written: bool = False) -> Node:
-        """The joint objective as one heads node over the two conv-pool nodes.
+    def loss(self, path: SdpPath, label: str, dropout_rng=None) -> Node:
+        """The data term of the objective as one heads node over the two conv-pool nodes.
 
-        Its value is l2 + ((ce_fwd + ce_bwd) + ce_coarse): the three
-        cross-entropies over classify, plus the L2 penalty when l2_lambda
-        > 0.  The backward fine target is the direction-swapped gold class,
-        mirroring the inverted input path.  The backward writes the L2
-        gradient first, then softmax - onehot per head: outer(dz, g) into
-        each head weight (fine forward, fine backward, coarse: the order a
-        shared fine head accumulates in), then runs the forward conv-pool's
-        backward on W^T dz, then the backward direction's.  With l2_written
-        the store's gradient already holds the L2 term for a backward seeded
-        with 1 (adadelta_step's refill), and the backward does not write it.
+        Its value is (ce_fwd + ce_bwd) + ce_coarse, the three cross-entropies
+        over classify.  The backward fine target is the direction-swapped
+        gold class, mirroring the inverted input path.  The backward writes
+        softmax - onehot per head: outer(dz, g) into each head weight (fine
+        forward, fine backward, coarse: the order a shared fine head
+        accumulates in), then runs the forward conv-pool's backward on
+        W^T dz, then the backward direction's.  The L2 term is not here: its
+        value is store.l2_penalty(l2_lambda), and its gradient is the one
+        the optimizer leaves in the store (AdaDeltaState's l2_lambda).
         """
-        cfg = self.config
         t_fwd = self.schema.fine_index(label)
         targets = (t_fwd, self.schema.flip(t_fwd), self.schema.coarse_index(label))
         g_fwd, g_bwd = (
@@ -484,16 +484,8 @@ class RelationModel:
         wc_f, wc_b, bc = self.coarse_head
         logits = self.classify(g_fwd.data, g_bwd.data)
         (ce_f, dz_f), (ce_b, dz_b), (ce_c, dz_c) = map(cross_entropy_array, logits, targets)
-        value, l2_write = (ce_f + ce_b) + ce_c, None
-        if cfg.l2_lambda > 0.0:
-            l2, l2_write = self.store.l2_penalty(cfg.l2_lambda, cfg.l2_include_embeddings)
-            value = l2 + value
-            if l2_written:
-                l2_write = None
 
         def backward(g):
-            if l2_write is not None:
-                l2_write(g)
             df, db, dc = g * dz_f, g * dz_b, g * dz_c
             wf.grad[...] += np.outer(df, g_fwd.data)
             bf.grad[...] += df
@@ -505,7 +497,7 @@ class RelationModel:
             g_fwd._backward(wf.data.T @ df + wc_f.data.T @ dc)
             g_bwd._backward(wb.data.T @ db + wc_b.data.T @ dc)
 
-        return Node(np.asarray(value, dtype=np.float64), backward, (g_fwd, g_bwd))
+        return Node(np.asarray((ce_f + ce_b) + ce_c, dtype=np.float64), backward, (g_fwd, g_bwd))
 
     # -- inference -------------------------------------------------------
 

@@ -174,28 +174,25 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
     fit = [prepared[i] for i in perm[config.val_size :]]
     score_set = val if val else fit
 
-    optimizer = AdaDeltaState(model.store)
+    cfg = config.model
+    optimizer = AdaDeltaState(model.store, l2_lambda=cfg.l2_lambda)
     result = TrainResult(model=model)
     best = None  # the best epoch's parameters, copied only while a later epoch may replace them
-    cfg = config.model
     use_dropout = cfg.keep_prob < 1.0
-    # each step leaves the next one's L2 gradient over the dense parameters in place
-    refill = 2.0 * cfg.l2_lambda if cfg.l2_lambda > 0.0 and not cfg.l2_include_embeddings else 0.0
-    refilled = False
     for epoch in range(1, config.epochs + 1):
         order = master.permutation(len(fit))
         total = 0.0
         for i in order:
             ex = fit[int(i)]
-            loss = model.loss(ex.path, ex.label, dropout_rng=master if use_dropout else None,
-                              l2_written=refilled)
+            loss = model.loss(ex.path, ex.label, dropout_rng=master if use_dropout else None)
             value = float(loss.data)
+            if cfg.l2_lambda > 0.0:
+                value = model.store.l2_penalty(cfg.l2_lambda) + value
             if not math.isfinite(value):
                 ordinal = int(perm[config.val_size + int(i)])
                 raise NonFiniteError(f"epoch {epoch}: instance {ex.sid or ordinal}: loss is {value}")
             backward(loss)
-            adadelta_step(model.store, optimizer, refill)
-            refilled = bool(refill)
+            adadelta_step(model.store, optimizer)
             total += value
         if not np.isfinite(model.store.data).all():
             bad = [name for name, t in model.store.items() if not np.isfinite(t.data).all()]

@@ -11,7 +11,8 @@ that builds one Token per line, and text path lines from
 parse_path_line, the inverse of data.format_path_line.  The relation
 model's oracle is its per-gate formulation: one tape node per gate
 product and step, plain cross-entropy of a softmax, an L2 graph over
-every parameter, and the dense AdaDelta rule.  The generic tape ops it
+every parameter, and the dense AdaDelta rule; reference_train runs
+train() with them as the textbook algorithm.  The generic tape ops it
 is built from (matmul, add, mul, concat, tanh, sigmoid, max_over,
 softmax) live here, since the library itself records only fused nodes,
 and so do Tensor, the node they record, and tape_backward, the generic
@@ -47,8 +48,11 @@ from pathrel.depgraph import (
     SdpPath,
     Token,
 )
-from pathrel.model import BWD, FWD, LSTM_STANDARD, Prediction, decode
+from pathrel.labels import load_schema
+from pathrel.metrics import ConfusionMatrix
+from pathrel.model import BWD, FWD, LSTM_STANDARD, Prediction, RelationModel, decode
 from pathrel.structreg import invert_path
+from pathrel.training import build_vocabs, prepare_paths
 
 POS_POOL = ("NOUN", "VERB", "ADJ", "ADP", "PUNCT", "ADV")
 REL_POOL = ("nsubj", "dobj", "nmod", "amod", "case", "punct", "advmod")
@@ -717,6 +721,53 @@ def dense_adadelta_step(params: dict, grads: dict, sq_grad: dict, sq_update: dic
         edx2 *= rho
         edx2 += (1.0 - rho) * dx * dx
         x += dx
+
+
+def reference_train(config, instances):
+    """train() as the textbook algorithm: (per-gate parameters, history, best epoch).
+
+    It replays train()'s draws from the master generator (the init seed, the
+    validation permutation, each epoch's order and dropout masks), but each
+    step is PerGateReference's loss, L2 term included, run by tape_backward
+    and followed by dense_adadelta_step over every coordinate, untouched
+    table rows included.  Each epoch scores the validation set (or, without
+    one, the training set) with PerGateReference.predict, and the epoch of
+    the best macro-F1, the later one on ties, is restored at the end.
+    """
+    prepared = prepare_paths(instances, config.rule)
+    master = np.random.default_rng(config.seed)
+    model = RelationModel(config.model, load_schema(config.schema), *build_vocabs(prepared),
+                          seed=int(master.integers(2**31)))
+    perm = master.permutation(len(prepared))
+    val = [prepared[i] for i in perm[: config.val_size]]
+    fit = [prepared[i] for i in perm[config.val_size :]]
+    reference = PerGateReference(model)
+    params = {name: t.data for name, t in reference.params.items()}
+    sq_grad = {name: np.zeros_like(x) for name, x in params.items()}
+    sq_update = {name: np.zeros_like(x) for name, x in params.items()}
+    history, best_f1 = [], -1.0
+    for epoch in range(1, config.epochs + 1):
+        total = 0.0
+        for i in master.permutation(len(fit)):
+            ex = fit[int(i)]
+            rng = master if config.model.keep_prob < 1.0 else None
+            loss = reference.loss(ex.path, ex.label, dropout_rng=rng)
+            tape_backward(loss)
+            dense_adadelta_step(params, {name: t.grad for name, t in reference.params.items()},
+                                sq_grad, sq_update)
+            for t in reference.params.values():
+                t.grad[...] = 0.0
+            total += float(loss.data)
+        cm = ConfusionMatrix(model.schema)
+        for ex in val or fit:
+            cm.add(ex.label, reference.predict(ex.path)[0])
+        f1 = cm.macro_f1()
+        history.append({"epoch": epoch, "loss": total / len(fit), "macro_f1": f1})
+        if f1 >= best_f1:
+            best_epoch, best_f1, best = epoch, f1, {name: x.copy() for name, x in params.items()}
+    for name, x in best.items():
+        params[name][...] = x
+    return params, history, best_epoch
 
 
 def json_checkpoint_bytes(tensors: dict, meta: dict | None = None, version: int = 2) -> bytes:

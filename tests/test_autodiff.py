@@ -20,7 +20,6 @@ from helpers import (
 )
 
 from pathrel.autodiff import (
-    BLOCK,
     Node,
     NonScalarLoss,
     Param,
@@ -30,6 +29,7 @@ from pathrel.autodiff import (
     dropout_mask,
     finite_difference_check,
 )
+from pathrel.optim import BLOCK, AdaDeltaState, adadelta_step
 
 
 def check_store(loss_fn, store, tol=1e-4):
@@ -144,40 +144,48 @@ class TestBackward:
         assert np.array_equal(b.grad, [0.0])  # loser receives no contribution at all
 
     def test_l2_penalty_gradient_exact(self):
+        """The penalty's value comes from the store, its gradient from the optimizer:
+        creating the state with l2_lambda writes exactly 2 * lam * w."""
         store = ParamStore({"w": [[0.5, -2.0], [3.0, 0.25]]})
         w = store["w"]
         lam = 1e-5
-        value, write = store.l2_penalty(lam)
-        assert value == lam * 13.3125
-        write(np.asarray(1.0))
+        assert store.l2_penalty(lam) == lam * 13.3125
+        AdaDeltaState(store, l2_lambda=lam)
         assert np.array_equal(w.grad, 2.0 * lam * w.data)
 
     def test_l2_penalty_include_filter(self):
-        store = ParamStore({"emb/w": [1.0], "dense/w": [1.0]}, tables=("emb/w",))
-        value, write = store.l2_penalty(1.0)
-        assert value == 1.0
-        write(np.asarray(1.0))
+        """Tables are neither summed nor given a gradient; a store without tables
+        penalizes every parameter."""
+        params = {"emb/w": [1.0], "dense/w": [1.0]}
+        store = ParamStore(params, tables=("emb/w",))
+        assert store.l2_penalty(1.0) == 1.0
+        AdaDeltaState(store, l2_lambda=1.0)
         assert store["emb/w"].grad[0] == 0.0 and store["dense/w"].grad[0] == 2.0
-        assert store.l2_penalty(1.0, tables=True)[0] == 2.0
+        store = ParamStore(params)
+        assert store.l2_penalty(1.0) == 2.0
+        AdaDeltaState(store, l2_lambda=1.0)
+        assert np.array_equal(store.grad, [2.0, 2.0])
 
     def test_l2_penalty_write_across_blocks_matches_one_pass(self):
-        """Spans longer than BLOCK, split by a table, accumulate as grad += c * w would."""
+        """Creating the state and every step leave 0.0 + c * w, c = 2 * lam, over each
+        dense range, across BLOCK boundaries and around a table, which stays untouched
+        unless it is penalized (not a table); -0.0 and an underflowing product give 0.0."""
         rng = np.random.default_rng(3)
         params = {"a/w": rng.normal(size=2 * BLOCK + 7), "b/emb": rng.normal(size=(5, 3)),
                   "c/w": rng.normal(size=BLOCK + 1)}
-        for tables in (False, True):
-            store = ParamStore(params, tables=("b/emb",))
-            _, write = store.l2_penalty(3e-4, tables=tables)
-            g = np.asarray(0.7)
-            write(g)
-            write(g)
-            c = 2.0 * 3e-4 * g
-            for name, t in store.items():
-                want = np.zeros_like(t.data)
-                if tables or name != "b/emb":
-                    want += c * t.data
-                    want += c * t.data
-                assert np.array_equal(t.grad, want), (tables, name)
+        params["a/w"][BLOCK - 1:BLOCK + 2] = [-0.0, 0.0, -3e-321]
+        lam = 3e-4
+        for tables in (("b/emb",), ()):
+            store = ParamStore(params, tables=tables)
+            state = AdaDeltaState(store, l2_lambda=lam)
+            for step in range(3):
+                for name, t in store.items():
+                    want = 0.0 + 2.0 * lam * t.data if name not in tables else np.zeros_like(t.data)
+                    assert t.grad.tobytes() == want.tobytes(), (tables, step, name)
+                store["b/emb"].grad[1] = 1.0  # one table row to update
+                adadelta_step(store, state)
+            zeros = store["a/w"].grad[BLOCK - 1:BLOCK + 2]
+            assert not zeros.any() and not np.signbit(zeros).any()
 
 
 class TestFiniteDifferenceAgainstOps:

@@ -24,15 +24,15 @@ import numpy as np
 import pytest
 from helpers import tape_nodes
 
-from pathrel import checkpoint, structreg
-from pathrel.autodiff import Node
+from pathrel import checkpoint, optim, structreg
+from pathrel.autodiff import Node, ParamStore
 from pathrel.cli import main
 from pathrel.depgraph import DependencyTree, PathEdge, SdpPath, parse_conllu
 from pathrel.labels import synth_schema
 from pathrel.model import ModelConfig, Prediction, RelationModel, RelationVocabulary, Vocabulary
 from pathrel.structreg import CutRule, cut_and_line, extract_sr_sdp, select_cut_nodes
 from pathrel.synth import SynthConfig, generate
-from pathrel.training import prepare_paths
+from pathrel.training import ExperimentConfig, prepare_paths, train
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -150,6 +150,25 @@ def test_prepare_paths_calls_extract_sr_sdp_once_per_instance(monkeypatch):
     assert len(calls) == len(instances)
     assert all(args[0].base is inst.tree for (args, _), inst in zip(calls, instances))
     assert [path.nodes for _, path in calls] == [ex.path.nodes for ex in prepared]
+
+
+@pytest.mark.parametrize("l2_lambda", [1e-3, 0.0])
+def test_train_calls_l2_penalty_once_per_step(monkeypatch, l2_lambda):
+    """ParamStore.l2_penalty, wrapped on the class as the traced run wraps it, runs once
+    per training step (each adadelta_step call) when l2_lambda > 0 and never at 0."""
+    penalties, penalty = [], ParamStore.l2_penalty
+
+    def counted(store, weight):
+        penalties.append(weight)
+        return penalty(store, weight)
+
+    monkeypatch.setattr(ParamStore, "l2_penalty", counted)
+    steps = record_calls(monkeypatch, optim.adadelta_step)
+    model = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, l2_lambda=l2_lambda)
+    train(ExperimentConfig(model=model, schema="synth-k2", epochs=2),
+          train_instances=generate(SynthConfig(n=6, k_types=2, seed=1)))
+    assert len(steps) == 12
+    assert penalties == ([l2_lambda] * 12 if l2_lambda > 0.0 else [])
 
 
 def test_prepared_paths_hold_no_path_edges():

@@ -933,6 +933,7 @@ class TestConfigFuzz:
     @settings(max_examples=60, deadline=None)
     @given(config=mutated_configs(CONFIG))
     @example(config={**CONFIG, "model": {**CONFIG["model"], "init_scale": 1e308}})
+    @example(config={**CONFIG, "model": {**CONFIG["model"], "l2_lambda": 1e308}})
     def test_mutated_config_never_exits_1(self, work, config):
         """Exit 0, 3 or 4 (a schema the dataset's labels do not fit); never 1, never a
         traceback.  Paths are relative to the work directory."""

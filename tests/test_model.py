@@ -56,7 +56,7 @@ from pathrel.model import (
 from pathrel.optim import AdaDeltaState, adadelta_step
 from pathrel.structreg import SR_LINK, CutRule, invert_path
 from pathrel.synth import SynthConfig, generate
-from pathrel.training import build_vocabs, prepare_paths
+from pathrel.training import ExperimentConfig, build_vocabs, prepare_paths, train
 
 SMALL = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=1.0, l2_lambda=0.0)
 
@@ -332,7 +332,7 @@ class TestForward:
     ])
     def test_tape_holds_one_heads_node(self, shared, l2_lambda, size):
         """The tape is 7 nodes and no parameter: 4 channels, 2 conv nodes and the
-        heads node, which holds the L2 term.  Their closures write all the
+        heads node, which holds no L2 term.  Their closures write all the
         parameters, 21 with separate fine heads: size counts both."""
         cfg = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, l2_lambda=l2_lambda,
                           share_fine_heads=shared)
@@ -347,38 +347,54 @@ class TestForward:
 
     @pytest.mark.parametrize("l2_lambda", [1e-3, 0.0])
     def test_l2_penalty_runs_once_per_loss(self, monkeypatch, l2_lambda):
-        """The heads node holds the L2 term: l2_penalty runs once per loss when
-        l2_lambda > 0, never at 0, and the loss is l2 + heads, bit for bit."""
-        path, label = make_path(), "Rel1(e1,e2)"
-        model = small_model(config=dataclasses.replace(SMALL, l2_lambda=l2_lambda))
-        heads = float(small_model().loss(path, label).data)  # same weights, no L2
-        penalty, terms = model.store.l2_penalty, []
+        """The loss node holds no L2 term: training calls l2_penalty once per loss when
+        l2_lambda > 0, never at 0, and each epoch's logged loss is the mean of
+        l2 + loss, added in that order, bit for bit."""
+        calls = []
+        penalty, loss = ParamStore.l2_penalty, RelationModel.loss
 
-        def spy(*args):
-            value, write = penalty(*args)
-            terms.append(value)
-            return value, write
+        def penalty_spy(store, weight):
+            calls.append(("l2", penalty(store, weight)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(model.store, "l2_penalty", spy)
-        for calls in (1, 2):
-            loss = model.loss(path, label)
-            assert len(terms) == (calls if l2_lambda > 0.0 else 0)
-        assert float(loss.data) == (terms[-1] + heads if terms else heads)
+        def loss_spy(model, *args, **kwargs):
+            node = loss(model, *args, **kwargs)
+            calls.append(("loss", float(node.data)))
+            return node
+
+        monkeypatch.setattr(ParamStore, "l2_penalty", penalty_spy)
+        monkeypatch.setattr(RelationModel, "loss", loss_spy)
+        model = dataclasses.replace(SMALL, l2_lambda=l2_lambda)
+        config = ExperimentConfig(model=model, schema="synth-k2", epochs=2)
+        result = train(config, train_instances=generate(SynthConfig(n=6, k_types=2, seed=1)))
+        losses = [v for kind, v in calls if kind == "loss"]
+        penalties = [v for kind, v in calls if kind == "l2"]
+        assert len(losses) == 12 and len(penalties) == (12 if l2_lambda > 0.0 else 0)
+        if penalties:  # each penalty is taken right after its loss, on the same weights
+            assert [kind for kind, _ in calls] == ["loss", "l2"] * 12
+        for epoch, row in enumerate(result.history):
+            total = 0.0
+            for k in range(6 * epoch, 6 * epoch + 6):
+                total += penalties[k] + losses[k] if penalties else losses[k]
+            assert row["loss"] == total / 6
 
     def test_l2_term_added(self):
+        """The loss is the data term at any l2_lambda; the penalty, l2_penalty, sums the
+        squares of every parameter but the embeddings unless they are penalized."""
         base = small_model()
         lam = 1e-3
-        reg = small_model(config=ModelConfig(word_dim=4, rel_dim=3, conv_dim=5,
-                                             keep_prob=1.0, l2_lambda=lam))
         path, label = make_path(), "Rel1(e1,e2)"
         plain = float(base.loss(path, label).data)
-        penalized = float(reg.loss(path, label).data)
-        weights = sum(
-            float((t.data ** 2).sum())
-            for n, t in reg.store.items()
-            if not n.startswith("emb/")
-        )
-        assert penalized == pytest.approx(plain + lam * weights)
+        for include in (False, True):
+            reg = small_model(config=ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=1.0,
+                                                 l2_lambda=lam, l2_include_embeddings=include))
+            assert float(reg.loss(path, label).data) == plain
+            weights = sum(
+                float((t.data ** 2).sum())
+                for n, t in reg.store.items()
+                if include or not n.startswith("emb/")
+            )
+            assert reg.store.l2_penalty(lam) == pytest.approx(lam * weights)
 
     def test_dropout_is_deterministic_given_rng(self):
         cfg = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5, l2_lambda=0.0)
@@ -447,19 +463,24 @@ class TestGradientBuffers:
             assert not t.grad.any(), name
 
     def test_refilled_l2_steps_equal_written_ones(self):
-        """loss(l2_written=True) after a refilled step trains bit for bit as the L2 write does."""
-        models = [small_model(config=self.CONFIG, seed=2) for _ in range(2)]
-        states = [AdaDeltaState(m.store) for m in models]
-        refill = 2.0 * self.CONFIG.l2_lambda
-        for step, label in enumerate(["Rel1(e1,e2)", "Other", "Rel1(e2,e1)"]):
-            for k, (model, state) in enumerate(zip(models, states)):
-                loss = model.loss(make_path(), label, dropout_rng=np.random.default_rng(step),
-                                  l2_written=bool(k and step))
-                backward(loss)
-                adadelta_step(model.store, state, refill if k else 0.0)
-            assert models[0].store.data.tobytes() == models[1].store.data.tobytes()
-            assert states[0].sq_update.tobytes() == states[1].sq_update.tobytes()
-        assert not models[0].store.grad.any() and models[1].store.grad.any()
+        """Training under the optimizer's L2 gradient is bit for bit training with
+        0.0 + 2 * l2_lambda * w written by hand before each backward."""
+        for include in (False, True):
+            config = dataclasses.replace(self.CONFIG, l2_include_embeddings=include)
+            models = [small_model(config=config, seed=2) for _ in range(2)]
+            states = [AdaDeltaState(models[0].store), AdaDeltaState(models[1].store,
+                                                                    l2_lambda=config.l2_lambda)]
+            for step, label in enumerate(["Rel1(e1,e2)", "Other", "Rel1(e2,e1)"]):
+                by_hand = models[0].store
+                for span in by_hand.dense:
+                    by_hand.grad[span] = 0.0 + 2.0 * config.l2_lambda * by_hand.data[span]
+                for model, state in zip(models, states):
+                    loss = model.loss(make_path(), label, dropout_rng=np.random.default_rng(step))
+                    backward(loss)
+                    adadelta_step(model.store, state)
+                assert models[0].store.data.tobytes() == models[1].store.data.tobytes()
+                assert states[0].sq_update.tobytes() == states[1].sq_update.tobytes()
+            assert not models[0].store.grad.any() and models[1].store.grad.any()
 
     def test_training_steps_reuse_the_table_gradient(self):
         model = small_model(config=self.CONFIG, seed=2)
@@ -560,7 +581,9 @@ class TestPerGateOracle:
         """Each case runs separate and shared fine heads, with and without L2.
 
         A shared head takes both fine heads' gradients on top of the L2
-        term's, so the heads node's order of accumulation shows here.  loss
+        term's, so the heads node's order of accumulation shows here.  The
+        L2 term's gradient is the optimizer's (l2_include_embeddings with
+        dropout: the tables too), its value l2_penalty's.  loss
         returns no probabilities; the eval-mode ones are checked against the
         oracle's by the predict tests below.
         """
@@ -574,6 +597,9 @@ class TestPerGateOracle:
             model = small_model(config=cfg, seed=4)
             reference = PerGateReference(model)
 
+            # the reference's loss holds the L2 term; the model's gradient gets 2λw
+            # from the optimizer and the data term from the loss node
+            AdaDeltaState(model.store, l2_lambda=l2_lambda)
             rng_fused, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
             loss = model.loss(path, label, dropout_rng=rng_fused if dropout else None)
             backward(loss)
@@ -582,7 +608,8 @@ class TestPerGateOracle:
 
             case = f"shared={shared} l2_lambda={l2_lambda}"
             assert rng_fused.random() == rng_ref.random(), case  # the same dropout draws
-            assert abs(float(loss.data) - float(ref_loss.data)) < 1e-12, case
+            objective = model.store.l2_penalty(l2_lambda) + float(loss.data)
+            assert abs(objective - float(ref_loss.data)) < 1e-12, case
             ref_grads = reference.packed_grads()
             for name, t in model.store.items():
                 assert np.max(np.abs(t.grad - ref_grads[name])) < 1e-12, (case, name)
@@ -895,7 +922,7 @@ class TestPersistence:
         saved = model.store.data.copy()
         loaded = RelationModel.load(file)
         for m in (model, loaded):
-            state = AdaDeltaState(m.store)
+            state = AdaDeltaState(m.store, l2_lambda=config.l2_lambda)
             backward(m.loss(make_path(), "Rel1(e1,e2)", dropout_rng=np.random.default_rng(0)))
             adadelta_step(m.store, state)
         assert not np.array_equal(model.store.data, saved)

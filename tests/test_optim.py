@@ -114,6 +114,11 @@ class TestValidation:
             with pytest.raises(ValueError):
                 AdaDeltaState(ParamStore({}), epsilon=epsilon)
 
+    def test_l2_lambda_range(self):
+        for lam in (-1e-5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="l2_lambda"):
+                AdaDeltaState(ParamStore({"w": [1.0]}), l2_lambda=lam)
+
 
 class TestRowSparseOracle:
     """Row-sparse tables against the dense rule (tests/helpers.py)."""
@@ -196,10 +201,11 @@ class TestArena:
 
 
 class TestRefill:
-    """A refilled step updates as a plain one, then leaves the next L2 gradient in place."""
+    """A step with an L2 weight updates as a plain one, then leaves the next L2 gradient in place."""
 
-    def stores(self):
-        """Two equal stores with dense ranges around a table and gradients on some table rows."""
+    def stores(self, lam):
+        """A plain state and one with l2_lambda lam, on equal stores with dense ranges
+        around a table, given equal gradients on the dense ranges and some table rows."""
         rng = np.random.default_rng(4)
         params = {"a/w": rng.normal(size=2 * optim.BLOCK + 3), "b/emb": rng.normal(size=(6, 3)),
                   "c/w": rng.normal(size=(5, 7))}
@@ -207,20 +213,22 @@ class TestRefill:
         grad = rng.normal(size=sum(np.size(a) for a in params.values()))
         grad[:3] = 0.0
         out = []
-        for _ in range(2):
+        for weight in (0.0, lam):
             store = ParamStore(params, tables=("b/emb",))
+            state = AdaDeltaState(store, l2_lambda=weight)
             store.grad[...] = grad
             store["b/emb"].grad[[0, 2, 3, 5]] = 0.0
-            out.append((store, AdaDeltaState(store)))
+            out.append((store, state))
         return out
 
     def test_refill_equals_a_plain_step_then_the_l2_write(self):
         lam = 3e-4
-        (plain, plain_state), (filled, filled_state) = self.stores()
+        (plain, plain_state), (filled, filled_state) = self.stores(lam)
         for _ in range(2):
             adadelta_step(plain, plain_state)
-            plain.l2_penalty(lam)[1](np.asarray(1.0))
-            adadelta_step(filled, filled_state, 2.0 * lam)
+            for span in plain.dense:  # the L2 gradient, by hand
+                plain.grad[span] = 0.0 + 2.0 * lam * plain.data[span]
+            adadelta_step(filled, filled_state)
             assert plain.data.tobytes() == filled.data.tobytes()
             assert plain.grad.tobytes() == filled.grad.tobytes()
             for a, b in ((plain_state.sq_grad, filled_state.sq_grad),
@@ -228,3 +236,27 @@ class TestRefill:
                 assert a.tobytes() == b.tobytes()
         assert not filled["b/emb"].grad.any()
         assert np.array_equal(filled.grad[:3], [0.0, 0.0, 0.0]) and not np.signbit(filled.grad[:3]).any()
+
+
+def test_table_with_every_row_touched_updates_as_dense():
+    """When every row of a table has a gradient on every step (as with l2_include_embeddings),
+    the row-sparse update and the dense one agree bit for bit: the model may hold a
+    penalized table as dense."""
+    rng = np.random.default_rng(9)
+    lam = 1e-3
+    params = {"a": rng.normal(size=4), "emb": rng.normal(size=(7, 3)), "w": rng.normal(size=(3, 5))}
+    sparse, dense = ParamStore(params, tables=("emb",)), ParamStore(params)
+    states = AdaDeltaState(sparse, l2_lambda=lam), AdaDeltaState(dense, l2_lambda=lam)
+    for _ in range(20):
+        data = {name: rng.normal(size=np.shape(x)) for name, x in params.items()}
+        table = sparse["emb"]
+        table.grad[...] = 0.0 + 2.0 * lam * table.data  # the penalty's gradient, by hand
+        for store in (sparse, dense):
+            for name, g in data.items():
+                store[name].grad[...] += g
+        adadelta_step(sparse, states[0])
+        adadelta_step(dense, states[1])
+    assert (states[0].row_step["emb"] == 20).all()
+    assert sparse.data.tobytes() == dense.data.tobytes()
+    for attr in ("sq_grad", "sq_update"):
+        assert getattr(states[0], attr).tobytes() == getattr(states[1], attr).tobytes()

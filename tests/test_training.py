@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import cut_oracle
+from helpers import cut_oracle, per_gate_tensors, reference_train
 
 from pathrel.checkpoint import load_checkpoint
 from pathrel.data import save_dataset
@@ -200,8 +200,8 @@ class TestTrainLoop:
         """A step that leaves a parameter NaN stops train before scoring or writing."""
         step = training.adadelta_step
 
-        def poisoning_step(store, state, refill=0.0):
-            step(store, state, refill)
+        def poisoning_step(store, state):
+            step(store, state)
             store["coarse/b"].data[0] = np.nan
 
         monkeypatch.setattr(training, "adadelta_step", poisoning_step)
@@ -244,6 +244,47 @@ class TestDeterminism:
         train(tiny_config(log_path=str(log)), train_instances=tiny_corpus())
         rows = [json.loads(line) for line in log.read_text().splitlines()]
         assert [r["epoch"] for r in rows] == [1, 2]
+
+
+class TestReferenceTrainer:
+    """train() against reference_train (tests/helpers.py), the textbook algorithm.
+
+    Over whole runs the two agree to rounding: at most 2.8e-16 absolute on
+    any parameter and 0 relative on any epoch loss in these three
+    configurations (5.0e-16 and 3.4e-16 over 24 smaller ones), so the
+    tolerances leave about 200 times that.  The faults this test is meant
+    to catch move far more: a step that leaves no L2 gradient (an epoch
+    loss off by 4e-4 relative), a state that writes none when created
+    (2.4e-5), a table decay of rho**(k+1) for rho**k (1.5e-7), or the last
+    epoch kept in place of the best one (a parameter off by 0.017).
+    """
+
+    PARAM_TOL, LOSS_TOL = 1e-13, 1e-13
+    MODEL = dict(word_dim=4, rel_dim=3, conv_dim=5, l2_lambda=1e-3, init_scale=0.5)
+    CASES = {
+        # the tie at epochs 1 and 2 goes to 2
+        "shared-heads": (ModelConfig(**MODEL, keep_prob=1.0, share_fine_heads=True), CutRule(), 0),
+        "l2-embeddings": (ModelConfig(**MODEL, keep_prob=0.5, l2_include_embeddings=True,
+                                      lstm_variant="paper-literal"),
+                          CutRule(variant="random", seed=1), 0),
+        # macro-F1 by epoch 0.077, 0.1, 0.0: the best epoch is the middle one
+        "best-in-the-middle": (ModelConfig(**MODEL, keep_prob=1.0), CutRule(variant="random", seed=1), 19),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_train_matches_the_textbook_algorithm(self, case):
+        model, rule, seed = self.CASES[case]
+        corpus = generate(SynthConfig(n=40, k_types=2, seed=0))
+        config = ExperimentConfig(model=model, rule=rule, schema="synth-k2", seed=seed, epochs=3,
+                                  val_size=10)
+        result = train(config, train_instances=corpus)
+        params, history, best_epoch = reference_train(config, corpus)
+        assert result.best_epoch == best_epoch and (case != "best-in-the-middle" or best_epoch == 2)
+        assert [row["macro_f1"] for row in result.history] == [row["macro_f1"] for row in history]
+        for got, want in zip(result.history, history):
+            assert abs(got["loss"] - want["loss"]) <= self.LOSS_TOL * want["loss"]
+        for name, value in per_gate_tensors(result.model).items():
+            assert np.max(np.abs(value - params[name])) <= self.PARAM_TOL, name
 
 
 class TestEvaluate:
