@@ -25,14 +25,14 @@ CONLLU = """\
 tree = parse_conllu(CONLLU)[0]
 print("tokens:", " ".join(t.form for t in tree.tokens))
 
-e1 = EntitySpan(1, 1, "e1")
-e2 = EntitySpan(6, 6, "e2")
+e1 = EntitySpan(1, 1)
+e2 = EntitySpan(6, 6)
 h1, h2 = entity_head(tree, e1), entity_head(tree, e2)
 
 # the plain shortest path crosses every token between the entities
 plain = path_between(tree, h1, h2)
 print("\nplain shortest path (", len(plain.nodes), "nodes ):")
-print(" ", format_path_line(h1, h2, plain))
+print(" ", format_path_line(plain))
 print(" ", " ".join(plain.forms))
 
 # cutting at ADP tokens splits off each prepositional subtree; the
@@ -50,7 +50,7 @@ print("link edges:", list(lined.link_edges))
 
 short = extract_sr_sdp(lined, h1, h2)
 print("\nregularized path (", len(short.nodes), "nodes ):")
-print(" ", format_path_line(h1, h2, short))
+print(" ", format_path_line(short))
 print(" ", " ".join(short.forms))
 
 # other rules select different cut sets over the same tree

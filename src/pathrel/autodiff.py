@@ -165,15 +165,14 @@ def _arena(arrays, size: int) -> np.ndarray:
     return np.concatenate([np.empty(0), *(a.reshape(-1) for a in arrays)])
 
 
-def dropout_mask(shape, keep_prob: float, seed) -> np.ndarray:
-    """Inverted-dropout mask of {0, 1/keep_prob}; same seed, same mask.
+def dropout_mask(shape, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask of {0, 1/keep_prob} from rng's next draws.
 
-    seed may be an integer or a numpy Generator.  keep_prob = 1 yields an
-    all-ones mask; evaluation code simply applies no mask at all.
+    keep_prob = 1 yields an all-ones mask; evaluation code simply applies
+    no mask at all.
     """
     if not 0.0 < keep_prob <= 1.0:
         raise ValueError(f"keep_prob {keep_prob} outside (0, 1]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     keep = rng.random(shape) < keep_prob
     return keep.astype(np.float64) / keep_prob
 

@@ -79,8 +79,7 @@ def cmd_extract_sdp(args) -> int:
                                    f"[{span.start}, {span.end}] exceeds length {n}")
     paths = entity_paths(trees, pairs, _rule_from_args(args),
                          lambda o: f"{args.conllu}: sentence {o + 1}")
-    rows = [(path.nodes[0], path.nodes[-1], path) for path in paths]
-    _write_out(args.out, format_paths(rows, args.json))
+    _write_out(args.out, format_paths(paths, args.json))
     return 0
 
 

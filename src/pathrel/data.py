@@ -82,7 +82,7 @@ def _span(doc: dict, key: str) -> EntitySpan:
     # JSON integers only: bool is an int subclass, and int() would take floats and digit strings
     if not (isinstance(span, list) and len(span) == 2 and all(type(v) is int for v in span)):
         raise DatasetError(f"{key} must be two integers, got {json.dumps(span)}")
-    return EntitySpan(*span, key)
+    return EntitySpan(*span)
 
 
 def record_to_instance(doc: dict, schema: LabelSchema | None = None) -> Instance:
@@ -152,15 +152,18 @@ def load_dataset(path, schema: LabelSchema | None = None) -> list[Instance]:
 # extracted-path files
 
 
-def format_path_line(e1_head: int, e2_head: int, path: SdpPath) -> str:
-    steps = "".join(map(" {}:{} tok:{}".format, path.directions, path.deprels, path.nodes[1:]))
-    return f"{e1_head} {e2_head}\ttok:{path.nodes[0]}{steps}"
+def format_path_line(path: SdpPath) -> str:
+    """`e1_head e2_head<TAB>tok:i DIR:deprel tok:j ...`, the heads being the path's two ends."""
+    nodes = path.nodes
+    steps = "".join(map(" {}:{} tok:{}".format, path.directions, path.deprels, nodes[1:]))
+    return f"{nodes[0]} {nodes[-1]}\ttok:{nodes[0]}{steps}"
 
 
-def path_record(e1_head: int, e2_head: int, path: SdpPath) -> dict:
+def path_record(path: SdpPath) -> dict:
+    """The path's JSON record; e1_head and e2_head are its two ends."""
     return {
-        "e1_head": e1_head,
-        "e2_head": e2_head,
+        "e1_head": path.nodes[0],
+        "e2_head": path.nodes[-1],
         "nodes": list(path.nodes),
         "edges": list(map(list, zip(path.deprels, path.directions))),
         "forms": list(path.forms),
@@ -171,12 +174,10 @@ def path_record(e1_head: int, e2_head: int, path: SdpPath) -> dict:
 _PATH_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def format_paths(rows, as_json: bool = False) -> str:
-    """One text or JSON line per (e1_head, e2_head, SdpPath) row."""
-    lines = (
-        _PATH_JSON.encode(path_record(*row)) if as_json else format_path_line(*row)
-        for row in rows
-    )
+def format_paths(paths, as_json: bool = False) -> str:
+    """One text or JSON line per path, as format_path_line or path_record writes it."""
+    lines = (map(_PATH_JSON.encode, map(path_record, paths)) if as_json
+             else map(format_path_line, paths))
     return "".join(line + "\n" for line in lines)
 
 
@@ -205,7 +206,7 @@ def load_entity_pairs(path) -> list[tuple[EntitySpan, EntitySpan]]:
         except ValueError:
             raise DatasetError(f"{path}:{line_no}: non-integer span bound") from None
         try:
-            pairs.append((EntitySpan(a, b, "e1"), EntitySpan(c, d, "e2")))
+            pairs.append((EntitySpan(a, b), EntitySpan(c, d)))
             if not (b < c or d < a):
                 raise ValueError("entity spans overlap")
         except ValueError as err:

@@ -149,7 +149,6 @@ class EntitySpan:
 
     start: int
     end: int
-    id: str = "e1"
 
     def __post_init__(self):
         if not 1 <= self.start <= self.end:
@@ -183,16 +182,16 @@ class PathEdge(NamedTuple):
     direction: str  # UP (dependent -> head) or DOWN (head -> dependent)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class SdpPath:
     """A shortest dependency path: alternating tokens and directed relations.
 
     nodes are token indices; deprels[i] and directions[i] (UP or DOWN)
     annotate the step nodes[i] -> nodes[i+1].  forms and pos mirror nodes
     with surface words and coarse POS tags.  Every column is an exact
-    tuple, with no object per edge: SdpPath(nodes, edges, forms, pos)
-    takes (deprel, direction) pairs and checks them against nodes, and
-    edges builds the PathEdges when asked.
+    tuple, with no object per edge; edges builds the PathEdges when asked.
+    path_between builds paths from a tree; RelationModel checks the
+    column lengths of any path it is given.
     """
 
     nodes: tuple[int, ...]
@@ -200,21 +199,6 @@ class SdpPath:
     directions: tuple[str, ...]
     forms: tuple[str, ...]
     pos: tuple[str, ...]
-
-    def __init__(self, nodes, edges, forms=(), pos=()):
-        nodes, edges = tuple(nodes), tuple(edges)
-        if len(edges) != len(nodes) - 1:
-            raise ValueError(f"{len(nodes)} nodes need {len(nodes) - 1} edges, got {len(edges)}")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(f"repeated node in path {nodes}")
-        deprels, directions = zip(*edges) if edges else ((), ())
-        self._set(nodes, deprels, directions, tuple(forms), tuple(pos))
-
-    def _set(self, nodes, deprels, directions, forms, pos) -> SdpPath:
-        for name, column in zip(("nodes", "deprels", "directions", "forms", "pos"),
-                                (nodes, deprels, directions, forms, pos)):
-            object.__setattr__(self, name, column)
-        return self
 
     @property
     def edges(self) -> tuple[PathEdge, ...]:
@@ -383,7 +367,7 @@ def path_between(structure, a: int, b: int) -> SdpPath:
     nodes = tuple(up + down)
     # the step from u UP to its head, then DOWN from its head to each v, carries the child's label
     deprels = tuple(map(structure.deprels.__getitem__, up[:-1] + down))
-    return object.__new__(SdpPath)._set(
+    return SdpPath(
         nodes,
         deprels,
         (UP,) * (len(up) - 1) + (DOWN,) * len(down),

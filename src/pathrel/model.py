@@ -311,10 +311,16 @@ def decode(pred: Prediction, alpha: float, schema: LabelSchema) -> str:
 
 
 def _check_path(path: SdpPath) -> None:
-    if len(path.nodes) == 0:
+    """Refuse a path the encoder cannot read: empty, without forms, or with a
+    relation column that does not hold one entry per step."""
+    n = len(path.nodes)
+    if n == 0:
         raise EmptyPath("cannot encode an empty path")
-    if len(path.forms) != len(path.nodes):
+    if len(path.forms) != n:
         raise ValueError("path carries no surface forms; extract it from a tree first")
+    if not len(path.deprels) == len(path.directions) == n - 1:
+        raise ValueError(f"{n} nodes need {n - 1} deprels and directions, "
+                         f"got {len(path.deprels)} and {len(path.directions)}")
 
 
 def load_word_embeddings(path, dim: int) -> dict[str, np.ndarray]:

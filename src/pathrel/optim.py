@@ -9,17 +9,20 @@ from .autodiff import ParamStore
 # Elements per pass of an arena-wide update: the block's working arrays stay in cache.
 BLOCK = 16384
 
+# The decay rate and conditioning constant of the method's original description (Zeiler 2012).
+RHO = 0.95
+EPSILON = 1e-6
+
 
 class AdaDeltaState:
     """Running averages of squared gradients and updates, laid out as the store's arena.
 
-    rho and epsilon default to the values from the method's original
-    description; both accumulators start at zero and stay nonnegative.
-    The store's tables (embeddings) update only the rows whose gradient
-    is nonzero: a row untouched for k steps owes its accumulators k
-    decays by rho, which the next step that touches it applies at once as
-    rho**k.  A table's accumulator rows are therefore current as of
-    row_step, not of steps.
+    The rule's constants are RHO and EPSILON; both accumulators start at
+    zero and stay nonnegative.  The store's tables (embeddings) update
+    only the rows whose gradient is nonzero: a row untouched for k steps
+    owes its accumulators k decays by RHO, which the next step that
+    touches it applies at once as RHO**k.  A table's accumulator rows are
+    therefore current as of row_step, not of steps.
 
     The optimizer alone writes the gradient of the L2 penalty, whose value
     is store.l2_penalty(l2_lambda): creating the state sets each dense
@@ -27,16 +30,9 @@ class AdaDeltaState:
     there for the next one, so a backward pass adds only the data term.
     """
 
-    def __init__(self, store: ParamStore, rho: float = 0.95, epsilon: float = 1e-6,
-                 l2_lambda: float = 0.0):
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"rho {rho} outside (0, 1)")
-        if not 0.0 < epsilon < np.inf:
-            raise ValueError(f"epsilon {epsilon} must be finite and positive")
+    def __init__(self, store: ParamStore, l2_lambda: float = 0.0):
         if not 0.0 <= l2_lambda < np.inf:
             raise ValueError(f"l2_lambda {l2_lambda} must be finite and >= 0")
-        self.rho = rho
-        self.epsilon = epsilon
         self.l2_lambda = l2_lambda
         self.sq_grad = np.zeros(store.data.size)
         self.sq_update = np.zeros(store.data.size)
@@ -46,31 +42,28 @@ class AdaDeltaState:
         size = min(BLOCK, store.data.size)
         self._scratch = (np.empty(size), np.empty(size))
         if l2_lambda:
-            # near the float limit 2 * l2_lambda overflows; train then stops on the
-            # non-finite loss or parameters that follow
-            with np.errstate(over="ignore", invalid="ignore"):
-                for span in store.dense:
-                    _fill(store.data[span], store.grad[span], 2.0 * l2_lambda)
+            for span in store.dense:
+                _fill(store.data[span], store.grad[span], 2.0 * l2_lambda)
 
 
-def _update(x, g, eg2, edx2, rho, eps, t1, t2) -> None:
+def _update(x, g, eg2, edx2, t1, t2) -> None:
     """The AdaDelta rule in place on equal-length 1-D arrays; t1, t2 are scratch.
 
     Operation for operation the same arithmetic as the textbook form, with
     t1 holding -dx, so every value rounds identically.
     """
-    eg2 *= rho
-    np.multiply(g, 1.0 - rho, out=t1)
+    eg2 *= RHO
+    np.multiply(g, 1.0 - RHO, out=t1)
     t1 *= g
     eg2 += t1
-    np.add(edx2, eps, out=t1)
+    np.add(edx2, EPSILON, out=t1)
     np.sqrt(t1, out=t1)
-    np.add(eg2, eps, out=t2)
+    np.add(eg2, EPSILON, out=t2)
     np.sqrt(t2, out=t2)
     t1 /= t2
     t1 *= g
-    edx2 *= rho
-    np.multiply(t1, 1.0 - rho, out=t2)
+    edx2 *= RHO
+    np.multiply(t1, 1.0 - RHO, out=t2)
     t2 *= t1
     edx2 += t2
     x -= t1
@@ -92,14 +85,14 @@ def _dense_update(x, g, eg2, edx2, state: AdaDeltaState, c: float) -> None:
     for lo in range(0, x.size, BLOCK):
         hi = min(lo + BLOCK, x.size)
         n = hi - lo
-        _update(x[lo:hi], g[lo:hi], eg2[lo:hi], edx2[lo:hi], state.rho, state.epsilon, s1[:n], s2[:n])
+        _update(x[lo:hi], g[lo:hi], eg2[lo:hi], edx2[lo:hi], s1[:n], s2[:n])
         _fill(x[lo:hi], g[lo:hi], c)  # while the block is still in cache
 
 
 def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
     """Apply one accumulated-gradient update and reset the gradients it consumed.
 
-    Per coordinate: E[g2] <- rho E[g2] + (1-rho) g2;
+    Per coordinate, with rho = RHO and eps = EPSILON: E[g2] <- rho E[g2] + (1-rho) g2;
     dx = -(sqrt(E[dx2]+eps) / sqrt(E[g2]+eps)) g;
     E[dx2] <- rho E[dx2] + (1-rho) dx2;  x <- x + dx.
     The ranges between the tables update whole, each gradient block left
@@ -116,7 +109,7 @@ def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
         g = table.grad
         eg2, edx2 = (a[span].reshape(g.shape) for a in (state.sq_grad, state.sq_update))
         rows = np.flatnonzero(g.any(axis=1))
-        decay = (state.rho ** (state.steps - 1 - last[rows]))[:, None]
+        decay = (RHO ** (state.steps - 1 - last[rows]))[:, None]
         x_r, eg2_r, edx2_r = table.data[rows], eg2[rows] * decay, edx2[rows] * decay
         _dense_update(x_r, g[rows], eg2_r, edx2_r, state, 0.0)
         table.data[rows], eg2[rows], edx2[rows] = x_r, eg2_r, edx2_r

@@ -200,5 +200,4 @@ def extract_sr_sdp(rt: RegularizedTree, e1_head: int, e2_head: int) -> SdpPath:
 def invert_path(p: SdpPath) -> SdpPath:
     """Reverse a path: mirrored nodes, UP/DOWN flipped, labels kept."""
     directions = tuple(UP if d == DOWN else DOWN for d in reversed(p.directions))
-    return object.__new__(SdpPath)._set(p.nodes[::-1], p.deprels[::-1], directions,
-                                        p.forms[::-1], p.pos[::-1])
+    return SdpPath(p.nodes[::-1], p.deprels[::-1], directions, p.forms[::-1], p.pos[::-1])

@@ -104,7 +104,7 @@ def generate_instance(cfg: SynthConfig, rng, sid: str) -> Instance:
     e1_head = bridge_index if bridged else verb_index
     e1_rel = "nmod" if bridged else "nsubj"
     tokens.append(Token(e1_len, f"ent{int(rng.integers(cfg.entity_pool))}", "NOUN", e1_head, e1_rel))
-    e1 = EntitySpan(1, e1_len, "e1")
+    e1 = EntitySpan(1, e1_len)
     if bridged:
         tokens.append(
             Token(bridge_index, f"filler{int(rng.integers(cfg.filler_pool))}", "NOUN", verb_index, "nsubj")
@@ -144,7 +144,7 @@ def generate_instance(cfg: SynthConfig, rng, sid: str) -> Instance:
     if e2_len == 2:
         tokens.append(Token(e2_start, f"mod{int(rng.integers(MOD_POOL))}", "NOUN", e2_head, "compound"))
     tokens.append(Token(e2_head, f"ent{int(rng.integers(cfg.entity_pool))}", "NOUN", e2_attach, e2_rel))
-    e2 = EntitySpan(e2_start, e2_head, "e2")
+    e2 = EntitySpan(e2_start, e2_head)
 
     tokens.append(Token(len(tokens) + 1, ".", "PUNCT", verb_index, "punct"))
 

@@ -135,14 +135,22 @@ def _score_prepared(model: RelationModel, prepared, alpha=None) -> ConfusionMatr
     return cm
 
 
+def _not_finite(store, arenas) -> list[str]:
+    """The names of the parameters whose range holds a NaN or infinity in any of arenas."""
+    if all(np.isfinite(arena).all() for arena in arenas):
+        return []
+    return [name for name, span in store.spans.items()
+            if not all(np.isfinite(arena[span]).all() for arena in arenas)]
+
+
 def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
     """Run one experiment; returns the best-validation model.
 
     The model is restored to the epoch with the highest validation
     macro-F1 (the later epoch on ties) before the checkpoint is written.  With
     val_size = 0 the training set itself is scored instead.  A loss that
-    is not finite, or a parameter that is not at the end of an epoch,
-    raises NonFiniteError before anything is written.
+    is not finite, or a parameter or optimizer accumulator that is not at
+    the end of an epoch, raises NonFiniteError before anything is written.
     """
     schema = load_schema(config.schema)
     if train_instances is None:
@@ -175,38 +183,42 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
     score_set = val if val else fit
 
     cfg = config.model
-    optimizer = AdaDeltaState(model.store, l2_lambda=cfg.l2_lambda)
     result = TrainResult(model=model)
     best = None  # the best epoch's parameters, copied only while a later epoch may replace them
-    use_dropout = cfg.keep_prob < 1.0
-    for epoch in range(1, config.epochs + 1):
-        order = master.permutation(len(fit))
-        total = 0.0
-        for i in order:
-            ex = fit[int(i)]
-            loss = model.loss(ex.path, ex.label, dropout_rng=master if use_dropout else None)
-            value = float(loss.data)
-            if cfg.l2_lambda > 0.0:
-                value = model.store.l2_penalty(cfg.l2_lambda) + value
-            if not math.isfinite(value):
-                ordinal = int(perm[config.val_size + int(i)])
-                raise NonFiniteError(f"epoch {epoch}: instance {ex.sid or ordinal}: loss is {value}")
-            backward(loss)
-            adadelta_step(model.store, optimizer)
-            total += value
-        if not np.isfinite(model.store.data).all():
-            bad = [name for name, t in model.store.items() if not np.isfinite(t.data).all()]
-            raise NonFiniteError(f"epoch {epoch}: parameters not finite: {', '.join(bad)}")
-        mean_loss = total / len(fit)
-        f1 = _score_prepared(model, score_set).macro_f1()
-        result.history.append({"epoch": epoch, "loss": mean_loss, "macro_f1": f1})
-        logger.info("epoch %d: loss %.6f, macro-F1 %.4f", epoch, mean_loss, f1)
-        # >= so ties go to the later epoch (more training at equal score)
-        if epoch == 1 or f1 >= result.best_macro_f1:
-            result.best_epoch = epoch
-            result.best_macro_f1 = f1
-            if epoch < config.epochs:
-                best = model.store.data.copy()
+    # a huge l2_lambda overflows the optimizer's products; the checks below stop the run instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        optimizer = AdaDeltaState(model.store, l2_lambda=cfg.l2_lambda)
+        for epoch in range(1, config.epochs + 1):
+            order = master.permutation(len(fit))
+            total = 0.0
+            for i in order:
+                ex = fit[int(i)]
+                loss = model.loss(ex.path, ex.label, dropout_rng=master)
+                value = float(loss.data)
+                if cfg.l2_lambda > 0.0:
+                    value = model.store.l2_penalty(cfg.l2_lambda) + value
+                if not math.isfinite(value):
+                    ordinal = int(perm[config.val_size + int(i)])
+                    raise NonFiniteError(
+                        f"epoch {epoch}: instance {ex.sid or ordinal}: loss is {value}")
+                backward(loss)
+                adadelta_step(model.store, optimizer)
+                total += value
+            for what, arenas in (("parameters", (model.store.data,)),
+                                 ("optimizer state", (optimizer.sq_grad, optimizer.sq_update))):
+                bad = _not_finite(model.store, arenas)
+                if bad:
+                    raise NonFiniteError(f"epoch {epoch}: {what} not finite: {', '.join(bad)}")
+            mean_loss = total / len(fit)
+            f1 = _score_prepared(model, score_set).macro_f1()
+            result.history.append({"epoch": epoch, "loss": mean_loss, "macro_f1": f1})
+            logger.info("epoch %d: loss %.6f, macro-F1 %.4f", epoch, mean_loss, f1)
+            # >= so ties go to the later epoch (more training at equal score)
+            if epoch == 1 or f1 >= result.best_macro_f1:
+                result.best_epoch = epoch
+                result.best_macro_f1 = f1
+                if epoch < config.epochs:
+                    best = model.store.data.copy()
     if result.best_epoch < config.epochs:
         model.store.data[...] = best
     # the returned model holds no gradient, nor pages for one

@@ -44,7 +44,6 @@ from pathrel.depgraph import (
     MalformedLine,
     MultipleRoots,
     NoRoot,
-    PathEdge,
     SdpPath,
     Token,
 )
@@ -350,20 +349,20 @@ def check_lined_tree(tree, rt):
 
 
 def parse_path_line(line: str) -> tuple[int, int, SdpPath]:
-    """Inverse of data.format_path_line (token indices and edges only)."""
+    """Inverse of data.format_path_line (token indices and edges only; no forms or POS)."""
     head_part, _, body = line.rstrip("\n").partition("\t")
     e1_head, e2_head = (int(v) for v in head_part.split())
-    nodes = []
-    edges = []
+    nodes, deprels, directions = [], [], []
     for item in body.split(" "):
         kind, _, value = item.partition(":")
         if kind == "tok":
             nodes.append(int(value))
         elif kind in ("UP", "DOWN"):
-            edges.append(PathEdge(value, kind))
+            deprels.append(value)
+            directions.append(kind)
         else:
             raise DatasetError(f"bad path item {item!r}")
-    return e1_head, e2_head, SdpPath(nodes=tuple(nodes), edges=tuple(edges))
+    return e1_head, e2_head, SdpPath(tuple(nodes), tuple(deprels), tuple(directions), (), ())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 from helpers import bfs_path, check_lined_tree, components_by_walk, random_cut_set, random_tree
 
 from pathrel.autodiff import backward
-from pathrel.depgraph import PathEdge, SdpPath, entity_head, path_between
+from pathrel.depgraph import SdpPath, entity_head, path_between
 from pathrel.labels import load_schema, synth_schema
 from pathrel.metrics import ConfusionMatrix
 from pathrel.model import (
@@ -53,11 +53,8 @@ def test_01_gradient_fidelity():
     t0 = time.time()
     path = SdpPath(
         nodes=(2, 5, 7, 9),
-        edges=(
-            PathEdge("nsubj", "UP"),
-            PathEdge("SR-LINK", "DOWN"),
-            PathEdge("pobj", "DOWN"),
-        ),
+        deprels=("nsubj", "SR-LINK", "pobj"),
+        directions=("UP", "DOWN", "DOWN"),
         forms=("mice", "carry", "in", "crates"),
         pos=("NOUN", "VERB", "ADP", "NOUN"),
     )
@@ -297,7 +294,7 @@ def test_09_class_count_contract():
         assert model.store["fine_fwd/w"].data.shape[0] == 19
         assert model.store["fine_bwd/w"].data.shape[0] == 19
         assert model.store["coarse/w_fwd"].data.shape[0] == 10
-        path = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),),
+        path = SdpPath(nodes=(1, 2), deprels=("nsubj",), directions=("UP",),
                        forms=("w", "w"), pos=("X", "X"))
         _, pred = model.predict(path)
         assert pred.y_fwd.shape == (19,) and pred.y_test.shape == (19,)

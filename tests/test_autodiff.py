@@ -230,19 +230,20 @@ class TestFiniteDifferenceAgainstOps:
 
 class TestDropout:
     def test_keep_prob_one(self):
-        assert np.array_equal(dropout_mask((7,), 1.0, 0), np.ones(7))
+        assert np.array_equal(dropout_mask((7,), 1.0, np.random.default_rng(0)), np.ones(7))
 
     def test_values_and_fraction(self):
-        mask = dropout_mask((100_000,), 0.5, 42)
+        mask = dropout_mask((100_000,), 0.5, np.random.default_rng(42))
         assert set(np.unique(mask)) == {0.0, 2.0}
         assert abs((mask > 0).mean() - 0.5) < 0.01
 
     def test_same_seed_same_mask(self):
-        assert np.array_equal(dropout_mask((50,), 0.5, 7), dropout_mask((50,), 0.5, 7))
+        a, b = (dropout_mask((50,), 0.5, np.random.default_rng(7)) for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_bad_keep_prob(self):
         with pytest.raises(ValueError):
-            dropout_mask((3,), 0.0, 0)
+            dropout_mask((3,), 0.0, np.random.default_rng(0))
 
 
 class TestParamStore:

@@ -71,7 +71,8 @@ def test_store_items_count_every_parameter():
     assert sum(t.data.size for _, t in items) == store.data.size
 
 
-PATH = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),), forms=("a", "b"), pos=("X", "X"))
+PATH = SdpPath(nodes=(1, 2), deprels=("nsubj",), directions=("UP",), forms=("a", "b"),
+               pos=("X", "X"))
 
 
 def test_loss_node_exposes_its_parents():

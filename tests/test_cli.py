@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -512,6 +513,27 @@ class TestTrainEval:
         assert err.startswith("error: epoch 1: instance ") and "loss is nan" in err
         assert not ck.exists() and not log.exists()
 
+    def test_overflowing_optimizer_state_exits_3_and_writes_nothing(self, tmp_path, dataset,
+                                                                     capsys):
+        """At l2_lambda 1e300 the squared L2 gradient overflows the AdaDelta accumulators,
+        which would freeze those coordinates for good; the epoch-end check stops the run
+        instead, naming the parameters, and numpy warns about nothing on the way."""
+        config = tmp_path / "config.json"
+        ExperimentConfig(model=ModelConfig(word_dim=6, rel_dim=4, conv_dim=6, keep_prob=1.0,
+                                           l2_lambda=1e300),
+                         schema="synth-k2", epochs=1).save(config)
+        ck, log = tmp_path / "m.ckpt", tmp_path / "m.log"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train", "--config", str(config), "--train", str(dataset),
+                         "--checkpoint", str(ck), "--log", str(log)])
+        assert code == 3 and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 1: optimizer state not finite: bwd/conv/b, ")
+        assert "fwd/word_cell/w" in err and "emb/" not in err
+        assert not ck.exists() and not log.exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("field, value", [
         pytest.param("id", 5, id="id-int"),
@@ -934,6 +956,7 @@ class TestConfigFuzz:
     @given(config=mutated_configs(CONFIG))
     @example(config={**CONFIG, "model": {**CONFIG["model"], "init_scale": 1e308}})
     @example(config={**CONFIG, "model": {**CONFIG["model"], "l2_lambda": 1e308}})
+    @example(config={**CONFIG, "model": {**CONFIG["model"], "l2_lambda": 1e300}})
     def test_mutated_config_never_exits_1(self, work, config):
         """Exit 0, 3 or 4 (a schema the dataset's labels do not fit); never 1, never a
         traceback.  Paths are relative to the work directory."""

@@ -20,7 +20,6 @@ from pathrel.depgraph import (
     ConlluError,
     EntitySpan,
     Instance,
-    PathEdge,
     SdpPath,
     parse_conllu,
     path_between,
@@ -39,8 +38,8 @@ def make_instance(label="Rel1(e1,e2)"):
     tree = parse_conllu(CONLLU)[0]
     return Instance(
         tree=tree,
-        e1=EntitySpan(1, 1, "e1"),
-        e2=EntitySpan(3, 3, "e2"),
+        e1=EntitySpan(1, 1),
+        e2=EntitySpan(3, 3),
         label=label,
         sid="s1",
     )
@@ -149,24 +148,26 @@ class TestDatasetFiles:
 class TestPathFiles:
     PATH = SdpPath(
         nodes=(3, 5, 8),
-        edges=(PathEdge("nsubj", "UP"), PathEdge("dobj", "DOWN")),
+        deprels=("nsubj", "dobj"),
+        directions=("UP", "DOWN"),
         forms=("a", "b", "c"),
         pos=("NOUN", "VERB", "NOUN"),
     )
 
     def test_format_line(self):
-        line = format_path_line(3, 8, self.PATH)
+        line = format_path_line(self.PATH)
         assert line == "3 8\ttok:3 UP:nsubj tok:5 DOWN:dobj tok:8"
 
     def test_parse_inverts_format(self):
-        e1, e2, back = parse_path_line(format_path_line(3, 8, self.PATH))
+        e1, e2, back = parse_path_line(format_path_line(self.PATH))
         assert (e1, e2) == (3, 8)
         assert back.nodes == self.PATH.nodes
         assert back.edges == self.PATH.edges
 
     def test_single_node_path(self):
-        path = SdpPath(nodes=(4,), edges=())
-        e1, e2, back = parse_path_line(format_path_line(4, 4, path))
+        path = SdpPath(nodes=(4,), deprels=(), directions=(), forms=("d",), pos=("NOUN",))
+        e1, e2, back = parse_path_line(format_path_line(path))
+        assert (e1, e2) == (4, 4)
         assert back.nodes == (4,)
         assert back.edges == ()
 
@@ -175,12 +176,13 @@ class TestPathFiles:
             parse_path_line("1 2\ttok:1 rel:nsubj tok:2")
 
     def test_write_text_and_json(self):
-        rows = [(3, 8, self.PATH)]
-        assert format_paths(rows) == "3 8\ttok:3 UP:nsubj tok:5 DOWN:dobj tok:8\n"
-        text = format_paths(rows, as_json=True)
+        paths = [self.PATH]
+        assert format_paths(paths) == "3 8\ttok:3 UP:nsubj tok:5 DOWN:dobj tok:8\n"
+        text = format_paths(paths, as_json=True)
         assert text.endswith("\n") and text.count("\n") == 1
         doc = json.loads(text)
-        assert doc == path_record(3, 8, self.PATH)
+        assert doc == path_record(self.PATH)
+        assert (doc["e1_head"], doc["e2_head"]) == (3, 8)
         assert doc["forms"] == ["a", "b", "c"]
         assert doc["edges"] == [["nsubj", "UP"], ["dobj", "DOWN"]]
 
@@ -194,7 +196,6 @@ class TestEntityPairs:
         (a1, a2), (b1, b2) = pairs
         assert (a1.start, a1.end, a2.start, a2.end) == (1, 2, 5, 5)
         assert (b1.start, b1.end, b2.start, b2.end) == (3, 3, 7, 8)
-        assert a1.id == "e1" and a2.id == "e2"
 
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "pairs.txt"

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from helpers import (
     as_loss,
     json_checkpoint_bytes,
     per_gate_tensors,
+    random_cut_set,
+    random_tree,
     sum_squares,
     tape_backward,
     tape_nodes,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_acceptance import COMPARISON_GEN, COMPARISON_MODEL
 
@@ -32,7 +35,7 @@ from pathrel.autodiff import (
     finite_difference_check,
 )
 from pathrel.cli import main
-from pathrel.depgraph import PathEdge, SdpPath
+from pathrel.depgraph import SdpPath, path_between
 from pathrel.labels import BUILTIN_SCHEMAS, synth_schema
 from pathrel.model import (
     BWD,
@@ -54,7 +57,7 @@ from pathrel.model import (
     lstm_step,
 )
 from pathrel.optim import AdaDeltaState, adadelta_step
-from pathrel.structreg import SR_LINK, CutRule, invert_path
+from pathrel.structreg import SR_LINK, CutRule, cut_and_line, extract_sr_sdp, invert_path
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import ExperimentConfig, build_vocabs, prepare_paths, train
 
@@ -64,7 +67,8 @@ SMALL = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=1.0, l2_lambda=
 def make_path(forms=("cat", "chased", "dog"), rels=(("nsubj", "UP"), ("dobj", "DOWN"))):
     return SdpPath(
         nodes=tuple(range(1, len(forms) + 1)),
-        edges=tuple(PathEdge(*r) for r in rels),
+        deprels=tuple(deprel for deprel, _ in rels),
+        directions=tuple(direction for _, direction in rels),
         forms=tuple(forms),
         pos=tuple("X" for _ in forms),
     )
@@ -257,7 +261,7 @@ class TestLstmChannel:
     def test_finite_differences_with_repeated_rows_and_mask(self, variant):
         model = small_model(seed=3)
         rows = [2, 0, 2]
-        mask = dropout_mask((3, model.config.word_dim), 0.5, 11)
+        mask = dropout_mask((3, model.config.word_dim), 0.5, np.random.default_rng(11))
         cell = model.cells[(FWD, "word")]
 
         def loss_fn():
@@ -416,7 +420,7 @@ class TestForward:
 
     def test_path_without_forms_rejected(self):
         model = small_model()
-        bare = SdpPath(nodes=(1, 2), edges=(PathEdge("nsubj", "UP"),))
+        bare = SdpPath(nodes=(1, 2), deprels=("nsubj",), directions=("UP",), forms=(), pos=())
         with pytest.raises(ValueError, match="surface forms"):
             model.predict(bare)
         with pytest.raises(ValueError, match="surface forms"):
@@ -725,6 +729,61 @@ class TestPredictBatch:
             batched = model.predict_batch([ex.path for ex in prepared])
             for got, ex in zip(batched[::5], prepared[::5]):
                 assert_predictions_close(got, reference.predict(ex.path))
+
+
+class TestPathBoundary:
+    """RelationModel checks the columns of a path where it takes one in (model._check_path)."""
+
+    def test_column_count_message(self):
+        path = SdpPath(nodes=(1, 2), deprels=(), directions=("UP",), forms=("a", "b"),
+                       pos=("X", "X"))
+        with pytest.raises(ValueError, match=r"^2 nodes need 1 deprels and directions, got 0 and 1$"):
+            model_module._check_path(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 4), n_deprels=st.integers(0, 5), n_directions=st.integers(0, 5),
+           call=st.sampled_from(["loss", "predict"]))
+    def test_mismatched_columns_refused_before_numpy_work(self, n, n_deprels, n_directions, call):
+        """A path whose relation columns do not hold one entry per step raises ValueError,
+        an empty path EmptyPath, before a channel runs or a dropout mask is drawn."""
+        assume(n == 0 or not n_deprels == n_directions == n - 1)
+        path = SdpPath(tuple(range(1, n + 1)), ("nsubj",) * n_deprels, ("UP",) * n_directions,
+                       ("cat",) * n, ("X",) * n)
+        model = small_model(config=dataclasses.replace(SMALL, keep_prob=0.5))
+        rng = np.random.default_rng(0)
+        drawn = rng.bit_generator.state
+        refuse = mock.Mock(side_effect=AssertionError("numpy work before the path check"))
+        with mock.patch.multiple(model_module, lstm_channel=refuse, channel_forward=refuse,
+                                 dropout_mask=refuse), pytest.raises(ValueError) as err:
+            if call == "loss":
+                model.loss(path, model.schema.fine_label(0), dropout_rng=rng)
+            else:
+                model.predict(path)
+        if n == 0:
+            assert err.type is EmptyPath
+        else:
+            assert err.type is ValueError
+            assert str(err.value) == (f"{n} nodes need {n - 1} deprels and directions, "
+                                      f"got {n_deprels} and {n_directions}")
+        assert rng.bit_generator.state == drawn and not refuse.called
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_built_paths_pass(self, seed):
+        """Every path that path_between and extract_sr_sdp build on a random tree and a
+        random cut set of it is scored; a loss is taken on a sample of them."""
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng)
+        lined = cut_and_line(tree, random_cut_set(rng, tree))
+        heads = range(1, tree.n + 1)
+        paths = [build(s, a, b) for build, s in ((path_between, tree), (extract_sr_sdp, lined))
+                 for a in heads for b in heads]
+        model = small_model(config=dataclasses.replace(SMALL, keep_prob=0.5))
+        assert len(model.predict_batch(paths)) == len(paths)
+        for k in rng.choice(len(paths), size=3):
+            path = paths[int(k)]
+            model.predict(path)
+            assert np.isfinite(model.loss(path, model.schema.fine_label(0), dropout_rng=rng).data)
 
 
 def mirror_name(name):

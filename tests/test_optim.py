@@ -103,17 +103,6 @@ class TestOptimization:
 
 
 class TestValidation:
-    def test_rho_range(self):
-        with pytest.raises(ValueError):
-            AdaDeltaState(ParamStore({}), rho=1.0)
-        with pytest.raises(ValueError):
-            AdaDeltaState(ParamStore({}), rho=-0.1)
-
-    def test_epsilon_positive(self):
-        for epsilon in (0.0, -1e-6, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                AdaDeltaState(ParamStore({}), epsilon=epsilon)
-
     def test_l2_lambda_range(self):
         for lam in (-1e-5, math.nan, math.inf):
             with pytest.raises(ValueError, match="l2_lambda"):

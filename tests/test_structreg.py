@@ -329,14 +329,16 @@ class TestExtractSrSdp:
 
 class TestInvertPath:
     def test_single_node(self):
-        p = SdpPath(nodes=(3,), edges=(), forms=("w3",), pos=("X",))
+        p = SdpPath(nodes=(3,), deprels=(), directions=(), forms=("w3",), pos=("X",))
         assert invert_path(p) == p
 
     def test_definition_unrolled(self):
-        p = SdpPath(nodes=(1, 2, 5), edges=(PathEdge("r1", UP), PathEdge("r2", DOWN)))
+        p = SdpPath(nodes=(1, 2, 5), deprels=("r1", "r2"), directions=(UP, DOWN),
+                    forms=("a", "b", "c"), pos=("N", "V", "X"))
         q = invert_path(p)
         assert q.nodes == (5, 2, 1)
         assert q.edges == (PathEdge("r2", UP), PathEdge("r1", DOWN))
+        assert (q.forms, q.pos) == (("c", "b", "a"), ("X", "V", "N"))
 
     def test_involution(self):
         rng = np.random.default_rng(9)

@@ -59,8 +59,8 @@ class TestPreparation:
         )
         inst = Instance(
             tree=DependencyTree(tokens),
-            e1=EntitySpan(1, 1, "e1"),
-            e2=EntitySpan(3, 4, "e2"),
+            e1=EntitySpan(1, 1),
+            e2=EntitySpan(3, 4),
             label="Rel1(e1,e2)",
             sid="t",
         )
@@ -73,7 +73,7 @@ class TestPreparation:
 
         inst = tiny_corpus(1)[0]
         bad = copy.copy(inst)
-        object.__setattr__(bad, "e2", EntitySpan(inst.tree.n + 2, inst.tree.n + 2, "e2"))
+        object.__setattr__(bad, "e2", EntitySpan(inst.tree.n + 2, inst.tree.n + 2))
         object.__setattr__(bad, "sid", "broken-one")
         with pytest.raises(ValueError, match="broken-one"):
             prepare_paths([inst, bad], CutRule())
@@ -96,7 +96,8 @@ class TestPreparation:
     def test_prepared_paths_equal_paths_built_from_edges(self, variant):
         for ex in prepare_paths(tiny_corpus(15, blocks=2), CutRule(variant=variant, seed=4)):
             path = ex.path
-            built = SdpPath(nodes=path.nodes, edges=path.edges, forms=path.forms, pos=path.pos)
+            deprels, directions = (tuple(e[k] for e in path.edges) for k in (0, 1))
+            built = SdpPath(path.nodes, deprels, directions, path.forms, path.pos)
             assert built == path and hash(built) == hash(path)
             assert built.deprels == path.deprels and built.directions == path.directions
 
