@@ -12,7 +12,7 @@ those input nodes.  backward() seeds the loss node and walks no graph.
 
 numpy supplies the array arithmetic only; the parameter store, dropout,
 the finite-difference checker and the array kernels the model's nodes
-share (sigmoid, softmax, log-sum-exp cross-entropy) live here.
+share (softmax, log-sum-exp cross-entropy) live here.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ class Node:
         self.data = data
         self._backward = backward
         self._parents = parents
-
-
-def sigmoid_array(x: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_array(z: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from .autodiff import (
     ParamStore,
     cross_entropy_array,
     dropout_mask,
-    sigmoid_array,
     softmax_array,
 )
 from .codec import Document
@@ -154,45 +153,57 @@ class LstmCell:
         self.input_dim = self.w.data.shape[1] - self.hidden_dim
 
 
-def lstm_step(cell: LstmCell, z: np.ndarray, h_prev, s_prev, variant: str = LSTM_STANDARD):
-    """One cell step from z = W_x x_t; returns (h_t, s_t).
+def lstm_step(z: np.ndarray, w_h_t: np.ndarray, hs: np.ndarray, ss: np.ndarray, t: int,
+              variant: str = LSTM_STANDARD) -> None:
+    """One cell step from z = W_x x_t + b: writes h_t and s_t into hs[t+1] and ss[t+1].
 
-    z is one path's (4H,) row or a (B, 4H) batch of rows, with h_prev and
-    s_prev shaped to match.  Adds the recurrent term and the bias to z in
-    place and leaves the gate activations [g, i, f, o] in it for the
-    backward pass.
+    z is one path's (4H,) row or a (B, 4H) batch of rows; hs and ss hold
+    the states in rows, hs[t] and ss[t] the previous ones, and w_h_t is
+    the cell's recurrent block transposed, (H, 4H).  Adds hs[t] @ w_h_t to
+    z in place and leaves the gate activations [g, i, f, o] in it for the
+    backward pass.  One tanh over the whole row takes every gate, since
+    sigmoid(x) = 0.5 tanh(x/2) + 0.5.
     """
-    n = cell.hidden_dim
-    z += h_prev @ cell.w.data[:, cell.input_dim :].T
-    z += cell.b.data
-    np.tanh(z[..., :n], out=z[..., :n])
-    z[..., n:] = sigmoid_array(z[..., n:])
+    n = w_h_t.shape[0]
+    z += hs[t] @ w_h_t
+    sig = z[..., n:]
+    sig *= 0.5
+    np.tanh(z, out=z)
+    sig *= 0.5
+    sig += 0.5
     g, i, f, o = z[..., :n], z[..., n : 2 * n], z[..., 2 * n : 3 * n], z[..., 3 * n :]
-    s = g * i + s_prev * f
+    s, h = ss[t + 1], hs[t + 1]
+    np.multiply(g, i, out=s)
+    s += ss[t] * f
     if variant == LSTM_STANDARD:
-        h = o * np.tanh(s)
+        np.tanh(s, out=h)
+        h *= o
     else:
-        h = np.tanh(s * o)
-    return h, s
+        np.multiply(s, o, out=h)
+        np.tanh(h, out=h)
 
 
 def channel_forward(cell: LstmCell, table: np.ndarray, rows, mask=None, variant=LSTM_STANDARD):
     """Embed, mask and recur over rows' first (time) axis; returns (x, gate activations, hs, ss).
 
     rows is (T,) for one path or (T, B) for B paths of equal length, and
-    mask, if any, matches x = table[rows].  One GEMM projects every input;
-    hs and ss hold the zero start state in row 0 and h_t, s_t in row t+1.
+    mask, if any, matches x = table[rows].  One GEMM projects every input,
+    and the bias joins that projection once; hs and ss hold the zero start
+    state in row 0 and h_t, s_t in row t+1.
     """
     x = table[rows]
     if mask is not None:
         x *= mask
     steps, lead = x.shape[0], x.shape[:-1]
-    acts = x.reshape(-1, cell.input_dim) @ cell.w.data[:, : cell.input_dim].T
+    w = cell.w.data
+    acts = x.reshape(-1, cell.input_dim) @ w[:, : cell.input_dim].T
+    acts += cell.b.data
     acts = acts.reshape(*lead, 4 * cell.hidden_dim)
     hs = np.zeros((steps + 1, *lead[1:], cell.hidden_dim))
     ss = np.zeros_like(hs)
+    w_h_t = w[:, cell.input_dim :].T
     for t in range(steps):
-        hs[t + 1], ss[t + 1] = lstm_step(cell, acts[t], hs[t], ss[t], variant)
+        lstm_step(acts[t], w_h_t, hs, ss, t, variant)
     return x, acts, hs, ss
 
 

@@ -49,18 +49,18 @@ class AdaDeltaState:
 def _update(x, g, eg2, edx2, t1, t2) -> None:
     """The AdaDelta rule in place on equal-length 1-D arrays; t1, t2 are scratch.
 
-    Operation for operation the same arithmetic as the textbook form, with
-    t1 holding -dx, so every value rounds identically.
+    One square root of the quotient, sqrt((E[dx2]+eps) / (E[g2]+eps)),
+    stands for the textbook's quotient of two roots: the same rule in
+    exact arithmetic, with its rounding moved.  t1 ends holding -dx.
     """
     eg2 *= RHO
     np.multiply(g, 1.0 - RHO, out=t1)
     t1 *= g
     eg2 += t1
     np.add(edx2, EPSILON, out=t1)
-    np.sqrt(t1, out=t1)
     np.add(eg2, EPSILON, out=t2)
-    np.sqrt(t2, out=t2)
     t1 /= t2
+    np.sqrt(t1, out=t1)
     t1 *= g
     edx2 *= RHO
     np.multiply(t1, 1.0 - RHO, out=t2)
@@ -93,7 +93,7 @@ def adadelta_step(store: ParamStore, state: AdaDeltaState) -> None:
     """Apply one accumulated-gradient update and reset the gradients it consumed.
 
     Per coordinate, with rho = RHO and eps = EPSILON: E[g2] <- rho E[g2] + (1-rho) g2;
-    dx = -(sqrt(E[dx2]+eps) / sqrt(E[g2]+eps)) g;
+    dx = -sqrt((E[dx2]+eps) / (E[g2]+eps)) g;
     E[dx2] <- rho E[dx2] + (1-rho) dx2;  x <- x + dx.
     The ranges between the tables update whole, each gradient block left
     holding the next step's L2 term, 0.0 + 2 * l2_lambda * x (zeros at

@@ -13,10 +13,11 @@ model's oracle is its per-gate formulation: one tape node per gate
 product and step, plain cross-entropy of a softmax, an L2 graph over
 every parameter, and the dense AdaDelta rule; reference_train runs
 train() with them as the textbook algorithm.  The generic tape ops it
-is built from (matmul, add, mul, concat, tanh, sigmoid, max_over,
-softmax) live here, since the library itself records only fused nodes,
-and so do Tensor, the node they record, and tape_backward, the generic
-reverse pass that runs them: the library's backward walks no graph.
+is built from (matmul, add, mul, concat, tanh, max_over, softmax, and
+sigmoid in its exp form, where the library takes one tanh) live here,
+since the library itself records only fused nodes, and so do Tensor,
+the node they record, and tape_backward, the generic reverse pass that
+runs them: the library's backward walks no graph.
 leaves() and adopt() bring the library's parameters and nodes onto that
 tape.
 Checkpoint fixtures write the all-JSON layout of versions 1 and 2, which
@@ -33,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pathrel.autodiff import ParamStore, dropout_mask, sigmoid_array, softmax_array
+from pathrel.autodiff import ParamStore, dropout_mask, softmax_array
 from pathrel.checkpoint import FORMAT_NAME, MAGIC, PREAMBLE
 from pathrel.data import DatasetError
 from pathrel.depgraph import (
@@ -512,6 +513,12 @@ def tanh(a: Tensor) -> Tensor:
     return _node(y, (a,), lambda g: a.add_grad(g * (1.0 - y**2)))
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic function in its exp form, never overflowing: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     y = sigmoid_array(a.data)
     return _node(y, (a,), lambda g: a.add_grad(g * y * (1.0 - y)))
@@ -709,14 +716,23 @@ class PerGateReference:
         return out
 
 
-def dense_adadelta_step(params: dict, grads: dict, sq_grad: dict, sq_update: dict, rho=0.95, eps=1e-6):
-    """The textbook AdaDelta rule over every coordinate of every parameter."""
+def dense_adadelta_step(params: dict, grads: dict, sq_grad: dict, sq_update: dict, rho=0.95, eps=1e-6,
+                        one_sqrt=False):
+    """The textbook AdaDelta rule over every coordinate of every parameter.
+
+    With one_sqrt the step size is the square root of the quotient, not the
+    quotient of the roots: optim's rounding, operation for operation.
+    """
     for name, x in params.items():
         g = grads.get(name, np.zeros_like(x))
         eg2, edx2 = sq_grad[name], sq_update[name]
         eg2 *= rho
         eg2 += (1.0 - rho) * g * g
-        dx = -(np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps)) * g
+        if one_sqrt:
+            rate = np.sqrt((edx2 + eps) / (eg2 + eps))
+        else:
+            rate = np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps)
+        dx = -rate * g
         edx2 *= rho
         edx2 += (1.0 - rho) * dx * dx
         x += dx

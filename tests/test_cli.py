@@ -2,7 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,8 @@ from pathrel.model import EmptyPath, ModelConfig
 from pathrel.structreg import CutRule
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import ExperimentConfig, prepare_paths, train
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CONLLU = (
     "1\tdogs\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
@@ -327,6 +333,25 @@ class TestTrainEval:
         doc = json.loads(report.read_text())
         assert 0.0 <= doc["macro_f1"] <= 1.0
         assert doc["rule"]["variant"] == "prep"  # meta rule wins without a flag
+
+    def test_train_is_byte_identical_across_processes(self, tmp_path, dataset):
+        """Two `python -m pathrel train` processes under different hash seeds write the same bytes."""
+        config = tmp_path / "config.json"
+        ExperimentConfig(model=ModelConfig(word_dim=6, rel_dim=4, conv_dim=6, keep_prob=0.5,
+                                           l2_lambda=1e-4),
+                         rule=CutRule(variant="random", seed=2), schema="synth-k2", seed=5,
+                         epochs=2, val_size=4).save(config)
+        outputs = []
+        for hash_seed in ("0", "1"):
+            ck, log = tmp_path / f"{hash_seed}.ckpt", tmp_path / f"{hash_seed}.log"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONWARNINGS": "error",
+                   "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "pathrel", "train", "--config", str(config),
+                                   "--train", str(dataset), "--checkpoint", str(ck), "--log", str(log)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((ck.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_eval_flag_overrides_meta_rule(self, tmp_path, dataset, capsys):
         ck = tmp_path / "m.ckpt"

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -16,11 +17,12 @@ from helpers import (
     per_gate_tensors,
     random_cut_set,
     random_tree,
+    sigmoid_array,
     sum_squares,
     tape_backward,
     tape_nodes,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_acceptance import COMPARISON_GEN, COMPARISON_MODEL
 
@@ -140,6 +142,19 @@ class TestModelConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+SPECIAL_PRE_ACTIVATIONS = (0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 1e308, -1e308)
+
+
+@st.composite
+def gate_rows(draw):
+    """A (4H,) row or a (B, 4H) batch of pre-activations, moderate or anywhere in the finite range."""
+    n = draw(st.integers(1, 4))
+    shape = (4 * n,) if draw(st.booleans()) else (draw(st.integers(1, 3)), 4 * n)
+    values = st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=False, allow_infinity=False))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+
+
 class TestLstmStep:
     @pytest.fixture
     def zero_cell(self):
@@ -148,8 +163,10 @@ class TestLstmStep:
 
     @staticmethod
     def step(cell, x, h, s, variant=LSTM_STANDARD):
-        z = cell.w.data[:, :1] @ np.array([x])  # the input's projection W_x x
-        return lstm_step(cell, z, np.array([h]), np.array([s]), variant)
+        z = cell.w.data[:, :1] @ np.array([x]) + cell.b.data  # the input's projection W_x x + b
+        hs, ss = np.array([[h], [np.nan]]), np.array([[s], [np.nan]])
+        lstm_step(z, cell.w.data[:, 1:].T, hs, ss, 0, variant)
+        return hs[1], ss[1]
 
     def test_all_zero_parameters_standard(self, zero_cell):
         _, cell = zero_cell
@@ -170,6 +187,22 @@ class TestLstmStep:
         store["c/b"].data[2:3] = 40.0  # the f slice of the packed g, i, f, o bias
         _, s = self.step(cell, 0.7, 0.3, 1.0)
         assert abs(s[0] - 1.0) < 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=gate_rows())
+    @example(z=np.tile(SPECIAL_PRE_ACTIVATIONS, 4))
+    @example(z=np.tile(SPECIAL_PRE_ACTIVATIONS, (3, 4)))
+    def test_gates_match_the_exp_form(self, z):
+        """One tanh over the row gives tanh(g) and 0.5 tanh(x/2) + 0.5 for the sigmoid gates."""
+        n = z.shape[-1] // 4
+        want = np.concatenate([np.tanh(z[..., :n]), sigmoid_array(z[..., n:])], axis=-1)
+        acts = z.copy()
+        hs = np.zeros((2, *z.shape[:-1], n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lstm_step(acts, np.zeros((n, 4 * n)), hs, np.zeros_like(hs), 0)
+        assert np.max(np.abs(acts - want)) <= 2.3e-16
+        assert np.all((acts[..., n:] >= 0.0) & (acts[..., n:] <= 1.0))
 
 
 class TestConvPool:

@@ -121,9 +121,13 @@ class TestRowSparseOracle:
         table = store["emb"]
         state = AdaDeltaState(store)
         assert store.dense == [store.spans["a"], store.spans["w"]]
-        params = {name: t.data.copy() for name, t in store.items()}
-        sq_grad = {name: np.zeros_like(x) for name, x in params.items()}
-        sq_update = {name: np.zeros_like(x) for name, x in params.items()}
+
+        def rule_state():  # (params, sq_grad, sq_update), starting where the store does
+            params = {name: t.data.copy() for name, t in store.items()}
+            return params, *({name: np.zeros_like(x) for name, x in params.items()} for _ in range(2))
+
+        # the textbook rule, and its replica with the library's one square root
+        (params, sq_grad, sq_update), replica = rule_state(), rule_state()
         for _ in range(50):
             g_table = np.zeros_like(table.data)
             rows = rng.choice(10, size=int(rng.integers(0, 4)), replace=False)
@@ -135,6 +139,7 @@ class TestRowSparseOracle:
                 store[name].grad[...] = g
             adadelta_step(store, state)
             helpers.dense_adadelta_step(params, grads, sq_grad, sq_update)
+            helpers.dense_adadelta_step(replica[0], grads, *replica[1:], one_sqrt=True)
             assert not store.grad.any()
         span = store.spans["emb"]
         # the decays the table's untouched rows still owe
@@ -143,12 +148,16 @@ class TestRowSparseOracle:
                           (state.sq_grad[span].reshape(10, 3) * owed, sq_grad["emb"]),
                           (state.sq_update[span].reshape(10, 3) * owed, sq_update["emb"])):
             assert np.max(np.abs(got - want)) < 1e-12
-        # dense tensors take the rule operation for operation
         for name in ("a", "w"):
             span = store.spans[name]
-            assert np.array_equal(store[name].data, params[name])
-            assert np.array_equal(state.sq_grad[span].reshape(params[name].shape), sq_grad[name])
-            assert np.array_equal(state.sq_update[span].reshape(params[name].shape), sq_update[name])
+            shape = params[name].shape
+            got = (store[name].data, state.sq_grad[span].reshape(shape), state.sq_update[span].reshape(shape))
+            # the one square root moves the textbook's rounding, and only its rounding
+            for g, want in zip(got, (params[name], sq_grad[name], sq_update[name])):
+                assert np.max(np.abs(g - want) / np.abs(want)) <= 1e-12
+            # dense tensors take the rule operation for operation
+            for g, want in zip(got, (rule[name] for rule in replica)):
+                assert np.array_equal(g, want)
 
 
 class TestArena:
