@@ -16,13 +16,15 @@ import dataclasses
 import json
 import logging
 import sys
+from itertools import islice
+from typing import Iterable, Iterator
 
 from . import __version__
 from .atomic import atomic_open
 from .autodiff import NonScalarLoss
 from .data import (DatasetError, format_paths, load_dataset, load_entity_pairs, read_lines, read_text,
                    save_dataset)
-from .depgraph import ConlluError, parse_conllu
+from .depgraph import ConlluError, iter_conllu
 from .dictmatch import dict_match, format_standoff
 from .model import EmptyPath, RelationModel
 from .structreg import CutRule
@@ -50,37 +52,74 @@ def _rule_from_args(args) -> CutRule:
     return CutRule(variant=args.rule, **{k: v for k, v in given.items() if v is not None})
 
 
-def _write_out(path: str | None, text: str) -> None:
+def _write_out(path: str | None, parts: Iterable[str]) -> None:
+    """Write parts in order to path, or to stdout when path is None or "-".
+
+    An error raised while parts is drawn leaves no file (an existing one
+    keeps its bytes), since the file goes through one atomic_open.
+    """
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
+CHUNK = 256  # sentences extract-sdp parses, cuts, extracts and writes at a time
+
 
 def cmd_extract_sdp(args) -> int:
-    try:
-        trees = parse_conllu(read_text(args.conllu, encoding="utf-8-sig"))
-    except ConlluError as err:
-        raise type(err)(f"{args.conllu}: {err}") from None
+    """Write one path line per sentence of --conllu, CHUNK sentences at a time.
+
+    The CoNLL-U text and the pair file are read whole first; then each
+    chunk is parsed, checked against its pairs, cut, extracted and
+    written before the next is parsed, so memory holds the text, the
+    pairs and one chunk.  Faults come in that order: the pair file's;
+    then, chunk by chunk, a CoNLL-U fault, a span past its sentence, a
+    path fault; then, at the end, a sentence count that differs from the
+    pair count.  On a fault, stdout holds the chunks finished before it.
+    """
+    text = read_text(args.conllu, encoding="utf-8-sig")
     pairs = load_entity_pairs(args.pairs)
-    if len(pairs) != len(trees):
-        raise DatasetError(f"{args.pairs}: {len(pairs)} entity-pair lines but {args.conllu} has "
-                           f"{len(trees)} sentences; they must correspond 1:1")
-    for ordinal, (tree, spans) in enumerate(zip(trees, pairs)):
-        n = tree.n
-        for span in spans:
-            if span.end > n:
-                raise DatasetError(f"{args.pairs}: sentence {ordinal + 1}: span "
-                                   f"[{span.start}, {span.end}] exceeds length {n}")
-    paths = entity_paths(trees, pairs, _rule_from_args(args),
-                         lambda o: f"{args.conllu}: sentence {o + 1}")
-    _write_out(args.out, format_paths(paths, args.json))
+    _write_out(args.out, _extract_chunks(args, text, pairs, _rule_from_args(args)))
     return 0
+
+
+def _extract_chunks(args, text: str, pairs, rule: CutRule) -> Iterator[str]:
+    """cmd_extract_sdp's output, one chunk's lines at a time."""
+    trees = _named_trees(args.conllu, text)
+    count = 0  # sentences parsed
+    while chunk := list(islice(trees, CHUNK)):
+        first, count = count, count + len(chunk)
+        chunk_pairs = pairs[first:count]
+        for ordinal, (tree, spans) in enumerate(zip(chunk, chunk_pairs), start=first + 1):
+            n = tree.n
+            for span in spans:
+                if span.end > n:
+                    raise DatasetError(f"{args.pairs}: sentence {ordinal}: span "
+                                       f"[{span.start}, {span.end}] exceeds length {n}")
+        paths = entity_paths(chunk, chunk_pairs, rule, lambda o: f"{args.conllu}: sentence {o + 1}",
+                             first=first)
+        if len(chunk_pairs) < len(chunk):
+            break  # the pairs ran out: count the remaining sentences
+        lines = format_paths(paths, args.json)
+        del chunk, paths  # the next chunk is parsed with this one freed
+        yield lines
+    count += sum(1 for _ in trees)
+    if count != len(pairs):
+        raise DatasetError(f"{args.pairs}: {len(pairs)} entity-pair lines but {args.conllu} has "
+                           f"{count} sentences; they must correspond 1:1")
+
+
+def _named_trees(path: str, text: str) -> Iterator:
+    """iter_conllu(text), with path leading the message of a ConlluError."""
+    try:
+        yield from iter_conllu(text)
+    except ConlluError as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
 def cmd_synth(args) -> int:
@@ -140,7 +179,7 @@ def cmd_eval(args) -> int:
     cm = evaluate(model, instances, rule, alpha=args.alpha)
     report = cm.summary()
     report["rule"] = rule.to_dict()
-    _write_out(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_out(args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return 0
 
 
@@ -148,7 +187,7 @@ def cmd_dict_match(args) -> int:
     text = read_text(args.text)  # offsets index the file's own newlines
     entries = [line.rstrip("\n") for line in read_lines(args.dictionary, encoding="utf-8-sig")
                if line.strip()]
-    _write_out(args.out, format_standoff(dict_match(text, entries)))
+    _write_out(args.out, [format_standoff(dict_match(text, entries))])
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 UP = "UP"
 DOWN = "DOWN"
@@ -143,7 +143,7 @@ def _tree_root(heads: tuple[int, ...]) -> int:
     return reached[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntitySpan:
     """Inclusive token-index span of one entity mention."""
 
@@ -218,7 +218,12 @@ _SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
 
 def parse_conllu(text: str) -> list[DependencyTree]:
-    """Parse CoNLL-U text into validated dependency trees.
+    """Every tree of CoNLL-U text, validated: list(iter_conllu(text))."""
+    return list(iter_conllu(text))
+
+
+def iter_conllu(text: str) -> Iterator[DependencyTree]:
+    """Parse CoNLL-U text into validated dependency trees, one sentence at a time.
 
     Lines end at LF alone, with one CR before it dropped, so a FORM may
     hold the other breaks str.splitlines() knows (U+2028, U+0085, form
@@ -226,13 +231,14 @@ def parse_conllu(text: str) -> list[DependencyTree]:
     multiword ranges (ID N-M) and empty nodes (ID N.M); any other ID that
     is not a number raises MalformedLine.  Structural violations raise
     MultipleRoots, NoRoot, CycleDetected, HeadOutOfRange or MalformedLine,
-    each naming the sentence and line where it was found.
+    each naming the sentence and line where it was found.  Every tree
+    before the first faulty sentence is yielded before the error is raised.
 
     Each sentence's lines are split once and zipped into the tree's
     columns, which are checked whole; only a sentence that fails those
     checks is walked line by line, to raise its first fault.
     """
-    trees = []
+    ordinal = 0  # trees yielded so far
     for block in _SENTENCE.finditer(text):
         sentence = block.group()
         columns = _token_columns(sentence)
@@ -240,13 +246,14 @@ def parse_conllu(text: str) -> list[DependencyTree]:
             if len(columns[0]) == 1:
                 continue  # comments, ranges and empty nodes only
             try:
-                trees.append(object.__new__(DependencyTree)._set(*columns))
-                continue
+                tree = object.__new__(DependencyTree)._set(*columns)
             except ConlluError:
                 pass  # raised again below, naming the sentence and its first line
-        _raise_first_fault(sentence.split("\n"), text.count("\n", 0, block.start()) + 1,
-                           len(trees) + 1)
-    return trees
+            else:
+                ordinal += 1
+                yield tree
+                continue
+        _raise_first_fault(sentence.split("\n"), text.count("\n", 0, block.start()) + 1, ordinal + 1)
 
 
 def _token_columns(sentence: str) -> list[tuple] | None:

@@ -82,17 +82,20 @@ class ExperimentConfig(Document):
 # preprocessing
 
 
-def entity_paths(trees, pairs, rule: CutRule, name) -> list[SdpPath]:
+def entity_paths(trees, pairs, rule: CutRule, name, first: int = 0) -> list[SdpPath]:
     """Each tree's path between the heads of its entity spans (e1, e2) after rule cuts and lines it.
 
-    trees[o] is the sentence at corpus position o; every cut set comes from
-    one select_cuts pass over the corpus.  A ValueError raised for tree o
-    is raised again as a ValueError led by name(o).
+    trees[o] is the sentence at corpus position first + o, so a corpus
+    passed a chunk at a time, each chunk with its own first, draws the
+    cuts of one select_cuts pass over the whole corpus.  A ValueError
+    raised for tree o is raised again as a ValueError led by
+    name(first + o).  Only the trees that have a pair are extracted.
     """
     paths = []
-    for ordinal, (tree, cuts, (e1, e2)) in enumerate(zip(trees, select_cuts(trees, rule), pairs)):
+    cuts = select_cuts(trees, rule, first=first)
+    for ordinal, (tree, cut, (e1, e2)) in enumerate(zip(trees, cuts, pairs), start=first):
         try:
-            rt = cut_and_line(tree, cuts)
+            rt = cut_and_line(tree, cut)
             paths.append(extract_sr_sdp(rt, entity_head(tree, e1), entity_head(tree, e2)))
         except ValueError as err:
             raise ValueError(f"{name(ordinal)}: {err}") from None

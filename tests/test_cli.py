@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from helpers import (
     edit_header,
     entity_head_by_scan,
     lined_by_hand,
+    parse_conllu_reference,
     parse_path_line,
     random_tree,
     split_checkpoint,
@@ -26,10 +28,10 @@ from hypothesis import strategies as st
 from pathrel import cli, training
 from pathrel.autodiff import NonScalarLoss
 from pathrel.cli import main
-from pathrel.data import instance_to_record, load_dataset
-from pathrel.depgraph import serialize_conllu
+from pathrel.data import format_paths, instance_to_record, load_dataset
+from pathrel.depgraph import ConlluError, EntitySpan, entity_head, serialize_conllu
 from pathrel.model import EmptyPath, ModelConfig
-from pathrel.structreg import CutRule
+from pathrel.structreg import CutRule, cut_and_line, extract_sr_sdp, select_cuts
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import ExperimentConfig, prepare_paths, train
 
@@ -61,6 +63,37 @@ def tiny_config_file(tmp_path, **kw):
     p = tmp_path / "config.json"
     cfg.save(p)
     return p
+
+
+def random_corpus(rng, count):
+    """count random trees of 2-15 tokens, each with two disjoint entity spans in random order."""
+    trees, spans = [], []
+    for _ in range(count):
+        tree = random_tree(rng, n=int(rng.integers(2, 16)))
+        a, b = sorted(int(x) for x in rng.choice(np.arange(1, tree.n + 1), 2, replace=False))
+        pair = [(int(rng.integers(1, a + 1)), a), (b, int(rng.integers(b, tree.n + 1)))]
+        trees.append(tree)
+        spans.append(pair[::-1] if rng.random() < 0.5 else pair)
+    return trees, spans
+
+
+def write_corpus(directory, trees, spans):
+    """The CoNLL-U file and the pair file of a corpus; spans as ((s1, t1), (s2, t2)) per tree."""
+    conllu, pairs = directory / "s.conllu", directory / "pairs.txt"
+    conllu.write_text(serialize_conllu(trees), encoding="utf-8")
+    pairs.write_text("".join(f"{s1} {t1} {s2} {t2}\n" for (s1, t1), (s2, t2) in spans))
+    return conllu, pairs
+
+
+def whole_corpus_output(text, spans, rule, as_json):
+    """extract-sdp's output by a second route: the trees of parse_conllu_reference,
+    cut by one select_cuts pass over the whole corpus, through format_paths."""
+    trees = parse_conllu_reference(text)
+    paths = []
+    for tree, cuts, ((s1, t1), (s2, t2)) in zip(trees, select_cuts(trees, rule), spans):
+        heads = entity_head(tree, EntitySpan(s1, t1)), entity_head(tree, EntitySpan(s2, t2))
+        paths.append(extract_sr_sdp(cut_and_line(tree, cuts), *heads))
+    return format_paths(paths, as_json)
 
 
 class TestParser:
@@ -252,18 +285,9 @@ class TestExtractSdp:
     def test_every_record_matches_bfs_over_structure_lined_by_hand(self, tmp_path, rule):
         """extract-sdp's text and JSON heads and paths against a per-sentence
         oracle: the scalar cut set, lined by hand, then BFS."""
-        rng = np.random.default_rng(12)
-        trees, spans = [], []
-        for _ in range(50):
-            tree = random_tree(rng, n=int(rng.integers(2, 16)))
-            a, b = sorted(int(x) for x in rng.choice(np.arange(1, tree.n + 1), 2, replace=False))
-            pair = [(int(rng.integers(1, a + 1)), a), (b, int(rng.integers(b, tree.n + 1)))]
-            trees.append(tree)
-            spans.append(pair[::-1] if rng.random() < 0.5 else pair)
+        trees, spans = random_corpus(np.random.default_rng(12), 50)
         assert {"ADP", "PUNCT"} <= {tag for tree in trees for tag in tree.pos}
-        conllu, pairs = tmp_path / "s.conllu", tmp_path / "pairs.txt"
-        conllu.write_text(serialize_conllu(trees), encoding="utf-8")
-        pairs.write_text("".join(f"{s1} {t1} {s2} {t2}\n" for (s1, t1), (s2, t2) in spans))
+        conllu, pairs = write_corpus(tmp_path, trees, spans)
         outputs = {}
         for fmt, extra in (("text", []), ("json", ["--json"])):
             outputs[fmt] = tmp_path / f"p.{fmt}"
@@ -295,6 +319,138 @@ class TestExtractSdp:
             assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs),
                          "--rule", rule, *extra]) == 0
             assert capsys.readouterr() == ("", "")
+
+
+class TestExtractSdpChunks:
+    """extract-sdp parses, cuts, extracts and writes cli.CHUNK sentences at a time."""
+
+    RULE_ARGS = ["--rule", "random", "--cut-p", "0.4", "--cut-seed", "11"]
+    RULE = CutRule("random", p=0.4, seed=11)
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("chunks")
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40))
+    def test_chunk_boundaries_change_nothing(self, work, seed, count):
+        """Every chunk size gives the output of one pass over the whole corpus, under every rule."""
+        trees, spans = random_corpus(np.random.default_rng(seed), count)
+        conllu, pairs = write_corpus(work, trees, spans)
+        text = conllu.read_text(encoding="utf-8")
+        for variant in CutRule.VARIANTS:
+            rule = CutRule(variant, p=0.4, seed=seed % 1000)
+            argv = ["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), "--rule", variant,
+                    "--cut-p", "0.4", "--cut-seed", str(rule.seed)]
+            for as_json in (False, True):
+                expected = whole_corpus_output(text, spans, rule, as_json)
+                for chunk in (1, 2, 3, count + 1):
+                    out = io.StringIO()
+                    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+                        mp.setattr(cli, "CHUNK", chunk)
+                        assert main(argv + ["--json"] * as_json) == 0
+                    assert out.getvalue() == expected, (variant, as_json, chunk)
+
+    CHUNK, SENTENCES = 2, 7  # chunks: sentences 1-2, 3-4, 5-6 and 7
+
+    def run_with_fault(self, tmp_path, monkeypatch, capsys, trees, spans, text, message, finished):
+        """Exit 3 with message: no --out file is left, an existing one keeps its bytes, and
+        stdout holds the lines of the first `finished` sentences, the chunks done before the fault."""
+        monkeypatch.setattr(cli, "CHUNK", self.CHUNK)
+        conllu, pairs = write_corpus(tmp_path, trees, spans)
+        conllu.write_text(text, encoding="utf-8")
+        message = message.format(conllu=conllu, pairs=pairs)
+        argv = ["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), *self.RULE_ARGS]
+        new, old = tmp_path / "new.out", tmp_path / "old.out"
+        old.write_bytes(b"old bytes\n")
+        for out in (["--out", str(new)], ["--out", str(old)], []):
+            capsys.readouterr()
+            assert main(argv + out) == 3
+            got = capsys.readouterr()
+            assert got.err == f"error: {message}\n"
+            if not out:
+                good = serialize_conllu(trees[:finished])
+                assert got.out == whole_corpus_output(good, spans, self.RULE, False)
+                assert got.out.count("\n") == finished
+        assert not new.exists() and old.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.out", "pairs.txt", "s.conllu"]
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_conllu_fault_in_a_chunk(self, tmp_path, monkeypatch, capsys, where):
+        trees, spans = random_corpus(np.random.default_rng(where), self.SENTENCES)
+        blocks = serialize_conllu(trees).split("\n\n")
+        tree = trees[where]
+        child = next(i for i in range(1, tree.n + 1) if i != tree.root)
+        lines = blocks[where].split("\n")
+        cols = lines[child - 1].split("\t")
+        cols[6] = "99"
+        lines[child - 1] = "\t".join(cols)
+        blocks[where] = "\n".join(lines)
+        text = "\n\n".join(blocks)
+        with pytest.raises(ConlluError) as want:
+            parse_conllu_reference(text)
+        assert f"token {child} has head 99" in str(want.value)
+        self.run_with_fault(tmp_path, monkeypatch, capsys, trees, spans, text,
+                            "{conllu}: " + str(want.value), where // self.CHUNK * self.CHUNK)
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_span_past_its_sentence_in_a_chunk(self, tmp_path, monkeypatch, capsys, where):
+        trees, spans = random_corpus(np.random.default_rng(where), self.SENTENCES)
+        n = trees[where].n
+        spans[where] = ((1, 1), (n + 1, n + 1))
+        self.run_with_fault(tmp_path, monkeypatch, capsys, trees, spans, serialize_conllu(trees),
+                            f"{{pairs}}: sentence {where + 1}: span [{n + 1}, {n + 1}] exceeds length {n}",
+                            where // self.CHUNK * self.CHUNK)
+
+    @pytest.mark.parametrize("fewer", [1, 3, 6])
+    def test_fewer_pairs_than_sentences(self, tmp_path, monkeypatch, capsys, fewer):
+        """The pairs run out in the first, a middle or the last chunk."""
+        trees, spans = random_corpus(np.random.default_rng(fewer), self.SENTENCES)
+        self.run_with_fault(tmp_path, monkeypatch, capsys, trees, spans[:fewer], serialize_conllu(trees),
+                            f"{{pairs}}: {fewer} entity-pair lines but {{conllu}} has {self.SENTENCES} "
+                            "sentences; they must correspond 1:1",
+                            fewer // self.CHUNK * self.CHUNK)
+
+    @pytest.mark.parametrize("fewer", [1, 3, 6])
+    def test_fewer_sentences_than_pairs(self, tmp_path, monkeypatch, capsys, fewer):
+        """The sentences end in the first, a middle or the last chunk: all of them are written."""
+        trees, spans = random_corpus(np.random.default_rng(fewer), self.SENTENCES)
+        self.run_with_fault(tmp_path, monkeypatch, capsys, trees[:fewer], spans,
+                            serialize_conllu(trees[:fewer]),
+                            f"{{pairs}}: {self.SENTENCES} entity-pair lines but {{conllu}} has {fewer} "
+                            "sentences; they must correspond 1:1",
+                            fewer)
+
+    def test_out_may_name_the_conllu_file(self, tmp_path, monkeypatch):
+        """The CoNLL-U text is read whole before the output replaces it."""
+        monkeypatch.setattr(cli, "CHUNK", self.CHUNK)
+        trees, spans = random_corpus(np.random.default_rng(1), self.SENTENCES)
+        conllu, pairs = write_corpus(tmp_path, trees, spans)
+        text = conllu.read_text(encoding="utf-8")
+        assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), *self.RULE_ARGS,
+                     "--json", "--out", str(conllu)]) == 0
+        assert conllu.read_text(encoding="utf-8") == whole_corpus_output(text, spans, self.RULE, True)
+
+    def test_peak_memory_grows_with_the_text_not_the_trees(self, tmp_path, monkeypatch):
+        """extract-sdp holds the CoNLL-U text, the pairs and one chunk.  Reading the
+        file holds its bytes and its text at once, so four times the sentences raise
+        the traced peak by twice the file's growth, and the pair list adds a little;
+        holding every tree, path and output line raised it by about ten times."""
+        monkeypatch.setattr(cli, "CHUNK", 8)
+        rng = np.random.default_rng(5)
+        trees = [random_tree(rng, n=30) for _ in range(40)]
+        sizes, peaks = [], []
+        for count in (250, 1000):
+            conllu, pairs = write_corpus(tmp_path, (trees * 25)[:count], [((1, 1), (30, 30))] * count)
+            tracemalloc.start()
+            try:
+                assert main(["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs),
+                             "--rule", "random", "--json", "--out", str(tmp_path / "p.jsonl")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(conllu.stat().st_size)
+        assert peaks[1] - peaks[0] <= 2.5 * (sizes[1] - sizes[0]), (peaks, sizes)
 
 
 class TestSynth:

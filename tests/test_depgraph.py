@@ -23,6 +23,7 @@ from pathrel.depgraph import (
     SdpPath,
     Token,
     entity_head,
+    iter_conllu,
     parse_conllu,
     path_between,
     serialize_conllu,
@@ -365,22 +366,36 @@ class TestParserOracle:
     @given(conllu_texts())
     @settings(max_examples=500, deadline=None)
     def test_same_error_or_same_trees_as_line_by_line_reference(self, text):
-        """parse_conllu raises what the line-by-line parser raises, or returns
-        the trees it builds, column for column."""
-        try:
-            expected = parse_conllu_reference(text)
-        except ConlluError as err:
-            with pytest.raises(ConlluError) as got:
-                parse_conllu(text)
-            assert type(got.value) is type(err) and str(got.value) == str(err)
-            return
-        trees = parse_conllu(text)
-        assert trees == expected
-        assert [t.tokens for t in trees] == [t.tokens for t in expected]
-        for tree, want in zip(trees, expected):
-            assert tree.root == want.root
-            for name in COLUMNS:
-                assert getattr(tree, name) == getattr(want, name), name
+        """parse_conllu and the lazy iter_conllu raise what the line-by-line
+        parser raises, or return the trees it builds, column for column."""
+        for parse in (parse_conllu, lambda text: list(iter_conllu(text))):
+            try:
+                expected = parse_conllu_reference(text)
+            except ConlluError as err:
+                with pytest.raises(ConlluError) as got:
+                    parse(text)
+                assert type(got.value) is type(err) and str(got.value) == str(err)
+                continue
+            trees = parse(text)
+            assert trees == expected
+            assert [t.tokens for t in trees] == [t.tokens for t in expected]
+            for tree, want in zip(trees, expected):
+                assert tree.root == want.root
+                for name in COLUMNS:
+                    assert getattr(tree, name) == getattr(want, name), name
+
+    def test_trees_before_a_fault_are_yielded_before_it_is_raised(self):
+        rng = np.random.default_rng(4)
+        good = serialize_conllu([random_tree(rng) for _ in range(3)])
+        text = good + "# bad\n1\ta\t_\tX\t_\t_\t0\troot\t_\t_\n2\tb\t_\tX\t_\t_\t7\tdep\t_\t_\n"
+        trees = iter_conllu(text)
+        assert [next(trees) for _ in range(3)] == parse_conllu(good)
+        with pytest.raises(HeadOutOfRange) as got:
+            next(trees)
+        with pytest.raises(HeadOutOfRange) as want:
+            parse_conllu_reference(text)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("sentence 4 (starting line ")
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
