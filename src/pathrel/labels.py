@@ -13,8 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .codec import Document
 
 
@@ -89,8 +87,10 @@ class LabelSchema(Document):
             return 0
         return index + 1 if index % 2 == 1 else index - 1
 
-    def flip_distribution(self, dist: np.ndarray) -> np.ndarray:
-        """Permute a fine distribution by the direction swap."""
+    def flip_distribution(self, dist):
+        """Permute a fine distribution (array-like) by the direction swap; a new ndarray."""
+        import numpy as np  # here, so that reading schemas and data needs no numpy
+
         dist = np.asarray(dist)
         if dist.shape != (self.fine_size,):
             raise ValueError(f"expected shape ({self.fine_size},), got {dist.shape}")

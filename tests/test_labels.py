@@ -100,6 +100,23 @@ class TestFlip:
         with pytest.raises(ValueError):
             schema.flip_distribution(np.zeros(schema.fine_size + 1))
 
+    def test_flip_distribution_takes_a_list(self, schema):
+        dist = [float(i) for i in range(schema.fine_size)]
+        flipped = schema.flip_distribution(dist)
+        assert isinstance(flipped, np.ndarray)
+        assert np.array_equal(flipped, schema.flip_distribution(np.array(dist)))
+        assert dist == [float(i) for i in range(schema.fine_size)]
+
+    def test_flip_distribution_returns_a_new_array(self, schema):
+        dist = np.arange(schema.fine_size, dtype=float)
+        flipped = schema.flip_distribution(dist)
+        assert flipped is not dist and not np.shares_memory(flipped, dist)
+        assert np.array_equal(dist, np.arange(schema.fine_size))
+
+    def test_flip_distribution_wrong_shape_message(self):
+        with pytest.raises(ValueError, match=r"^expected shape \(19,\), got \(2, 19\)$"):
+            SANWEN.flip_distribution([[0.0] * 19] * 2)
+
 
 class TestConstruction:
     def test_validation(self):
