@@ -28,8 +28,8 @@ _EXPORTS = {
     "model": ("ModelConfig", "Prediction", "RelationModel", "decode"),
     "optim": ("AdaDeltaState", "adadelta_step"),
     "structreg": ("SR_LINK", "CutRule", "RegularizedTree", "cut_and_line", "extract_sr_sdp",
-                  "invert_path", "select_cut_nodes"),
-    "synth": ("SynthConfig", "generate", "oracle_label"),
+                  "select_cut_nodes"),
+    "synth": ("SynthConfig", "generate"),
     "training": ("ExperimentConfig", "SchemaMismatch", "evaluate", "prepare_paths", "train"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

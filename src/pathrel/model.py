@@ -334,15 +334,19 @@ def _check_path(path: SdpPath) -> None:
                          f"got {len(path.deprels)} and {len(path.directions)}")
 
 
-def load_word_embeddings(path, dim: int) -> dict[str, np.ndarray]:
-    """Text embeddings, one `word v1 v2 ... vd` line per word; trailing whitespace is ignored.
+def load_word_embeddings(path, vocab: Vocabulary, table: np.ndarray) -> None:
+    """Text embeddings, one `word v1 v2 ... vd` line per word, written into table in place.
 
-    One leading byte-order mark is dropped.  Every value must be an ASCII
-    number without `_`, and every vector finite with dim values (the
-    model's word_dim); a line that breaks a rule raises ValueError naming
-    `file:line`, whether or not the word is in the vocabulary.
+    Trailing whitespace is ignored and one leading byte-order mark dropped.
+    A word's vector goes to row vocab.index(word), a later line winning;
+    row 0 (UNK, which also stands for words outside vocab) is never written,
+    and no line is kept, so memory does not grow with the file.  Every value
+    must be an ASCII number without `_`, and every vector finite with
+    d = table.shape[1] values (the model's word_dim); a line that breaks a
+    rule raises ValueError naming `file:line`, whether or not the word is in
+    the vocabulary.
     """
-    table = {}
+    dim = table.shape[1]
     for line_no, line in enumerate(read_lines(path, encoding="utf-8-sig"), start=1):
         parts = line.rstrip().split(" ")
         if len(parts) < 2:
@@ -360,8 +364,8 @@ def load_word_embeddings(path, dim: int) -> dict[str, np.ndarray]:
         if len(vec) != dim:
             raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} has {len(vec)} "
                              f"values, expected word_dim {dim}")
-        table[parts[0]] = vec
-    return table
+        if row := vocab.index(parts[0]):
+            table[row] = vec
 
 
 def layout(config: ModelConfig, schema: LabelSchema, n_words: int, n_rels: int) -> dict:
@@ -391,7 +395,6 @@ class RelationModel:
         word_vocab: Vocabulary,
         rel_vocab: RelationVocabulary,
         seed: int = 0,
-        pretrained: dict[str, np.ndarray] | None = None,
         params: dict[str, np.ndarray] | None = None,
     ):
         self.config = config
@@ -417,13 +420,6 @@ class RelationModel:
                                               for _ in LstmCell.GATES])
                 else:
                     params[name] = draw(*shape)
-            for w, vec in (pretrained or {}).items():
-                if w in word_vocab._index and w != UNK:
-                    if vec.shape != (config.word_dim,):
-                        raise ValueError(
-                            f"embedding for {w!r} has dim {vec.shape}, expected ({config.word_dim},)"
-                        )
-                    params["emb/word"][word_vocab.index(w)] = vec
         # a penalized table has a gradient at every row on every step: it updates as dense
         st = self.store = ParamStore(params, () if config.l2_include_embeddings else EMBEDDING_TABLES)
         self.emb_word, self.emb_rel = st["emb/word"], st["emb/rel"]

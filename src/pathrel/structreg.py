@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .codec import Document
-from .depgraph import DOWN, UP, DependencyTree, SdpPath, path_between
+from .depgraph import DependencyTree, SdpPath, path_between
 
 SR_LINK = "SR-LINK"
 
@@ -195,9 +195,3 @@ def cut_and_line(tree: DependencyTree, cut_nodes: set[int]) -> RegularizedTree:
 def extract_sr_sdp(rt: RegularizedTree, e1_head: int, e2_head: int) -> SdpPath:
     """Shortest path between two entity heads in the lined forest."""
     return path_between(rt, e1_head, e2_head)
-
-
-def invert_path(p: SdpPath) -> SdpPath:
-    """Reverse a path: mirrored nodes, UP/DOWN flipped, labels kept."""
-    directions = tuple(UP if d == DOWN else DOWN for d in reversed(p.directions))
-    return SdpPath(p.nodes[::-1], p.deprels[::-1], directions, p.forms[::-1], p.pos[::-1])

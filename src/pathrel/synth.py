@@ -155,12 +155,3 @@ def generate(cfg: SynthConfig) -> list[Instance]:
     """Deterministic corpus: same config, same instances."""
     rng = np.random.default_rng(cfg.seed)
     return [generate_instance(cfg, rng, sid=f"synth-{i:05d}") for i in range(cfg.n)]
-
-
-def oracle_label(instance: Instance) -> str:
-    """Recover the gold label from the marker verb at the tree root."""
-    form = instance.tree.forms[instance.tree.root]
-    if form == RESIDUAL_VERB:
-        return "Other"
-    _, t, d = form.split("_")
-    return f"Rel{int(t)}({'e1,e2' if d == 'f' else 'e2,e1'})"

@@ -170,14 +170,12 @@ def train(config: ExperimentConfig, train_instances=None) -> TrainResult:
 
     prepared = prepare_paths(train_instances, config.rule)
     word_vocab, rel_vocab = build_vocabs(prepared)
-    pretrained = (load_word_embeddings(config.embeddings_path, config.model.word_dim)
-                  if config.embeddings_path else None)
 
     master = np.random.default_rng(config.seed)
     init_seed = int(master.integers(2**31))
-    model = RelationModel(
-        config.model, schema, word_vocab, rel_vocab, seed=init_seed, pretrained=pretrained
-    )
+    model = RelationModel(config.model, schema, word_vocab, rel_vocab, seed=init_seed)
+    if config.embeddings_path:
+        load_word_embeddings(config.embeddings_path, word_vocab, model.emb_word.data)
 
     # validation split: shuffle once with the master generator, hold out the head
     perm = master.permutation(len(prepared))

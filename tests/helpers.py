@@ -8,11 +8,14 @@ of the sentence, tree checks from union-find, tree validation from a
 walk of every token to the root, cut sets from a scalar splitmix64 loop
 and a scan of the tags (cut_oracle), CoNLL-U from a line-by-line parser
 that builds one Token per line, and text path lines from
-parse_path_line, the inverse of data.format_path_line.  The relation
-model's oracle is its per-gate formulation: one tape node per gate
-product and step, plain cross-entropy of a softmax, an L2 graph over
-every parameter, and the dense AdaDelta rule; reference_train runs
-train() with them as the textbook algorithm.  The generic tape ops it
+parse_path_line, the inverse of data.format_path_line, a reversed path
+from invert_path, a synthetic instance's label from oracle_label (its
+root's marker verb), and pretrained vectors from reference_embeddings,
+a per-word dict reader.  The relation model's oracle is its per-gate
+formulation: one tape node per gate product and step, plain
+cross-entropy of a softmax, an L2 graph over every parameter, and the
+dense AdaDelta rule; reference_train runs train() with them as the
+textbook algorithm.  The generic tape ops it
 is built from (matmul, add, mul, concat, tanh, max_over, softmax, and
 sigmoid in its exp form, where the library takes one tanh) live here,
 since the library itself records only fused nodes, and so do Tensor,
@@ -26,6 +29,7 @@ can damage its header.
 """
 
 import json
+import math
 import re
 import struct
 from collections import deque
@@ -42,6 +46,7 @@ from pathrel.depgraph import (
     CycleDetected,
     DependencyTree,
     HeadOutOfRange,
+    Instance,
     MalformedLine,
     MultipleRoots,
     NoRoot,
@@ -51,7 +56,7 @@ from pathrel.depgraph import (
 from pathrel.labels import load_schema
 from pathrel.metrics import ConfusionMatrix
 from pathrel.model import BWD, FWD, LSTM_STANDARD, Prediction, RelationModel, decode
-from pathrel.structreg import invert_path
+from pathrel.synth import RESIDUAL_VERB
 from pathrel.training import build_vocabs, prepare_paths
 
 POS_POOL = ("NOUN", "VERB", "ADJ", "ADP", "PUNCT", "ADV")
@@ -364,6 +369,21 @@ def parse_path_line(line: str) -> tuple[int, int, SdpPath]:
         else:
             raise DatasetError(f"bad path item {item!r}")
     return e1_head, e2_head, SdpPath(tuple(nodes), tuple(deprels), tuple(directions), (), ())
+
+
+def invert_path(p: SdpPath) -> SdpPath:
+    """Reverse a path: mirrored nodes, UP/DOWN flipped, labels kept."""
+    directions = tuple("UP" if d == "DOWN" else "DOWN" for d in reversed(p.directions))
+    return SdpPath(p.nodes[::-1], p.deprels[::-1], directions, p.forms[::-1], p.pos[::-1])
+
+
+def oracle_label(instance: Instance) -> str:
+    """A synthetic instance's gold label, recovered from the marker verb at its tree root."""
+    form = instance.tree.forms[instance.tree.root]
+    if form == RESIDUAL_VERB:
+        return "Other"
+    _, t, d = form.split("_")
+    return f"Rel{int(t)}({'e1,e2' if d == 'f' else 'e2,e1'})"
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +758,38 @@ def dense_adadelta_step(params: dict, grads: dict, sq_grad: dict, sq_update: dic
         x += dx
 
 
+def reference_embeddings(path, words, dim: int) -> dict:
+    """A text embeddings file's vectors (lists of floats) by word, for each word of
+    words but "<unk>", read whole into a dict: the oracle of load_word_embeddings,
+    which writes rows in place.  A later line for a word replaces an earlier one,
+    and every line, kept or not, is checked with the library's rules and messages."""
+    lines = Path(path).read_bytes().decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    lines = lines.split("\n")
+    if lines[-1] == "":  # the end of the last line, not a line
+        lines.pop()
+    keep, vectors = set(words) - {"<unk>"}, {}
+    for line_no, line in enumerate(lines, start=1):
+        where = f"{path}:{line_no}"
+        word, *values = line.rstrip().split(" ")
+        if not values:
+            raise ValueError(f"{where}: expected `word v1 ... vd`")
+        for v in values:
+            if not v.isascii() or "_" in v:
+                raise ValueError(f"{where}: vector for {word!r} holds {v!r}, not an ASCII number")
+        try:
+            vec = [float(v) for v in values]
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+        if not all(map(math.isfinite, vec)):
+            raise ValueError(f"{where}: vector for {word!r} is not finite")
+        if len(vec) != dim:
+            raise ValueError(f"{where}: vector for {word!r} has {len(vec)} values, "
+                             f"expected word_dim {dim}")
+        if word in keep:
+            vectors[word] = vec
+    return vectors
+
+
 def reference_train(config, instances):
     """train() as the textbook algorithm: (per-gate parameters, history, best epoch).
 
@@ -747,12 +799,18 @@ def reference_train(config, instances):
     and followed by dense_adadelta_step over every coordinate, untouched
     table rows included.  Each epoch scores the validation set (or, without
     one, the training set) with PerGateReference.predict, and the epoch of
-    the best macro-F1, the later one on ties, is restored at the end.
+    the best macro-F1, the later one on ties, is restored at the end.  Given
+    config.embeddings_path, reference_embeddings sets the word rows first.
     """
     prepared = prepare_paths(instances, config.rule)
     master = np.random.default_rng(config.seed)
     model = RelationModel(config.model, load_schema(config.schema), *build_vocabs(prepared),
                           seed=int(master.integers(2**31)))
+    if config.embeddings_path:
+        words = model.word_vocab.words
+        for word, vec in reference_embeddings(config.embeddings_path, words,
+                                              config.model.word_dim).items():
+            model.emb_word.data[words.index(word)] = vec
     perm = master.permutation(len(prepared))
     val = [prepared[i] for i in perm[: config.val_size]]
     fit = [prepared[i] for i in perm[config.val_size :]]

@@ -678,14 +678,17 @@ class TestTrainEval:
                                                          monkeypatch):
         """A NaN embedding for a training word makes the first loss NaN.
 
-        The embeddings reader refuses NaN, so the table is handed to train past it.
+        The embeddings reader refuses NaN, so the row is written past it.
         """
         forms = [f for ex in prepare_paths(load_dataset(dataset), CutRule()) for f in ex.path.forms]
         word = max(set(forms), key=forms.count)
         emb = tmp_path / "emb.txt"
         emb.write_text(f"{word} 0 0 0 0 0 0\n", encoding="utf-8")
-        monkeypatch.setattr(training, "load_word_embeddings",
-                            lambda path, dim: {word: np.full(dim, np.nan)})
+
+        def nan_row(path, vocab, table):
+            table[vocab.index(word)] = np.nan
+
+        monkeypatch.setattr(training, "load_word_embeddings", nan_row)
         ck, log = tmp_path / "m.ckpt", tmp_path / "m.log"
         capsys.readouterr()
         assert main(["train", "--config", str(tiny_config_file(tmp_path)), "--train", str(dataset),

@@ -340,8 +340,8 @@ def sentence_lines(draw):
         kind = draw(st.sampled_from(["id", "head", "width", "swap"]))
         if kind in ("id", "head") and len(cols) == 10:
             cols[0 if kind == "id" else 6] = draw(st.sampled_from(ODD_NUMBERS))
-        elif kind == "width":
-            cols.append("_") if draw(st.booleans()) else cols.pop()
+        elif kind == "width":  # never empty a line: a one-column line only grows
+            cols.append("_") if len(cols) == 1 or draw(st.booleans()) else cols.pop()
         elif kind == "swap" and len(lines) > 1:
             i, j = draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2,
                                  unique=True))

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -13,10 +14,12 @@ from helpers import (
     add,
     adopt,
     as_loss,
+    invert_path,
     json_checkpoint_bytes,
     per_gate_tensors,
     random_cut_set,
     random_tree,
+    reference_embeddings,
     sigmoid_array,
     sum_squares,
     tape_backward,
@@ -59,7 +62,7 @@ from pathrel.model import (
     lstm_step,
 )
 from pathrel.optim import AdaDeltaState, adadelta_step
-from pathrel.structreg import SR_LINK, CutRule, cut_and_line, extract_sr_sdp, invert_path
+from pathrel.structreg import SR_LINK, CutRule, cut_and_line, extract_sr_sdp
 from pathrel.synth import SynthConfig, generate
 from pathrel.training import ExperimentConfig, build_vocabs, prepare_paths, train
 
@@ -1031,58 +1034,130 @@ class TestPersistence:
         assert ("fine_bwd/w" in shapes) is not share
 
 
+@st.composite
+def embedding_files(draw):
+    """The text of an embeddings file for a 3-wide table: words in and out of the
+    vocabulary, `<unk>` and repeats, trailing whitespace, any line end, now and
+    then a byte-order mark, and now and then a fault: a short or long line, or a
+    value that is not a finite ASCII number."""
+    text = draw(st.sampled_from(["", "", "\ufeff"]))
+    for _ in range(draw(st.integers(0, 6))):
+        word = draw(st.sampled_from(["cat", "dog", "ent7", "<unk>", "zebra", "", "\x0c", "a\u2028b"]))
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                               min_size=3, max_size=3))
+        if not draw(st.integers(0, 11)):
+            fault = draw(st.sampled_from(["0x1", "", "x", "nan", "-Infinity", "1e400", "1_0",
+                                          "\u0661", "\u00a0", "short", "long"]))
+            if fault in ("short", "long"):
+                values = values[:draw(st.integers(0, 2))] if fault == "short" else [*values, "0"]
+            else:
+                values[draw(st.integers(0, 2))] = fault
+        text += " ".join([word, *values]) + draw(st.sampled_from(["", "", " ", "\t", " \t "]))
+        text += draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return text + draw(st.sampled_from(["", "", "cat 1 2 3", "-0 +.5 1e-320 .0", "\n"]))
+
+
 class TestWordEmbeddings:
     def test_load_text_table(self, tmp_path):
         file = tmp_path / "vecs.txt"
         file.write_text("hello 0.25 -1.5\nworld 2.0 0.0\n", encoding="utf-8")
-        table = load_word_embeddings(file, 2)
-        assert set(table) == {"hello", "world"}
-        assert np.array_equal(table["hello"], [0.25, -1.5])
+        table = np.zeros((3, 2))
+        load_word_embeddings(file, Vocabulary(["hello", "world"]), table)
+        assert np.array_equal(table, [[0.0, 0.0], [0.25, -1.5], [2.0, 0.0]])
 
     def test_byte_order_mark_dropped(self, tmp_path):
         """A file saved with a BOM loads its first word without it."""
         file = tmp_path / "vecs.txt"
         file.write_text("\ufeffent7 1.0 2.0\n", encoding="utf-8")
-        assert list(load_word_embeddings(file, 2)) == ["ent7"]
+        table = np.zeros((2, 2))
+        load_word_embeddings(file, Vocabulary(["ent7"]), table)
+        assert np.array_equal(table[1], [1.0, 2.0])
 
     def test_malformed_line_reports_position(self, tmp_path):
         file = tmp_path / "vecs.txt"
         file.write_text("hello 1.0\njunk\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="2"):
-            load_word_embeddings(file, 1)
+        with pytest.raises(ValueError, match=r":2: expected `word v1 ... vd`"):
+            load_word_embeddings(file, Vocabulary(["hello"]), np.zeros((2, 1)))
 
     def test_trailing_whitespace_ignored(self, tmp_path):
         """word2vec's text format ends every line with a space."""
         file = tmp_path / "vecs.txt"
+        vocab, table = Vocabulary(["hello", "short", "world"]), np.zeros((4, 2))
         file.write_bytes(b"hello 0.25 -1.5 \nworld 2.0 0.0\t \r\n")
-        table = load_word_embeddings(file, 2)
-        assert np.array_equal(table["hello"], [0.25, -1.5])
-        assert np.array_equal(table["world"], [2.0, 0.0])
+        load_word_embeddings(file, vocab, table)
+        assert np.array_equal(table[vocab.index("hello")], [0.25, -1.5])
+        assert np.array_equal(table[vocab.index("world")], [2.0, 0.0])
         file.write_bytes(b"hello 0.25 -1.5 \nshort 1.0 \n")
         with pytest.raises(ValueError, match=r":2: vector for 'short' has 1 values, expected word_dim 2"):
-            load_word_embeddings(file, 2)
+            load_word_embeddings(file, vocab, table)
         file.write_bytes(b"gap 0.25  -1.5\n")
         with pytest.raises(ValueError, match=r":1: could not convert string to float: ''"):
-            load_word_embeddings(file, 2)
+            load_word_embeddings(file, vocab, table)
 
-    def test_pretrained_rows_injected(self):
-        vec = np.array([9.0, 8.0, 7.0, 6.0])
-        model = RelationModel(
-            config=SMALL,
-            schema=synth_schema(2),
-            word_vocab=Vocabulary(["cat", "dog"]),
-            rel_vocab=RelationVocabulary(["nsubj"]),
-            seed=0,
-            pretrained={"cat": vec, "not-in-vocab": vec},
-        )
-        assert np.array_equal(model.emb_word.data[model.word_vocab.index("cat")], vec)
+    def test_pretrained_rows_injected(self, tmp_path):
+        """A vocabulary word's row takes its last line's vector, in place.  Row 0,
+        which `<unk>` and every word outside the vocabulary map to, and the rows of
+        words without a line keep their values."""
+        file = tmp_path / "vecs.txt"
+        file.write_text("cat 1 2 3 4\n<unk> 9 9 9 9\nnot-in-vocab 8 8 8 8\ncat 5 6 7 8\n",
+                        encoding="utf-8")
+        vocab = Vocabulary(["cat", "dog"])
+        table = np.random.default_rng(0).uniform(-1, 1, (3, 4))
+        want = table.copy()
+        want[vocab.index("cat")] = [5.0, 6.0, 7.0, 8.0]
+        assert load_word_embeddings(file, vocab, table) is None
+        assert table.tobytes() == want.tobytes()
 
-    def test_pretrained_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dim"):
-            RelationModel(
-                config=SMALL,
-                schema=synth_schema(2),
-                word_vocab=Vocabulary(["cat"]),
-                rel_vocab=RelationVocabulary(["nsubj"]),
-                pretrained={"cat": np.zeros(3)},
-            )
+    def test_pretrained_dim_mismatch(self, tmp_path):
+        """A vector that is not as wide as the table is refused, kept word or not,
+        before its row is written."""
+        file = tmp_path / "vecs.txt"
+        table = np.ones((2, 4))
+        for word in ("cat", "not-in-vocab"):
+            file.write_text(f"{word} 0 0 0\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f":1: vector for '{word}' has 3 values, "
+                                                 "expected word_dim 4"):
+                load_word_embeddings(file, Vocabulary(["cat"]), table)
+        assert np.array_equal(table, np.ones((2, 4)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=embedding_files())
+    def test_same_table_or_same_error_as_the_dict_reader(self, tmp_path_factory, text):
+        """The loader fills the rows that reference_embeddings (tests/helpers.py) gives
+        vectors for, and leaves every other row's bytes as they were; or both raise
+        the same message."""
+        file = tmp_path_factory.getbasetemp() / "embeddings-property.txt"
+        file.write_bytes(text.encode("utf-8"))
+        vocab = Vocabulary(["cat", "dog", "ent7"])
+        table = np.random.default_rng(1).uniform(-1, 1, (len(vocab), 3))
+        want = table.copy()
+        try:
+            vectors = reference_embeddings(file, vocab.words, 3)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                load_word_embeddings(file, vocab, table)
+            assert str(got.value) == str(err)
+            return
+        for word, vec in vectors.items():
+            want[vocab.words.index(word)] = vec
+        load_word_embeddings(file, vocab, table)
+        assert table.tobytes() == want.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_file(self, tmp_path):
+        """At a fixed vocabulary of 10 words, 8000 lines leave the traced peak within
+        256 KiB of 2000 lines'.  A reader that keeps every word's vector in a dict,
+        in the vocabulary or not, grows it by 1.44 MiB here."""
+        vocab = Vocabulary([f"w{i}" for i in range(10)])
+        table = np.zeros((len(vocab), 8))
+        peaks = []
+        for lines in (2000, 8000):
+            file = tmp_path / f"vecs{lines}.txt"
+            file.write_text("".join(f"w{i} " + " ".join(["0.125"] * 8) + "\n" for i in range(lines)),
+                            encoding="utf-8")
+            tracemalloc.start()
+            try:
+                load_word_embeddings(file, vocab, table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 256 * 1024, peaks

@@ -5,6 +5,7 @@ from helpers import (
     check_lined_tree,
     components_by_walk,
     cut_oracle,
+    invert_path,
     punct_cut_oracle,
     random_cut_set,
     random_tree,
@@ -22,7 +23,6 @@ from pathrel.structreg import (
     CutRule,
     cut_and_line,
     extract_sr_sdp,
-    invert_path,
     select_cut_nodes,
     select_cuts,
 )

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from helpers import oracle_label
 
 from pathrel.data import instance_to_record
-from pathrel.synth import RESIDUAL_VERB, SynthConfig, generate, oracle_label
+from pathrel.synth import RESIDUAL_VERB, SynthConfig, generate
 
 
 def forms(inst):

@@ -274,20 +274,37 @@ class TestReferenceTrainer:
         "best-in-the-middle": (ModelConfig(**MODEL, keep_prob=1.0), CutRule(variant="random", seed=1), 19),
     }
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_train_matches_the_textbook_algorithm(self, case):
-        model, rule, seed = self.CASES[case]
+    def assert_agrees(self, config):
+        """train() and reference_train on one corpus; returns the best epoch."""
         corpus = generate(SynthConfig(n=40, k_types=2, seed=0))
-        config = ExperimentConfig(model=model, rule=rule, schema="synth-k2", seed=seed, epochs=3,
-                                  val_size=10)
         result = train(config, train_instances=corpus)
         params, history, best_epoch = reference_train(config, corpus)
-        assert result.best_epoch == best_epoch and (case != "best-in-the-middle" or best_epoch == 2)
+        assert result.best_epoch == best_epoch
         assert [row["macro_f1"] for row in result.history] == [row["macro_f1"] for row in history]
         for got, want in zip(result.history, history):
             assert abs(got["loss"] - want["loss"]) <= self.LOSS_TOL * want["loss"]
         for name, value in per_gate_tensors(result.model).items():
             assert np.max(np.abs(value - params[name])) <= self.PARAM_TOL, name
+        return best_epoch
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_train_matches_the_textbook_algorithm(self, case):
+        model, rule, seed = self.CASES[case]
+        best_epoch = self.assert_agrees(ExperimentConfig(model=model, rule=rule, schema="synth-k2",
+                                                         seed=seed, epochs=3, val_size=10))
+        assert case != "best-in-the-middle" or best_epoch == 2
+
+    def test_train_with_embeddings_matches_the_textbook_algorithm(self, tmp_path):
+        """Pretrained rows from load_word_embeddings, against reference_embeddings' dict
+        (tests/helpers.py): after a BOM, two corpus words (one repeated, the later line
+        winning), `<unk>`, and two words outside the vocabulary (ent3 is not drawn)."""
+        emb = tmp_path / "emb.txt"
+        emb.write_text("\ufeffent0 0.5 -0.5 0.25 1\n<unk> 9 9 9 9\nzebra 1 2 3 4\n"
+                       "verb_1_f 0.1 0.2 -0.3 0.4\nent3 -2 2 -2 2\nent0 -1 0.75 0 0.5\n",
+                       encoding="utf-8")
+        self.assert_agrees(ExperimentConfig(model=ModelConfig(**self.MODEL, keep_prob=1.0),
+                                            schema="synth-k2", epochs=3, val_size=10,
+                                            embeddings_path=str(emb)))
 
 
 class TestEvaluate:
