@@ -23,6 +23,7 @@ _EXPORTS = {
     "depgraph": ("DependencyTree", "EntitySpan", "Instance", "PathEdge", "SdpPath", "Token",
                  "entity_head", "parse_conllu", "path_between", "serialize_conllu"),
     "dictmatch": ("Match", "dict_match"),
+    "errors": ("SchemaMismatch",),
     "labels": ("SANWEN", "SEMEVAL", "LabelSchema", "load_schema", "synth_schema"),
     "metrics": ("ConfusionMatrix", "macro_f1"),
     "model": ("ModelConfig", "Prediction", "RelationModel", "decode"),
@@ -30,7 +31,7 @@ _EXPORTS = {
     "structreg": ("SR_LINK", "CutRule", "RegularizedTree", "cut_and_line", "extract_sr_sdp",
                   "select_cut_nodes"),
     "synth": ("SynthConfig", "generate"),
-    "training": ("ExperimentConfig", "SchemaMismatch", "evaluate", "prepare_paths", "train"),
+    "training": ("ExperimentConfig", "evaluate", "prepare_paths", "train"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

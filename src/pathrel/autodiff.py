@@ -23,15 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import NonScalarLoss
+
 if sys.platform.startswith("linux"):
     # a private anonymous page dropped by MADV_DONTNEED reads as zeros when next touched
     _GRAD_PAGES, _DROP_PAGES = {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}, mmap.MADV_DONTNEED
 else:
     _GRAD_PAGES, _DROP_PAGES = {}, None
-
-
-class NonScalarLoss(ValueError):
-    pass
 
 
 class Param(NamedTuple):

@@ -1,6 +1,12 @@
 """Command-line interface.
 
-Subcommands: extract-sdp, synth, train, eval, dict-match.
+Subcommands: extract-sdp, synth, train, eval, dict-match.  Each imports
+only what it uses: --version, dict-match and extract-sdp load neither
+numpy nor the model stack (extract-sdp's random rule loads numpy for its
+draws); synth loads synth; train and eval load training and model, and
+with them numpy.  main() builds the parser once per process, which saves
+time only where main() runs more than once in one process (the tests,
+bench/run.py); the console script and python -m pathrel call it once.
 
 Exit codes: 0 success; 2 usage errors (from argparse); 3 malformed input
 data, files, or configuration; 4 schema mismatch between a checkpoint
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -21,15 +28,12 @@ from typing import Iterable, Iterator
 
 from . import __version__
 from .atomic import atomic_open
-from .autodiff import NonScalarLoss
 from .data import (DatasetError, format_paths, load_dataset, load_entity_pairs, read_lines, read_text,
                    save_dataset)
 from .depgraph import ConlluError, iter_conllu
 from .dictmatch import dict_match, format_standoff
-from .model import EmptyPath, RelationModel
-from .structreg import CutRule
-from .synth import SynthConfig, generate
-from .training import ExperimentConfig, SchemaMismatch, entity_paths, evaluate, train
+from .errors import EmptyPath, NonScalarLoss, SchemaMismatch
+from .structreg import CutRule, entity_paths
 
 
 _CUT_FLAGS = {"--cut-p": "cut_p", "--cut-seed": "cut_seed", "--cut-tags": "cut_tags"}
@@ -123,6 +127,7 @@ def _named_trees(path: str, text: str) -> Iterator:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthConfig, generate
     cfg = SynthConfig(
         n=args.n,
         k_types=args.k,
@@ -144,6 +149,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .training import ExperimentConfig, train
     config = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     overrides = {}
     for key in ("schema", "seed", "epochs", "val_size", "train_path", "embeddings_path",
@@ -168,6 +174,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .model import RelationModel
+    from .training import evaluate
     model = RelationModel.load(args.checkpoint)
     if args.rule is not None:
         rule = _rule_from_args(args)
@@ -195,6 +203,7 @@ def cmd_dict_match(args) -> int:
 # parser
 
 
+@functools.cache  # one per process: main() reuses it, and parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathrel",

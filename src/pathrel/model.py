@@ -31,6 +31,7 @@ from .autodiff import (
 from .codec import Document
 from .data import read_lines
 from .depgraph import SdpPath
+from .errors import EmptyPath
 from .labels import LabelSchema
 from .structreg import SR_LINK
 
@@ -49,10 +50,6 @@ EMBEDDING_TABLES = ("emb/word", "emb/rel")
 
 # paths that predict_batch runs at once: bounds its (T, B, 4H) gate arrays
 PREDICT_BATCH = 128
-
-
-class EmptyPath(ValueError):
-    pass
 
 
 def check_alpha(alpha: float) -> None:

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 from .codec import Document
-from .depgraph import DependencyTree, SdpPath, path_between
+from .depgraph import DependencyTree, SdpPath, entity_head, path_between
 
 SR_LINK = "SR-LINK"
 
@@ -24,9 +22,8 @@ _MASK64 = (1 << 64) - 1
 # splitmix64 (Steele, Lea & Flood 2014), pinned so that seeded cuts are the same on
 # every platform: the state advances by _GOLDEN per draw, and each output mixes
 # the state by two xor-shift-multiplies and a final xor-shift
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
-        (np.uint64(27), np.uint64(0x94D049BB133111EB)))
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 
 
 class CutRootRequested(ValueError):
@@ -75,6 +72,7 @@ def select_cuts(trees: Sequence[DependencyTree], rule: CutRule, first: int = 0) 
         return [_tree_cuts(tree, rule) for tree in trees]
     if not trees:
         return []
+    import numpy as np  # the random rule alone draws, so the other three load no numpy
     sizes = np.fromiter((len(tree.heads) - 1 for tree in trees), np.intp, len(trees))
     ends = np.cumsum(sizes)
     starts = ends - sizes
@@ -82,10 +80,10 @@ def select_cuts(trees: Sequence[DependencyTree], rule: CutRule, first: int = 0) 
     index -= np.repeat(starts, sizes)  # token k of its sentence
     position = np.arange(len(trees), dtype=np.uint64) + np.uint64(first & _MASK64)
     z = np.repeat(position ^ np.uint64(rule.seed & _MASK64), sizes)
-    z += index.astype(np.uint64) * _GOLDEN
+    z += index.astype(np.uint64) * np.uint64(_GOLDEN)
     for shift, multiplier in _MIX:
-        z ^= z >> shift
-        z *= multiplier
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(multiplier)
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
     drawn = z * 2.0**-53 < rule.p
@@ -195,3 +193,23 @@ def cut_and_line(tree: DependencyTree, cut_nodes: set[int]) -> RegularizedTree:
 def extract_sr_sdp(rt: RegularizedTree, e1_head: int, e2_head: int) -> SdpPath:
     """Shortest path between two entity heads in the lined forest."""
     return path_between(rt, e1_head, e2_head)
+
+
+def entity_paths(trees, pairs, rule: CutRule, name, first: int = 0) -> list[SdpPath]:
+    """Each tree's path between the heads of its entity spans (e1, e2) after rule cuts and lines it.
+
+    trees[o] is the sentence at corpus position first + o, so a corpus
+    passed a chunk at a time, each chunk with its own first, draws the
+    cuts of one select_cuts pass over the whole corpus.  A ValueError
+    raised for tree o is raised again as a ValueError led by
+    name(first + o).  Only the trees that have a pair are extracted.
+    """
+    paths = []
+    cuts = select_cuts(trees, rule, first=first)
+    for ordinal, (tree, cut, (e1, e2)) in enumerate(zip(trees, cuts, pairs), start=first):
+        try:
+            rt = cut_and_line(tree, cut)
+            paths.append(extract_sr_sdp(rt, entity_head(tree, e1), entity_head(tree, e2)))
+        except ValueError as err:
+            raise ValueError(f"{name(ordinal)}: {err}") from None
+    return paths

@@ -25,18 +25,15 @@ from .atomic import atomic_open
 from .autodiff import backward
 from .codec import Document
 from .data import load_dataset
-from .depgraph import SdpPath, entity_head
+from .depgraph import SdpPath
+from .errors import SchemaMismatch
 from .labels import UnknownLabel, load_schema
 from .metrics import ConfusionMatrix
 from .model import ModelConfig, RelationModel, RelationVocabulary, Vocabulary, load_word_embeddings
 from .optim import AdaDeltaState, adadelta_step
-from .structreg import CutRule, cut_and_line, extract_sr_sdp, select_cuts
+from .structreg import CutRule, entity_paths
 
 logger = logging.getLogger(__name__)
-
-
-class SchemaMismatch(ValueError):
-    pass
 
 
 class NonFiniteError(ValueError):
@@ -80,26 +77,6 @@ class ExperimentConfig(Document):
 
 # ---------------------------------------------------------------------------
 # preprocessing
-
-
-def entity_paths(trees, pairs, rule: CutRule, name, first: int = 0) -> list[SdpPath]:
-    """Each tree's path between the heads of its entity spans (e1, e2) after rule cuts and lines it.
-
-    trees[o] is the sentence at corpus position first + o, so a corpus
-    passed a chunk at a time, each chunk with its own first, draws the
-    cuts of one select_cuts pass over the whole corpus.  A ValueError
-    raised for tree o is raised again as a ValueError led by
-    name(first + o).  Only the trees that have a pair are extracted.
-    """
-    paths = []
-    cuts = select_cuts(trees, rule, first=first)
-    for ordinal, (tree, cut, (e1, e2)) in enumerate(zip(trees, cuts, pairs), start=first):
-        try:
-            rt = cut_and_line(tree, cut)
-            paths.append(extract_sr_sdp(rt, entity_head(tree, e1), entity_head(tree, e2)))
-        except ValueError as err:
-            raise ValueError(f"{name(ordinal)}: {err}") from None
-    return paths
 
 
 def prepare_paths(instances, rule: CutRule) -> list[PreparedExample]:

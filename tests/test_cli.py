@@ -119,6 +119,128 @@ class TestParser:
         assert exc.value.code == 2
 
 
+class TestParserOncePerProcess:
+    """main() reuses one parser, and one call leaves nothing behind for the next."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        trees, spans = random_corpus(np.random.default_rng(4), 12)
+        conllu, pairs = write_corpus(tmp_path, trees, spans)
+        return conllu, pairs, spans
+
+    def test_usage_error_then_a_good_call(self, tmp_path, capsys):
+        text, dictionary = tmp_path / "t.txt", tmp_path / "d.txt"
+        text.write_text("abab", encoding="utf-8")
+        dictionary.write_text("ab\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["dict-match", "--text", str(text)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --dictionary" in capsys.readouterr().err
+        assert main(["dict-match", "--text", str(text), "--dictionary", str(dictionary)]) == 0
+        assert capsys.readouterr() == ("0\t2\tab\n2\t4\tab\n", "")
+
+    def test_cut_flag_without_rule_then_with_rule(self, corpus, capsys):
+        conllu, pairs, spans = corpus
+        argv = ["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), "--cut-p", "0.4"]
+        assert_cut_flag_refused(argv, "--cut-p", capsys)
+        assert main(argv + ["--rule", "random"]) == 0
+        expected = whole_corpus_output(conllu.read_text(encoding="utf-8"), spans,
+                                       CutRule("random", p=0.4), False)
+        assert capsys.readouterr() == (expected, "")
+
+    def test_json_call_then_a_text_call(self, corpus, capsys):
+        conllu, pairs, spans = corpus
+        argv = ["extract-sdp", "--conllu", str(conllu), "--pairs", str(pairs), "--rule", "prep"]
+        text = conllu.read_text(encoding="utf-8")
+        for as_json in (True, False):
+            assert main(argv + ["--json"] * as_json) == 0
+            assert capsys.readouterr() == (whole_corpus_output(text, spans, CutRule("prep"), as_json), "")
+
+    @pytest.mark.parametrize("command", [[], ["extract-sdp"], ["synth"], ["train"], ["eval"],
+                                         ["dict-match"]])
+    def test_help_equals_a_fresh_parsers_help(self, capsys, command):
+        assert cli.build_parser() is cli.build_parser()
+        helps = []
+        for parse in (main, cli.build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*command, "-h"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr())
+        assert helps[0] == helps[1] and helps[0].out.startswith("usage: pathrel")
+
+
+# numpy and the model stack: what a data command must not load
+MODEL_STACK = {"numpy", "pathrel.model", "pathrel.training", "pathrel.autodiff", "pathrel.optim",
+               "pathrel.checkpoint", "pathrel.synth"}
+
+
+def run_pathrel(*argv):
+    """`python -W error -X importtime -m pathrel *argv` in a fresh process.
+
+    Returns the exit code, stdout, stderr less the import-time lines, and
+    the names of the modules those lines report loaded.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-X", "importtime", "-m", "pathrel",
+                           *map(str, argv)], env=env, capture_output=True, text=True, timeout=120)
+    loaded, err = set(), []
+    for line in proc.stderr.splitlines(keepends=True):
+        if line.startswith("import time:"):
+            loaded.add(line.rpartition("|")[2].strip())
+        else:
+            err.append(line)
+    return proc.returncode, proc.stdout, "".join(err), loaded
+
+
+class TestCommandsLoadOnlyWhatTheyUse:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        trees, spans = random_corpus(np.random.default_rng(6), 30)
+        conllu, pairs = write_corpus(tmp_path, trees, spans)
+        text, dictionary = tmp_path / "doc.txt", tmp_path / "dict.txt"
+        text.write_text("山上有白杨树。\ndogs sleep\n", encoding="utf-8")
+        dictionary.write_text("白杨树\ndogs\n", encoding="utf-8")
+        return {"conllu": conllu, "pairs": pairs, "spans": spans, "text": text,
+                "dictionary": dictionary}
+
+    def extract_sdp(self, inputs, *rule_args):
+        return ["extract-sdp", "--conllu", inputs["conllu"], "--pairs", inputs["pairs"], *rule_args]
+
+    @pytest.mark.parametrize("command", ["--version", "dict-match", "extract-sdp"])
+    def test_data_commands_load_no_numpy_nor_model_stack(self, inputs, command):
+        if command == "--version":
+            argv, expected = ["--version"], "pathrel 0.1.0\n"
+        elif command == "dict-match":
+            argv = ["dict-match", "--text", inputs["text"], "--dictionary", inputs["dictionary"]]
+            expected = "3\t6\t白杨树\n8\t12\tdogs\n"
+        else:
+            argv = self.extract_sdp(inputs, "--rule", "prep")
+            expected = whole_corpus_output(inputs["conllu"].read_text(encoding="utf-8"),
+                                           inputs["spans"], CutRule("prep"), False)
+        code, out, err, loaded = run_pathrel(*argv)
+        assert (code, out, err) == (0, expected, "")
+        assert "pathrel.cli" in loaded and sorted(loaded & MODEL_STACK) == []
+
+    def test_random_rule_loads_numpy_alone_and_writes_the_same_bytes(self, inputs):
+        argv = self.extract_sdp(inputs, "--rule", "random", "--cut-p", "0.4", "--cut-seed", "9",
+                                "--json")
+        code, out, err, loaded = run_pathrel(*argv)
+        expected = whole_corpus_output(inputs["conllu"].read_text(encoding="utf-8"),
+                                       inputs["spans"], CutRule("random", p=0.4, seed=9), True)
+        assert (code, out, err) == (0, expected, "")
+        assert loaded & MODEL_STACK == {"numpy"}
+
+    def test_non_utf8_dictionary_exits_3_without_numpy(self, inputs):
+        bad = inputs["dictionary"]
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        code, out, err, loaded = run_pathrel("dict-match", "--text", inputs["text"],
+                                             "--dictionary", bad)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {bad}: not UTF-8 ('utf-8' codec can't decode byte 0xff in "
+                       "position 0: invalid start byte)\n")
+        assert sorted(loaded & MODEL_STACK) == []
+
+
 CUT_FLAGS = [("--cut-p", "0.9"), ("--cut-seed", "3"), ("--cut-tags", "NOUN")]
 
 
@@ -667,7 +789,7 @@ class TestTrainEval:
         def failing_evaluate(*args, **kwargs):
             raise error("raised inside evaluate")
 
-        monkeypatch.setattr(cli, "evaluate", failing_evaluate)
+        monkeypatch.setattr(training, "evaluate", failing_evaluate)  # cmd_eval reads it there
         capsys.readouterr()
         assert main(["eval", "--checkpoint", str(ck), "--data", str(dataset)]) == 1
         err = capsys.readouterr().err

@@ -21,6 +21,7 @@ HOMES = {
     "depgraph": ["DependencyTree", "EntitySpan", "Instance", "PathEdge", "SdpPath", "Token",
                  "entity_head", "parse_conllu", "path_between", "serialize_conllu"],
     "dictmatch": ["Match", "dict_match"],
+    "errors": ["SchemaMismatch"],
     "labels": ["SANWEN", "SEMEVAL", "LabelSchema", "load_schema", "synth_schema"],
     "metrics": ["ConfusionMatrix", "macro_f1"],
     "model": ["ModelConfig", "Prediction", "RelationModel", "decode"],
@@ -28,7 +29,7 @@ HOMES = {
     "structreg": ["SR_LINK", "CutRule", "RegularizedTree", "cut_and_line", "extract_sr_sdp",
                   "select_cut_nodes"],
     "synth": ["SynthConfig", "generate"],
-    "training": ["ExperimentConfig", "SchemaMismatch", "evaluate", "prepare_paths", "train"],
+    "training": ["ExperimentConfig", "evaluate", "prepare_paths", "train"],
 }
 HOME = {name: module for module, names in HOMES.items() for name in names}
 
@@ -51,6 +52,7 @@ schema = pathrel.load_schema("synth-k3")
 path = pathrel.path_between(tree, pathrel.entity_head(tree, inst.e1), pathrel.entity_head(tree, inst.e2))
 assert path.forms == ("dogs", "chase", "cats"), path
 assert pathrel.dict_match("dogs chase cats", ["cats"]) == [pathrel.Match(11, 15, "cats")]
+assert issubclass(pathrel.SchemaMismatch, ValueError)
 print(" ".join(sorted(sys.modules)))
 pathrel.train
 print(" ".join(sorted(sys.modules)))
