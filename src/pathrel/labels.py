@@ -88,14 +88,16 @@ class LabelSchema(Document):
         return index + 1 if index % 2 == 1 else index - 1
 
     def flip_distribution(self, dist):
-        """Permute a fine distribution (array-like) by the direction swap; a new ndarray."""
+        """Permute a fine distribution, or (B, K) stacked rows of them (array-like), by
+        the direction swap; a new ndarray."""
         import numpy as np  # here, so that reading schemas and data needs no numpy
 
         dist = np.asarray(dist)
-        if dist.shape != (self.fine_size,):
-            raise ValueError(f"expected shape ({self.fine_size},), got {dist.shape}")
+        if dist.ndim not in (1, 2) or dist.shape[-1] != self.fine_size:
+            raise ValueError(f"expected shape ({self.fine_size},) or (B, {self.fine_size}), "
+                             f"got {dist.shape}")
         out = dist.copy()  # the residual class 0 stays; 2k-1 and 2k swap, as in flip
-        out[1::2], out[2::2] = dist[2::2], dist[1::2]
+        out[..., 1::2], out[..., 2::2] = dist[..., 2::2], dist[..., 1::2]
         return out
 
 

@@ -180,40 +180,47 @@ def lstm_step(z: np.ndarray, w_h_t: np.ndarray, hs: np.ndarray, ss: np.ndarray, 
         np.tanh(h, out=h)
 
 
-def channel_forward(cell: LstmCell, table: np.ndarray, rows, mask=None, variant=LSTM_STANDARD):
-    """Embed, mask and recur over rows' first (time) axis; returns (x, gate activations, hs, ss).
+def project_inputs(cell: LstmCell, x: np.ndarray) -> np.ndarray:
+    """A channel's input stage: x @ W_x.T + b over x's rows, (..., X) -> (..., 4H).
 
-    rows is (T,) for one path or (T, B) for B paths of equal length, and
-    mask, if any, matches x = table[rows].  One GEMM projects every input,
-    and the bias joins that projection once; hs and ss hold the zero start
-    state in row 0 and h_t, s_t in row t+1.
+    One GEMM projects every row, and the bias joins that projection once.
     """
-    x = table[rows]
-    if mask is not None:
-        x *= mask
-    steps, lead = x.shape[0], x.shape[:-1]
-    w = cell.w.data
-    acts = x.reshape(-1, cell.input_dim) @ w[:, : cell.input_dim].T
+    acts = x.reshape(-1, cell.input_dim) @ cell.w.data[:, : cell.input_dim].T
     acts += cell.b.data
-    acts = acts.reshape(*lead, 4 * cell.hidden_dim)
-    hs = np.zeros((steps + 1, *lead[1:], cell.hidden_dim))
+    return acts.reshape(*x.shape[:-1], 4 * cell.hidden_dim)
+
+
+def recur(cell: LstmCell, acts: np.ndarray, variant=LSTM_STANDARD):
+    """A channel's recurrent stage over acts' first (time) axis; returns (hs, ss).
+
+    acts holds projected rows, (T, 4H) for one path or (T, B, 4H) for B
+    paths of equal length, and each lstm_step leaves its gate activations
+    there in place.  hs and ss hold the zero start state in row 0 and h_t,
+    s_t in row t+1.
+    """
+    hs = np.zeros((len(acts) + 1, *acts.shape[1:-1], cell.hidden_dim))
     ss = np.zeros_like(hs)
-    w_h_t = w[:, cell.input_dim :].T
-    for t in range(steps):
+    w_h_t = cell.w.data[:, cell.input_dim :].T
+    for t in range(len(acts)):
         lstm_step(acts[t], w_h_t, hs, ss, t, variant)
-    return x, acts, hs, ss
+    return hs, ss
 
 
 def lstm_channel(cell: LstmCell, table: Param, rows, mask=None, variant=LSTM_STANDARD) -> Node:
-    """channel_forward over one path as one tape node: the (T, H) hidden states.
+    """One path's channel as one tape node: the (T, H) hidden states.
 
-    The backward pass is backpropagation through time; the packed weight
-    gradient is one GEMM, dW = dZ^T [X | H_prev], and (dZ W_x) * mask
-    scatter-adds into the table's gradient in row order.
+    The forward embeds rows, applies mask if any, and runs project_inputs
+    and recur.  The backward pass is backpropagation through time; the
+    packed weight gradient is one GEMM, dW = dZ^T [X | H_prev], and
+    (dZ W_x) * mask scatter-adds into the table's gradient in row order.
     """
     n, x_dim = cell.hidden_dim, cell.input_dim
     w = cell.w.data
-    x, acts, hs, ss = channel_forward(cell, table.data, rows, mask, variant)
+    x = table.data[rows]
+    if mask is not None:
+        x *= mask
+    acts = project_inputs(cell, x)
+    hs, ss = recur(cell, acts, variant)
     steps = x.shape[0]
 
     def backward(dh_out):
@@ -309,13 +316,18 @@ class Prediction:
     y_test: np.ndarray | None = None
 
 
-def decode(pred: Prediction, alpha: float, schema: LabelSchema) -> str:
-    """Mix alpha * y_fwd + (1-alpha) * direction-swapped y_bwd and argmax.
+def decode(pred: Prediction, alpha: float, schema: LabelSchema):
+    """Mix alpha * y_fwd + (1-alpha) * direction-swapped y_bwd and argmax each row.
 
+    pred holds one path's (K,) distributions, and then the label is
+    returned, or a slice's (B, K) stacks, and then the list of B labels.
     Ties break toward the lowest class index.  Fills pred.y_test.
     """
     pred.y_test = alpha * pred.y_fwd + (1.0 - alpha) * schema.flip_distribution(pred.y_bwd)
-    return schema.fine_label(int(np.argmax(pred.y_test)))
+    best = np.argmax(pred.y_test, axis=-1)
+    if best.ndim == 0:
+        return schema.fine_label(int(best))
+    return [schema.fine_label(i) for i in best.tolist()]
 
 
 def _check_path(path: SdpPath) -> None:
@@ -345,17 +357,22 @@ def load_word_embeddings(path, vocab: Vocabulary, table: np.ndarray) -> None:
     """
     dim = table.shape[1]
     for line_no, line in enumerate(read_lines(path, encoding="utf-8-sig"), start=1):
-        parts = line.rstrip().split(" ")
+        line = line.rstrip()
+        parts = line.split(" ")
         if len(parts) < 2:
             raise ValueError(f"{path}:{line_no}: expected `word v1 ... vd`")
-        bad = [v for v in parts[1:] if not v.isascii() or "_" in v]  # float() reads `1_0`, `١`
-        if bad:
-            raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} holds {bad[0]!r}, "
+        values = line[len(parts[0]) + 1 :]  # parts[1:] joined by spaces
+        if not values.isascii() or "_" in values:  # float() reads `1_0`, `١`
+            bad = next(v for v in parts[1:] if not v.isascii() or "_" in v)
+            raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} holds {bad!r}, "
                              "not an ASCII number")
         try:
-            vec = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError as err:
-            raise ValueError(f"{path}:{line_no}: {err}") from None
+            vec = np.array(parts[1:], dtype=np.float64)  # numpy reads what float() reads
+        except ValueError:
+            try:  # float() names the first bad value in its own words
+                vec = np.array([float(v) for v in parts[1:]])
+            except ValueError as err:
+                raise ValueError(f"{path}:{line_no}: {err}") from None
         if not np.isfinite(vec).all():
             raise ValueError(f"{path}:{line_no}: vector for {parts[0]!r} is not finite")
         if len(vec) != dim:
@@ -430,37 +447,42 @@ class RelationModel:
 
     # -- forward pieces -------------------------------------------------
 
-    def _rows(self, path: SdpPath, direction: str):
-        """The path's word and relation embedding rows, read in direction.
+    def _rows(self, path: SdpPath):
+        """The path's forward word and relation embedding rows, as (T,) and (T-1,) arrays.
 
-        The backward rows are the inverted path's: both reversed, and each
-        known relation's UP and DOWN rows (2i, 2i+1) swapped.
+        Checks the path first (_check_path).
         """
         _check_path(path)
-        words = [self.word_vocab.index(form) for form in path.forms]
-        rels = list(map(self.rel_vocab.row, path.deprels, path.directions))
-        if direction == BWD:
-            unk = self.rel_vocab.table_size - 1
-            words, rels = words[::-1], [r if r == unk else r ^ 1 for r in reversed(rels)]
+        n = len(path.forms)
+        words = np.fromiter(map(self.word_vocab.index, path.forms), np.intp, n)
+        rels = np.fromiter(map(self.rel_vocab.row, path.deprels, path.directions), np.intp, n - 1)
         return words, rels
 
-    def encode_path(self, path: SdpPath, direction: str, dropout_rng=None):
+    def _backward_rows(self, words: np.ndarray, rels: np.ndarray):
+        """The inverted path's rows from forward rows with time on the first axis.
+
+        Both are reversed along that axis, and each known relation's UP and
+        DOWN rows (2i, 2i+1) swap; the UNK row stays.
+        """
+        unk = self.rel_vocab.table_size - 1
+        return words[::-1], np.where(rels == unk, rels, rels ^ 1)[::-1]
+
+    def encode_path(self, rows, direction: str, dropout_rng=None):
         """(T, H) word-channel and (T-1, H) relation-channel LSTM states.
 
-        Each channel is one lstm_channel node over the rows _rows reads in
-        direction.  With a dropout rng the embedded inputs are masked
-        (training mode), one mask per channel, the word mask drawn first.
+        rows is the path's (words, rels) read in direction.  Each channel is
+        one lstm_channel node.  With a dropout rng the embedded inputs are
+        masked (training mode), one mask per channel, the word mask drawn
+        first.
         """
         cfg = self.config
         states = []
-        for channel, table, rows in zip(
-            ("word", "rel"), (self.emb_word, self.emb_rel), self._rows(path, direction)
-        ):
+        for channel, table, ids in zip(("word", "rel"), (self.emb_word, self.emb_rel), rows):
             mask = None
             if dropout_rng is not None and cfg.keep_prob < 1.0:
-                mask = dropout_mask((len(rows), table.data.shape[1]), cfg.keep_prob, dropout_rng)
+                mask = dropout_mask((len(ids), table.data.shape[1]), cfg.keep_prob, dropout_rng)
             cell = self.cells[(direction, channel)]
-            states.append(lstm_channel(cell, table, rows, mask, cfg.lstm_variant))
+            states.append(lstm_channel(cell, table, ids, mask, cfg.lstm_variant))
         return tuple(states)
 
     def classify(self, g_fwd: np.ndarray, g_bwd: np.ndarray):
@@ -487,8 +509,10 @@ class RelationModel:
         """
         t_fwd = self.schema.fine_index(label)
         targets = (t_fwd, self.schema.flip(t_fwd), self.schema.coarse_index(label))
+        fwd = self._rows(path)
+        rows = {FWD: fwd, BWD: self._backward_rows(*fwd)}
         g_fwd, g_bwd = (
-            conv_pool(*self.encode_path(path, d, dropout_rng), *self.conv[d]) for d in (FWD, BWD)
+            conv_pool(*self.encode_path(rows[d], d, dropout_rng), *self.conv[d]) for d in (FWD, BWD)
         )
         (wf, bf), (wb, bb) = self.fine_heads[FWD], self.fine_heads[BWD]
         wc_f, wc_b, bc = self.coarse_head
@@ -519,40 +543,64 @@ class RelationModel:
         """Eval-mode decode of many paths without the tape, in input order.
 
         Returns one (label, Prediction with y_test) per path; an alpha
-        outside [0, 1] raises ValueError.  Paths of equal node count run
-        together, at most PREDICT_BATCH at a time, so nothing is padded or
-        masked.  Each direction runs the tape nodes' forwards,
-        channel_forward and conv_forward, on the whole slice, and classify
-        scores the slice's pooled rows.
+        outside [0, 1] raises ValueError.  Each path's rows are read once
+        (_rows) and the backward ones derived (_backward_rows).  Paths of
+        equal node count run together, at most PREDICT_BATCH at a time, so
+        nothing is padded or masked.  One direction at a time, each channel
+        projects the call's distinct rows once (project_inputs), and each
+        slice gathers its inputs from that table and runs recur and
+        conv_forward.  The forward pass keeps every slice's (B, C) pooled
+        rows; the backward pass hands each slice's on, and classify, the
+        softmax and decode take the slice's rows at once.
+
+        Memory: one direction's tables at a time, its distinct word and
+        relation rows times 4H floats each; the forward pooled rows, C
+        floats per path; and one slice's arrays, (T, B, 4H) gates and
+        (T+1, B, H) states per channel and the (T-1, B, C) convolution.
         """
         alpha = self.config.alpha if alpha is None else alpha
         check_alpha(alpha)
+        rows = [self._rows(p) for p in paths]
         groups: dict[int, list[int]] = {}
-        for k, path in enumerate(paths):
-            groups.setdefault(len(path.nodes), []).append(k)
+        for k, (words, _) in enumerate(rows):
+            groups.setdefault(len(words), []).append(k)
+        slices = [members[start : start + PREDICT_BATCH]
+                  for members in groups.values() for start in range(0, len(members), PREDICT_BATCH)]
+        # each slice's (T, B) word and (T-1, B) relation rows, forward
+        fwd = [tuple(np.array([rows[k][c] for k in part], dtype=np.intp).T for c in (0, 1))
+               for part in slices]
+        g_fwd = list(self._pooled_slices(fwd, FWD))
+        g_bwd = self._pooled_slices([self._backward_rows(*s) for s in fwd], BWD)
         out = [None] * len(paths)
-        for members in groups.values():
-            for start in range(0, len(members), PREDICT_BATCH):
-                part = members[start : start + PREDICT_BATCH]
-                batch = [paths[k] for k in part]
-                g_fwd = self._pooled_batch(batch, FWD)
-                g_bwd = self._pooled_batch(batch, BWD)
-                ys = [softmax_array(z) for z in self.classify(g_fwd, g_bwd)]
-                for j, k in enumerate(part):
-                    pred = Prediction(*(y[j] for y in ys))
-                    out[k] = (decode(pred, alpha, self.schema), pred)
+        for part, gf, gb in zip(slices, g_fwd, g_bwd):
+            pred = Prediction(*(softmax_array(z) for z in self.classify(gf, gb)))
+            labels = decode(pred, alpha, self.schema)
+            for j, k in enumerate(part):
+                out[k] = (labels[j], Prediction(pred.y_fwd[j], pred.y_bwd[j], pred.y_coarse[j],
+                                                pred.y_test[j]))
         return out
 
-    def _pooled_batch(self, paths, direction: str) -> np.ndarray:
-        """(B, C) pooled features of B paths of equal length, time-major inside."""
-        words, rels = zip(*(self._rows(p, direction) for p in paths))
+    def _pooled_slices(self, slices, direction: str):
+        """Yields each slice's (B, C) pooled features from its (T, B) word and (T-1, B)
+        relation rows read in direction, time-major inside.
+
+        Each channel projects the distinct rows of all slices once into a
+        (U, 4H) table, and a slice gathers its (T, B, 4H) inputs from it.
+        """
         variant = self.config.lstm_variant
-        hw = channel_forward(self.cells[(direction, "word")], self.emb_word.data,
-                             np.array(words, dtype=np.intp).T, variant=variant)[2]
-        hr = channel_forward(self.cells[(direction, "rel")], self.emb_rel.data,
-                             np.array(rels, dtype=np.intp).T, variant=variant)[2]
+        channels = []
+        for c, (channel, table) in enumerate((("word", self.emb_word), ("rel", self.emb_rel))):
+            cell = self.cells[(direction, channel)]
+            seen = np.zeros(len(table.data), dtype=bool)
+            for s in slices:
+                seen[s[c]] = True
+            place = np.cumsum(seen) - 1  # a seen row's index among the distinct rows
+            channels.append((cell, place, project_inputs(cell, table.data[seen])))
         w_con, b_con = self.conv[direction]
-        return conv_forward(hw[1:], hr[1:], w_con.data, b_con.data)[2]
+        for s in slices:
+            hw, hr = (recur(cell, acts[place[r]], variant)[0]
+                      for (cell, place, acts), r in zip(channels, s))
+            yield conv_forward(hw[1:], hr[1:], w_con.data, b_con.data)[2]
 
     # -- persistence -------------------------------------------------------
 

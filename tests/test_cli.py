@@ -65,6 +65,15 @@ def tiny_config_file(tmp_path, **kw):
     return p
 
 
+def pathrel_under_hash_seed(hash_seed, *args):
+    """`python -m pathrel args` in a fresh process under PYTHONHASHSEED hash_seed; must exit 0."""
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONWARNINGS": "error",
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pathrel", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def random_corpus(rng, count):
     """count random trees of 2-15 tokens, each with two disjoint entity spans in random order."""
     trees, spans = [], []
@@ -622,14 +631,29 @@ class TestTrainEval:
         outputs = []
         for hash_seed in ("0", "1"):
             ck, log = tmp_path / f"{hash_seed}.ckpt", tmp_path / f"{hash_seed}.log"
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONWARNINGS": "error",
-                   "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-            proc = subprocess.run([sys.executable, "-m", "pathrel", "train", "--config", str(config),
-                                   "--train", str(dataset), "--checkpoint", str(ck), "--log", str(log)],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
+            pathrel_under_hash_seed(hash_seed, "train", "--config", str(config),
+                                    "--train", str(dataset), "--checkpoint", str(ck), "--log", str(log))
             outputs.append((ck.read_bytes(), log.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_eval_is_byte_identical_across_processes(self, tmp_path):
+        """Two `python -m pathrel eval` processes under different hash seeds write the same
+        report, on a dataset of several path lengths that share words."""
+        data = tmp_path / "data.jsonl"
+        assert main(["synth", "--out", str(data), "--n", "60", "--k", "2", "--seed", "4",
+                     "--prep-density", "0.6", "--bridge-prob", "0.3"]) == 0
+        ck = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(tiny_config_file(tmp_path, rule=CutRule("prep"))),
+                     "--train", str(data), "--checkpoint", str(ck)]) == 0
+        lengths = {len(ex.path.nodes) for ex in prepare_paths(load_dataset(data), CutRule("prep"))}
+        assert len(lengths) > 1
+        reports = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"{hash_seed}.json"
+            pathrel_under_hash_seed(hash_seed, "eval", "--checkpoint", str(ck), "--data", str(data),
+                                    "--out", str(out))
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_eval_flag_overrides_meta_rule(self, tmp_path, dataset, capsys):
         ck = tmp_path / "m.ckpt"

@@ -114,8 +114,18 @@ class TestFlip:
         assert np.array_equal(dist, np.arange(schema.fine_size))
 
     def test_flip_distribution_wrong_shape_message(self):
-        with pytest.raises(ValueError, match=r"^expected shape \(19,\), got \(2, 19\)$"):
-            SANWEN.flip_distribution([[0.0] * 19] * 2)
+        for bad, shape in (([[0.0] * 20] * 2, r"\(2, 20\)"), ([[[0.0] * 19]], r"\(1, 1, 19\)"),
+                           (0.0, r"\(\)")):
+            with pytest.raises(ValueError, match=rf"^expected shape \(19,\) or \(B, 19\), got {shape}$"):
+                SANWEN.flip_distribution(bad)
+
+    def test_flip_distribution_flips_stacked_rows(self, schema):
+        """(B, K) rows flip as each row alone would, bit for bit."""
+        rows = np.random.default_rng(1).random((3, schema.fine_size))
+        flipped = schema.flip_distribution(rows)
+        assert flipped.shape == rows.shape and not np.shares_memory(flipped, rows)
+        for got, row in zip(flipped, rows):
+            assert got.tobytes() == schema.flip_distribution(row).tobytes()
 
 
 class TestConstruction:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -239,6 +240,14 @@ def sdp_paths(draw):
     )
 
 
+def rows_in(model, path, direction):
+    """The path's (words, rels) rows read in direction, as lists."""
+    rows = model._rows(path)
+    if direction == BWD:
+        rows = model._backward_rows(*rows)
+    return tuple(r.tolist() for r in rows)
+
+
 class TestRows:
     @staticmethod
     def read_off(model, path):
@@ -252,14 +261,31 @@ class TestRows:
     def test_backward_rows_are_the_inverted_paths(self, path):
         model = small_model()
         for direction, oracle in ((FWD, path), (BWD, invert_path(path))):
-            words, rels = model._rows(path, direction)
-            assert (words, rels) == self.read_off(model, oracle)
+            assert rows_in(model, path, direction) == self.read_off(model, oracle)
 
     def test_unseen_relation_keeps_the_unk_row(self):
         model = small_model()
         path = make_path(rels=(("weird", "UP"), (SR_LINK, "DOWN")))
         unk, link_down = model.rel_vocab.table_size - 1, model.rel_vocab.row(SR_LINK, "DOWN")
-        assert model._rows(path, BWD)[1] == [link_down - 1, unk]
+        assert rows_in(model, path, BWD)[1] == [link_down - 1, unk]
+
+    def test_loss_reads_each_path_once(self, monkeypatch):
+        """loss checks the path and looks up its words and relations once, for both
+        directions."""
+        model, path = small_model(), make_path()
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def spy(*args):
+                counts[name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(model_module, "_check_path", counting("check", model_module._check_path))
+        monkeypatch.setattr(model.word_vocab, "index", counting("word", model.word_vocab.index))
+        monkeypatch.setattr(model.rel_vocab, "row", counting("rel", model.rel_vocab.row))
+        model.loss(path, model.schema.fine_label(1))
+        assert counts == {"check": 1, "word": len(path.forms), "rel": len(path.deprels)}
 
 
 class TestLstmChannel:
@@ -274,7 +300,7 @@ class TestLstmChannel:
         cfg = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, keep_prob=0.5, lstm_variant=variant)
         model = small_model(config=cfg, seed=9)
         reference = PerGateReference(model)
-        rows = model._rows(self.PATH, direction)[0]
+        rows = rows_in(model, self.PATH, direction)[0]
         assert len(set(rows)) < len(rows)  # a repeated word accumulates
 
         rng_node, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
@@ -752,6 +778,52 @@ class TestPredictBatch:
         for got, path in zip(model.predict_batch(paths), paths):
             assert_predictions_close(got, model.predict(path))
 
+    @pytest.mark.usefixtures("small_slices")
+    def test_each_channel_projects_its_distinct_rows_once(self, monkeypatch):
+        """One call projects, for each (direction, channel), each distinct row of all
+        its paths exactly once, into a table that every slice of every length reads."""
+        model, paths = small_model(seed=3), self.PATHS[:8]  # no path here reads prep UP
+        calls = []
+
+        def spy(cell, x, project=model_module.project_inputs):
+            calls.append((cell, x.copy()))
+            return project(cell, x)
+
+        monkeypatch.setattr(model_module, "project_inputs", spy)
+        model.predict_batch(paths)
+        tables = {"word": model.emb_word.data, "rel": model.emb_rel.data}
+        distinct = {
+            (direction, channel): {r for p in paths for r in rows_in(model, p, direction)[c]}
+            for direction in (FWD, BWD) for c, channel in enumerate(("word", "rel"))
+        }
+        assert distinct[(BWD, "rel")] != distinct[(FWD, "rel")]  # UP and DOWN swap
+        assert sum(len(p.nodes) for p in paths) > len(distinct[(FWD, "word")])
+        assert len(calls) == 4
+        got = {cell: sorted(row.tobytes() for row in x) for cell, x in calls}
+        assert got == {
+            model.cells[key]: sorted(tables[key[1]][r].tobytes() for r in rows)
+            for key, rows in distinct.items()
+        }
+
+    def test_paper_dimensions_match_per_path_and_per_gate_reference(self):
+        """At 200/50/200, where a GEMM row's rounding can depend on the row count, the
+        call-wide tables agree with one-path calls and with the per-gate tape, on
+        length groups that share words."""
+        corpus = generate(SynthConfig(n=40, seed=3, k_types=3, prep_density=0.6, bridge_prob=0.3))
+        prepared = prepare_paths(corpus, CutRule("prep"))
+        paths = [ex.path for ex in prepared]
+        forms_by_length = {}
+        for path in paths:
+            forms_by_length.setdefault(len(path.nodes), set()).update(path.forms)
+        assert any(a & b for a, b in itertools.combinations(forms_by_length.values(), 2))
+        words, rels = build_vocabs(prepared[:30])  # the rest sees OOV rows
+        model = RelationModel(ModelConfig(alpha=0.3), synth_schema(3), words, rels, seed=5)
+        assert (model.config.word_dim, model.config.rel_dim, model.config.conv_dim) == (200, 50, 200)
+        reference = PerGateReference(model)
+        for got, path in zip(model.predict_batch(paths), paths):
+            assert_predictions_close(got, model.predict(path))
+            assert_predictions_close(got, reference.predict(path))
+
     def test_acceptance_corpora_match_per_gate_reference(self):
         """Acceptance 06's test set under both of its rules, at its model size."""
         corpus = generate(SynthConfig(n=2500, seed=12, **COMPARISON_GEN))[2000:]
@@ -789,8 +861,8 @@ class TestPathBoundary:
         rng = np.random.default_rng(0)
         drawn = rng.bit_generator.state
         refuse = mock.Mock(side_effect=AssertionError("numpy work before the path check"))
-        with mock.patch.multiple(model_module, lstm_channel=refuse, channel_forward=refuse,
-                                 dropout_mask=refuse), pytest.raises(ValueError) as err:
+        with mock.patch.multiple(model_module, lstm_channel=refuse, project_inputs=refuse,
+                                 recur=refuse, dropout_mask=refuse), pytest.raises(ValueError) as err:
             if call == "loss":
                 model.loss(path, model.schema.fine_label(0), dropout_rng=rng)
             else:
@@ -1057,6 +1129,18 @@ def embedding_files(draw):
     return text + draw(st.sampled_from(["", "", "cat 1 2 3", "-0 +.5 1e-320 .0", "\n"]))
 
 
+# value tokens for the embeddings parser: specials, any float's repr, decimal
+# strings of up to 20 digits a side, and strings over the characters numbers use
+NUMBER_TOKENS = st.one_of(
+    st.sampled_from(["nan", "-Infinity", "1e400", "-1e400", "1e-400", "0x10", "", "+.5", "inf",
+                     "-nan", "INF", "1e", ".", "-0", "1_0", "0o7", "1j", "+-1", "\t1", "1\t2",
+                     "\x0c2", "1\x1c", "4.9e-324", "2.5e-324", "1.7976931348623157e308"]),
+    st.floats().map(repr),
+    st.from_regex(r"[+-]?[0-9]{0,20}\.?[0-9]{0,20}([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.text(alphabet="0123456789+-.eEinfatyINFATYx_\t", max_size=6),
+)
+
+
 class TestWordEmbeddings:
     def test_load_text_table(self, tmp_path):
         file = tmp_path / "vecs.txt"
@@ -1133,6 +1217,31 @@ class TestWordEmbeddings:
         want = table.copy()
         try:
             vectors = reference_embeddings(file, vocab.words, 3)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                load_word_embeddings(file, vocab, table)
+            assert str(got.value) == str(err)
+            return
+        for word, vec in vectors.items():
+            want[vocab.words.index(word)] = vec
+        load_word_embeddings(file, vocab, table)
+        assert table.tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(st.tuples(st.sampled_from(["cat", "dog", "zebra"]),
+                                    st.lists(NUMBER_TOKENS, min_size=2, max_size=2)),
+                          min_size=1, max_size=3))
+    def test_numbers_read_as_float_reads_them(self, tmp_path_factory, lines):
+        """Value tokens near the edges of what float() reads give the table bytes, or
+        the message, that reference_embeddings gives."""
+        file = tmp_path_factory.getbasetemp() / "embeddings-numbers.txt"
+        file.write_text("".join(" ".join([word, *values]) + "\n" for word, values in lines),
+                        encoding="utf-8")
+        vocab = Vocabulary(["cat", "dog"])
+        table = np.zeros((len(vocab), 2))
+        want = table.copy()
+        try:
+            vectors = reference_embeddings(file, vocab.words, 2)
         except ValueError as err:
             with pytest.raises(ValueError) as got:
                 load_word_embeddings(file, vocab, table)
