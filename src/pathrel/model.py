@@ -13,6 +13,7 @@ direction-swapped backward one.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -50,6 +51,9 @@ EMBEDDING_TABLES = ("emb/word", "emb/rel")
 
 # paths that predict_batch runs at once: bounds its (T, B, 4H) gate arrays
 PREDICT_BATCH = 128
+
+# paths that predict_batch projects at once: bounds its tables of projected rows
+PREDICT_CHUNK = 8 * PREDICT_BATCH
 
 
 def check_alpha(alpha: float) -> None:
@@ -543,23 +547,33 @@ class RelationModel:
         """Eval-mode decode of many paths without the tape, in input order.
 
         Returns one (label, Prediction with y_test) per path; an alpha
-        outside [0, 1] raises ValueError.  Each path's rows are read once
-        (_rows) and the backward ones derived (_backward_rows).  Paths of
-        equal node count run together, at most PREDICT_BATCH at a time, so
-        nothing is padded or masked.  One direction at a time, each channel
-        projects the call's distinct rows once (project_inputs), and each
-        slice gathers its inputs from that table and runs recur and
-        conv_forward.  The forward pass keeps every slice's (B, C) pooled
-        rows; the backward pass hands each slice's on, and classify, the
-        softmax and decode take the slice's rows at once.
+        outside [0, 1] raises ValueError.  The paths run PREDICT_CHUNK at a
+        time.  Each path's rows are read once (_rows) and the backward ones
+        derived (_backward_rows).  Paths of equal node count run together,
+        at most PREDICT_BATCH at a time, so nothing is padded or masked.
+        One direction at a time, each channel projects the chunk's distinct
+        rows once (project_inputs), and each slice gathers its inputs from
+        that table and runs recur and conv_forward.  The forward pass keeps
+        every slice's (B, C) pooled rows; the backward pass hands each
+        slice's on, and classify, the softmax and decode take the slice's
+        rows at once.
 
-        Memory: one direction's tables at a time, its distinct word and
-        relation rows times 4H floats each; the forward pooled rows, C
-        floats per path; and one slice's arrays, (T, B, 4H) gates and
-        (T+1, B, H) states per channel and the (T-1, B, C) convolution.
+        Memory, beyond the returned predictions: one direction's tables of
+        one chunk at a time, at most its PREDICT_CHUNK paths' distinct word
+        and relation rows times 4H floats each, however many paths the call
+        has; the chunk's forward pooled rows, C floats per path; and one
+        slice's arrays, (T, B, 4H) gates and (T+1, B, H) states per channel
+        and the (T-1, B, C) convolution.
         """
         alpha = self.config.alpha if alpha is None else alpha
         check_alpha(alpha)
+        out, rest = [], iter(paths)
+        while chunk := list(itertools.islice(rest, PREDICT_CHUNK)):
+            out += self._predict_chunk(chunk, alpha)
+        return out
+
+    def _predict_chunk(self, paths: list, alpha: float) -> list:
+        """predict_batch over paths at once: one projection per direction and channel."""
         rows = [self._rows(p) for p in paths]
         groups: dict[int, list[int]] = {}
         for k, (words, _) in enumerate(rows):

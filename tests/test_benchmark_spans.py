@@ -18,6 +18,7 @@ import importlib
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,47 @@ def test_train_calls_l2_penalty_once_per_step(monkeypatch, l2_lambda):
           train_instances=generate(SynthConfig(n=6, k_types=2, seed=1)))
     assert len(steps) == 12
     assert penalties == ([l2_lambda] * 12 if l2_lambda > 0.0 else [])
+
+
+def test_spanned_functions_run_only_on_the_main_thread(monkeypatch):
+    """The traced run keeps one span stack: while the optimizer's worker thread takes
+    half of each dense update, every spanned function is still entered only on the
+    main thread, wrapped where the tracer wraps it."""
+    threads = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in spanned_functions():
+        module_name, *attrs = name.split(".")
+        module = importlib.import_module(f"pathrel.{module_name}")
+        if len(attrs) == 2:
+            cls = getattr(module, attrs[0])
+            raw = cls.__dict__[attrs[1]]
+            if isinstance(raw, classmethod):
+                monkeypatch.setattr(cls, attrs[1], classmethod(recording(name, raw.__func__)))
+            else:
+                monkeypatch.setattr(cls, attrs[1], recording(name, raw))
+            continue
+        original = getattr(module, attrs[0])
+        for key, owner in list(sys.modules.items()):
+            if key == "pathrel" or key.startswith("pathrel."):
+                for attr, value in list(vars(owner).items()):
+                    if value is original:
+                        monkeypatch.setattr(owner, attr, recording(name, original))
+    monkeypatch.setattr(optim, "_update_blocks", recording("optim._update_blocks", optim._update_blocks))
+    monkeypatch.setattr(optim, "SPLIT_MIN", 0)
+    monkeypatch.setattr(optim, "_cpus", lambda: 2)
+    model = ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, l2_lambda=1e-3)
+    result = train(ExperimentConfig(model=model, schema="synth-k2", epochs=2),
+                   train_instances=generate(SynthConfig(n=6, k_types=2, seed=1)))
+    assert len(threads.pop("optim._update_blocks")) == 2
+    assert "optim.adadelta_step" in threads and "model.lstm_step" in threads
+    assert all(seen == {threading.main_thread()} for seen in threads.values()), threads
+    assert result.history
 
 
 def test_prepared_paths_hold_no_path_edges():

@@ -25,7 +25,7 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pathrel import cli, training
+from pathrel import cli, optim, training
 from pathrel.autodiff import NonScalarLoss
 from pathrel.cli import main
 from pathrel.data import format_paths, instance_to_record, load_dataset
@@ -863,6 +863,22 @@ class TestTrainEval:
         assert err.startswith("error: epoch 1: optimizer state not finite: bwd/conv/b, ")
         assert "fwd/word_cell/w" in err and "emb/" not in err
         assert not ck.exists() and not log.exists()
+
+    def test_overflow_on_the_optimizer_worker_exits_3(self, tmp_path, dataset, capsys, monkeypatch):
+        """The same run with half of every dense update on the optimizer's worker thread,
+        which runs in the caller's numpy error state: exit 3, and no warning escapes."""
+        monkeypatch.setattr(optim, "SPLIT_MIN", 0)
+        monkeypatch.setattr(optim, "_cpus", lambda: 2)
+        config = tmp_path / "config.json"
+        ExperimentConfig(model=ModelConfig(word_dim=6, rel_dim=4, conv_dim=6, keep_prob=1.0,
+                                           l2_lambda=1e300),
+                         schema="synth-k2", epochs=1).save(config)
+        ck = tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--train", str(dataset),
+                     "--checkpoint", str(ck)]) == 3
+        assert capsys.readouterr().err.startswith("error: epoch 1: optimizer state not finite: ")
+        assert not ck.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("field, value", [

@@ -805,6 +805,27 @@ class TestPredictBatch:
             for key, rows in distinct.items()
         }
 
+    @pytest.mark.usefixtures("small_slices")
+    def test_a_call_larger_than_a_chunk_projects_once_per_chunk(self, monkeypatch):
+        """PREDICT_CHUNK paths at a time: each chunk projects once per direction and
+        channel, and the labels and distributions are an unchunked call's."""
+        model, paths = small_model(seed=4), self.PATHS * 3
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", len(paths) + 1)
+        whole = model.predict_batch(paths)
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 7)
+        calls = []
+
+        def spy(cell, x, project=model_module.project_inputs):
+            calls.append(cell)
+            return project(cell, x)
+
+        monkeypatch.setattr(model_module, "project_inputs", spy)
+        chunked = model.predict_batch(iter(paths))
+        chunks = -(-len(paths) // 7)
+        assert chunks == 5 and calls == list(model.cells.values()) * chunks
+        for got, want in zip(chunked, whole, strict=True):
+            assert_predictions_close(got, want, tol=1e-12)
+
     def test_paper_dimensions_match_per_path_and_per_gate_reference(self):
         """At 200/50/200, where a GEMM row's rounding can depend on the row count, the
         call-wide tables agree with one-path calls and with the per-gate tape, on

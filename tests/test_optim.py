@@ -1,4 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import helpers
 import numpy as np
@@ -6,7 +13,10 @@ import pytest
 
 from pathrel.autodiff import ParamStore, backward
 from pathrel import optim
+from pathrel.model import ModelConfig
 from pathrel.optim import AdaDeltaState, adadelta_step
+from pathrel.synth import SynthConfig, generate
+from pathrel.training import ExperimentConfig, NonFiniteError, train
 
 # First update with rho=0.95, eps=1e-6, gradient 1, derived by hand from the
 # update rule at float64 precision:
@@ -174,20 +184,22 @@ class TestArena:
         assert ParamStore(params, tables=("a", "m", "z")).dense == []
 
     def test_one_dense_update_per_range_and_table(self, monkeypatch):
+        """Inline, one block loop takes both dense ranges, one block each, and one more
+        loop each table's rows."""
         rng = np.random.default_rng(3)
         store = ParamStore({name: rng.normal(size=(4, 2)) for name in ("a", "emb1", "emb2", "z")},
                            tables=("emb1", "emb2"))
         state = AdaDeltaState(store)
-        calls, update = [], optim._dense_update
+        calls, update = [], optim._update_blocks
 
-        def counting(x, *rest):
-            calls.append(x.size)
-            update(x, *rest)
+        def counting(arrays, blocks, *rest):
+            calls.append([hi - lo for lo, hi in blocks])
+            update(arrays, blocks, *rest)
 
-        monkeypatch.setattr(optim, "_dense_update", counting)
+        monkeypatch.setattr(optim, "_update_blocks", counting)
         store.grad[...] = 1.0
         adadelta_step(store, state)
-        assert calls == [8, 8, 8, 8]
+        assert calls == [[8, 8], [8], [8]]
         assert not store.grad.any()
 
     def test_dense_update_zeroes_each_gradient_block(self):
@@ -258,3 +270,222 @@ def test_table_with_every_row_touched_updates_as_dense():
     assert sparse.data.tobytes() == dense.data.tobytes()
     for attr in ("sq_grad", "sq_update"):
         assert getattr(states[0], attr).tobytes() == getattr(states[1], attr).tobytes()
+
+
+def force_split(monkeypatch, on: bool) -> None:
+    """Make adadelta_step share every dense update with its worker thread (on) or
+    keep it on the caller's thread, whatever the machine's CPUs."""
+    monkeypatch.setattr(optim, "SPLIT_MIN", 0 if on else math.inf)
+    monkeypatch.setattr(optim, "_cpus", lambda: 2 if on else 1)
+
+
+def block_threads(monkeypatch) -> list:
+    """The thread of every call of the block loop, recorded as adadelta_step makes it."""
+    threads, update = [], optim._update_blocks
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        update(*args)
+
+    monkeypatch.setattr(optim, "_update_blocks", recorded)
+    return threads
+
+
+class TestSplit:
+    """The worker thread's share of the dense blocks against the caller's thread alone."""
+
+    LAYOUTS = {
+        # name -> (shapes, tables); BLOCK is 8 here, so the dense ranges hold 5, 5 and 6 blocks
+        "tables-at-the-ends": ({"a/emb": (6, 3), "m/w": (33,), "z/emb": (5, 3)}, ("a/emb", "z/emb")),
+        "table-in-the-middle": ({"a/w": (3, 5), "b/emb": (7, 3), "c/w": (24,)}, ("b/emb",)),
+        "no-tables": ({"a/w": (4, 10), "b/w": (7,)}, ()),
+    }
+
+    def run(self, monkeypatch, split, params, tables, lam):
+        """The store and state after 20 updates of a copy of params; each step adds a
+        drawn gradient to the dense ranges and to a few rows of each table."""
+        force_split(monkeypatch, split)
+        store = ParamStore(params, tables=tables)
+        state = AdaDeltaState(store, l2_lambda=lam)
+        rng = np.random.default_rng(8)
+        threads = block_threads(monkeypatch)
+        for _ in range(20):
+            g = rng.normal(size=store.data.size)
+            for span in store.dense:
+                store.grad[span] += g[span]
+            for name in tables:
+                table = store[name]
+                rows = rng.choice(len(table.data), size=2, replace=False)
+                table.grad[rows] = rng.normal(size=(2, table.data.shape[1]))
+            adadelta_step(store, state)
+        assert (threading.main_thread() in threads) and (len(set(threads)) == 1 + split)
+        return store, state
+
+    def assert_identical(self, a, b):
+        (store_a, state_a), (store_b, state_b) = a, b
+        for x, y in ((store_a.data, store_b.data), (store_a.grad, store_b.grad),
+                     (state_a.sq_grad, state_b.sq_grad), (state_a.sq_update, state_b.sq_update)):
+            assert x.tobytes() == y.tobytes()
+        assert state_a.row_step.keys() == state_b.row_step.keys()
+        for name, rows in state_a.row_step.items():
+            assert np.array_equal(rows, state_b.row_step[name])
+
+    @pytest.mark.parametrize("lam", [0.0, 3e-4])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bit_identical_to_inline(self, monkeypatch, layout, lam):
+        """Also with the interpreter switching threads every microsecond, so that the
+        two threads' blocks interleave as finely as they can."""
+        monkeypatch.setattr(optim, "BLOCK", 8)
+        shapes, tables = self.LAYOUTS[layout]
+        rng = np.random.default_rng(2)
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        inline = self.run(monkeypatch, False, params, tables, lam)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = self.run(monkeypatch, True, params, tables, lam)
+        finally:
+            sys.setswitchinterval(interval)
+        self.assert_identical(inline, split)
+
+    @pytest.mark.parametrize("lam", [0.0, 3e-4])
+    def test_refill_signed_zeros_and_underflow(self, monkeypatch, lam):
+        """TestRefill's stores, at the real BLOCK: zeros of both signs and an
+        underflowing product leave the same bytes on either thread."""
+        out = []
+        for split in (False, True):
+            force_split(monkeypatch, split)
+            store, state = TestRefill().stores(lam)[1]
+            assert len(state._blocks) > 2
+            for _ in range(20):
+                adadelta_step(store, state)
+            assert not np.signbit(store.grad[:3]).any()
+            out.append((store, state))
+        self.assert_identical(*out)
+
+    @pytest.mark.parametrize("split_min, cpus, split", [(33, 2, False), (32, 1, False), (32, 2, True)])
+    def test_split_needs_split_min_elements_and_two_cpus(self, monkeypatch, split_min, cpus, split):
+        monkeypatch.setattr(optim, "BLOCK", 8)
+        monkeypatch.setattr(optim, "SPLIT_MIN", split_min)
+        monkeypatch.setattr(optim, "_cpus", lambda: cpus)
+        store = ParamStore({"a/w": np.ones(20), "b/emb": np.ones((2, 3)), "c/w": np.ones(12)},
+                           tables=("b/emb",))
+        threads = block_threads(monkeypatch)
+        adadelta_step(store, AdaDeltaState(store))
+        assert len(set(threads)) == 1 + split and threading.main_thread() in threads
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_error_in_either_half_reraises_after_the_worker(self, monkeypatch, failing):
+        """An exception from either thread's blocks leaves adadelta_step, and only once
+        the worker has finished writing."""
+        force_split(monkeypatch, True)
+        update, done = optim._update_blocks, []
+
+        def failing_half(*args):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker:
+                time.sleep(0.05)  # the caller's half ends first
+            if on_worker == (failing == "worker"):
+                raise RuntimeError(failing)
+            update(*args)
+            done.append(on_worker)
+
+        monkeypatch.setattr(optim, "_update_blocks", failing_half)
+        store = ParamStore({"w": np.ones(3 * optim.BLOCK)})
+        with pytest.raises(RuntimeError, match=f"^{failing}$"):
+            adadelta_step(store, AdaDeltaState(store))
+        assert done == [failing == "caller"]
+
+    def test_worker_sees_the_callers_error_state(self, monkeypatch):
+        """numpy's error state is a context variable: the worker's blocks run in the
+        caller's, so an overflow there warns (and under -W error raises) only if the
+        caller asks for it."""
+        force_split(monkeypatch, True)
+        store = ParamStore({"w": np.full(2 * optim.BLOCK, 1e300)})
+        state = AdaDeltaState(store)
+        threads = block_threads(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            store.grad[...] = 1e300
+            adadelta_step(store, state)
+        assert len(set(threads)) == 2
+        store.grad[...] = 1e300
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            adadelta_step(store, state)
+
+    def test_train_overflow_on_the_worker_raises_non_finite(self, monkeypatch):
+        """train() at l2_lambda 1e300 stops with NonFiniteError when the worker takes
+        half of every dense update, as it does inline."""
+        force_split(monkeypatch, True)
+        threads = block_threads(monkeypatch)
+        config = ExperimentConfig(model=ModelConfig(word_dim=4, rel_dim=3, conv_dim=5, l2_lambda=1e300),
+                                  schema="synth-k2", epochs=1)
+        with pytest.raises(NonFiniteError, match="epoch 1: optimizer state not finite"):
+            train(config, train_instances=generate(SynthConfig(n=6, k_types=2, seed=1)))
+        assert len(set(threads)) == 2
+
+
+SRC = str(Path(optim.__file__).resolve().parents[1])
+
+
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports this checkout's pathrel; a hang fails."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_makes_its_own_worker():
+    """A child forked after the worker started inherits the executor but not its
+    thread; its split steps still finish, on a worker of its own, with the same bytes."""
+    run_python(textwrap.dedent("""
+        import os
+        import signal
+        import numpy as np
+        from pathrel import optim
+        from pathrel.autodiff import ParamStore
+
+        optim.SPLIT_MIN, optim._cpus = 0, lambda: 2
+
+        def steps(n):
+            store = ParamStore({"w": np.linspace(-1.0, 1.0, 3 * optim.BLOCK)})
+            state = optim.AdaDeltaState(store, l2_lambda=1e-3)
+            for _ in range(n):
+                store.grad[...] += np.cos(store.data)
+                optim.adadelta_step(store, state)
+            return store.data.tobytes()
+
+        want = steps(3)
+        parent_worker = optim._worker
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(60)  # a hung child ends, and its parent's wait fails the test
+            ok = steps(3) == want and optim._worker is not parent_worker
+            os._exit(0 if ok else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert optim._worker is parent_worker and steps(1) != want
+    """))
+
+
+def test_import_and_a_small_train_start_no_thread():
+    """The worker starts on the first split step: importing the package or the optimizer,
+    and training a model whose dense ranges are below SPLIT_MIN, start no thread."""
+    done = run_python(textwrap.dedent("""
+        import threading
+        import pathrel
+        assert threading.active_count() == 1, "import pathrel"
+        import pathrel.optim
+        assert threading.active_count() == 1, "import pathrel.optim"
+        from pathrel.model import ModelConfig
+        from pathrel.synth import SynthConfig, generate
+        from pathrel.training import ExperimentConfig, train
+        result = train(ExperimentConfig(model=ModelConfig(word_dim=32, rel_dim=16, conv_dim=32),
+                                        schema="synth-k2", epochs=1),
+                       train_instances=generate(SynthConfig(n=8, k_types=2, seed=1)))
+        assert result.model.store.data.size < pathrel.optim.SPLIT_MIN
+        assert threading.active_count() == 1, "train"
+        print("ok")
+    """))
+    assert done.stdout == "ok\n"
