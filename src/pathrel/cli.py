@@ -128,20 +128,8 @@ def _named_trees(path: str, text: str) -> Iterator:
 
 def cmd_synth(args) -> int:
     from .synth import SynthConfig, generate
-    cfg = SynthConfig(
-        n=args.n,
-        k_types=args.k,
-        seed=args.seed,
-        blocks=args.blocks,
-        fillers=args.fillers,
-        prep_density=args.prep_density,
-        span2_prob=args.span2_prob,
-        residual_frac=args.residual_frac,
-        distractor_prob=args.distractor_prob,
-        bridge_prob=args.bridge_prob,
-        entity_pool=args.entity_pool,
-        filler_pool=args.filler_pool,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)}
+    cfg = SynthConfig(**{k: v for k, v in given.items() if v is not None})
     instances = generate(cfg)
     save_dataset(args.out, instances)
     print(f"wrote {len(instances)} instances (schema {cfg.schema.name}) to {args.out}")
@@ -223,24 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic relation corpus")
     p.add_argument("--out", required=True, help="output dataset (JSON-lines)")
-    p.add_argument("--n", type=int, default=100, help="number of instances")
-    p.add_argument("--k", type=int, default=9, help="number of relation types")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blocks", type=int, default=3, help="candidate prepositional blocks")
-    p.add_argument("--fillers", type=int, default=2, help="filler nouns per block")
-    p.add_argument("--prep-density", type=float, default=1.0, help="per-block inclusion probability")
-    p.add_argument("--span2-prob", type=float, default=0.3, help="two-token entity probability")
-    p.add_argument("--residual-frac", type=float, default=0.1, help="residual-class fraction")
-    p.add_argument(
-        "--distractor-prob", type=float, default=0.0,
-        help="probability a filler is a decoy marker form",
-    )
-    p.add_argument(
-        "--bridge-prob", type=float, default=0.0,
-        help="probability e1 attaches through a bridge noun",
-    )
-    p.add_argument("--entity-pool", type=int, default=30, help="entity form vocabulary size")
-    p.add_argument("--filler-pool", type=int, default=20, help="filler form vocabulary size")
+    # no defaults here: SynthConfig's fill every flag not given
+    p.add_argument("--n", type=int, help="number of instances")
+    p.add_argument("--k", type=int, dest="k_types", metavar="K", help="number of relation types")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--blocks", type=int, help="candidate prepositional blocks")
+    p.add_argument("--fillers", type=int, help="filler nouns per block")
+    p.add_argument("--prep-density", type=float, help="per-block inclusion probability")
+    p.add_argument("--span2-prob", type=float, help="two-token entity probability")
+    p.add_argument("--residual-frac", type=float, help="residual-class fraction")
+    p.add_argument("--distractor-prob", type=float, help="probability a filler is a decoy marker form")
+    p.add_argument("--bridge-prob", type=float, help="probability e1 attaches through a bridge noun")
+    p.add_argument("--entity-pool", type=int, help="entity form vocabulary size")
+    p.add_argument("--filler-pool", type=int, help="filler form vocabulary size")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model")

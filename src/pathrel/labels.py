@@ -3,7 +3,9 @@
 A schema holds K directed relation types plus one undirected residual
 class.  Fine-grained classes (2K+1): index 0 is the residual, then each
 type contributes its (e1,e2) and (e2,e1) variants at 2i+1 and 2i+2.
-Coarse classes (K+1): residual at 0, type i at i+1.  flip() swaps the two
+Coarse classes (K+1): residual at 0, type i at i+1.  A schema writes
+its 2K+1 label strings once, in fine-index order, when it is built; the
+index methods read that table.  flip() swaps the two
 directed variants of every type and fixes the residual; it is the
 involution used to align backward-path predictions with forward labels.
 """
@@ -34,8 +36,12 @@ class LabelSchema(Document):
             raise ValueError("duplicate relation types")
         if self.residual in self.types:
             raise ValueError("residual class must be distinct from the relation types")
-        if self.residual in {f"{t}({d})" for t in self.types for d in ("e1,e2", "e2,e1")}:
+        labels = (self.residual, *(f"{t}({d})" for t in self.types for d in ("e1,e2", "e2,e1")))
+        if self.residual in labels[1:]:
             raise ValueError(f"residual class {self.residual!r} is also a directed label")
+        # private, so outside the fields that to_dict, __eq__ and __hash__ read
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(labels)})
 
     @property
     def k(self) -> int:
@@ -51,33 +57,17 @@ class LabelSchema(Document):
 
     # -- label strings <-> indices ------------------------------------
 
-    def parse(self, label: str) -> tuple[str | None, bool]:
-        """Split a label into (type, e1->e2?); residual returns (None, True)."""
-        if label == self.residual:
-            return None, True
-        for suffix, fwd in (("(e1,e2)", True), ("(e2,e1)", False)):
-            if label.endswith(suffix):
-                t = label[: -len(suffix)]
-                if t in self.types:
-                    return t, fwd
-        raise UnknownLabel(f"label {label!r} not in schema {self.name!r}")
-
     def fine_index(self, label: str) -> int:
-        t, fwd = self.parse(label)
-        if t is None:
-            return 0
-        i = self.types.index(t)
-        return 2 * i + (1 if fwd else 2)
+        try:
+            return self._index[label]
+        except KeyError:
+            raise UnknownLabel(f"label {label!r} not in schema {self.name!r}") from None
 
     def fine_label(self, index: int) -> str:
-        if index == 0:
-            return self.residual
-        i, off = divmod(index - 1, 2)
-        return f"{self.types[i]}({'e1,e2' if off == 0 else 'e2,e1'})"
+        return self._labels[index]
 
     def coarse_index(self, label: str) -> int:
-        t, _ = self.parse(label)
-        return 0 if t is None else self.types.index(t) + 1
+        return (self.fine_index(label) + 1) // 2
 
     # -- direction swap ------------------------------------------------
 

@@ -14,6 +14,7 @@ learning difficulty) is controlled by the block and filler counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class SynthConfig:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} {v} outside [0, 1]")
 
-    @property
+    @cached_property  # one schema, and one label table, per config
     def schema(self) -> LabelSchema:
         return synth_schema(self.k_types)
 
@@ -83,8 +84,7 @@ def _draw_label(cfg: SynthConfig, rng) -> tuple[str, str]:
         return cfg.schema.residual, RESIDUAL_VERB
     t = int(rng.integers(cfg.k_types))
     fwd = bool(rng.random() < 0.5)
-    label = f"Rel{t + 1}({'e1,e2' if fwd else 'e2,e1'})"
-    return label, f"verb_{t + 1}_{'f' if fwd else 'b'}"
+    return cfg.schema.fine_label(2 * t + (1 if fwd else 2)), f"verb_{t + 1}_{'f' if fwd else 'b'}"
 
 
 def generate_instance(cfg: SynthConfig, rng, sid: str) -> Instance:

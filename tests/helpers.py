@@ -10,9 +10,12 @@ and a scan of the tags (cut_oracle), CoNLL-U from a line-by-line parser
 that builds one Token per line, and text path lines from
 parse_path_line, the inverse of data.format_path_line, a reversed path
 from invert_path, a synthetic instance's label from oracle_label (its
-root's marker verb), and pretrained vectors from reference_embeddings,
-a per-word dict reader.  The relation model's oracle is its per-gate
-formulation: one tape node per gate product and step, plain
+root's marker verb), a schema's label indices from parse_label, which
+splits a label by its direction suffix (oracle_fine_index,
+oracle_coarse_index and oracle_fine_label build on it), and pretrained
+vectors from reference_embeddings, a per-word dict reader.  The
+relation model's oracle is its per-gate formulation: one tape node per
+gate product and step, plain
 cross-entropy of a softmax, an L2 graph over every parameter, and the
 dense AdaDelta rule; reference_train runs train() with them as the
 textbook algorithm.  The generic tape ops it
@@ -53,7 +56,7 @@ from pathrel.depgraph import (
     SdpPath,
     Token,
 )
-from pathrel.labels import load_schema
+from pathrel.labels import UnknownLabel, load_schema
 from pathrel.metrics import ConfusionMatrix
 from pathrel.model import BWD, FWD, LSTM_STANDARD, Prediction, RelationModel, decode
 from pathrel.synth import RESIDUAL_VERB
@@ -385,6 +388,36 @@ def oracle_label(instance: Instance) -> str:
     _, t, d = form.split("_")
     return f"Rel{int(t)}({'e1,e2' if d == 'f' else 'e2,e1'})"
 
+
+
+def parse_label(schema, label: str) -> tuple[str | None, bool]:
+    """Split a label into (type, e1->e2?) by its suffix; the residual is (None, True), and
+    a label the schema does not know raises UnknownLabel with the schema's message."""
+    if label == schema.residual:
+        return None, True
+    for suffix, fwd in (("(e1,e2)", True), ("(e2,e1)", False)):
+        if label.endswith(suffix):
+            t = label[: -len(suffix)]
+            if t in schema.types:
+                return t, fwd
+    raise UnknownLabel(f"label {label!r} not in schema {schema.name!r}")
+
+
+def oracle_fine_index(schema, label: str) -> int:
+    t, fwd = parse_label(schema, label)
+    return 0 if t is None else 2 * schema.types.index(t) + (1 if fwd else 2)
+
+
+def oracle_coarse_index(schema, label: str) -> int:
+    t, _ = parse_label(schema, label)
+    return 0 if t is None else schema.types.index(t) + 1
+
+
+def oracle_fine_label(schema, index: int) -> str:
+    if index == 0:
+        return schema.residual
+    i, off = divmod(index - 1, 2)
+    return f"{schema.types[i]}({'e1,e2' if off == 0 else 'e2,e1'})"
 
 # ---------------------------------------------------------------------------
 # generic tape ops for the per-gate oracle, and the walk that runs them

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from pathrel import cli, optim, training
 from pathrel.autodiff import NonScalarLoss
 from pathrel.cli import main
-from pathrel.data import format_paths, instance_to_record, load_dataset
+from pathrel.data import format_paths, instance_to_record, load_dataset, save_dataset
 from pathrel.depgraph import ConlluError, EntitySpan, entity_head, serialize_conllu
 from pathrel.model import EmptyPath, ModelConfig
 from pathrel.structreg import CutRule, cut_and_line, extract_sr_sdp, select_cuts
@@ -600,6 +600,24 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--n", "0"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, cfg", [
+        ([], SynthConfig()),
+        (["--n", "37", "--k", "4", "--seed", "5", "--blocks", "2", "--fillers", "3",
+          "--prep-density", "0.7", "--span2-prob", "0.4", "--residual-frac", "0.2",
+          "--distractor-prob", "0.1", "--bridge-prob", "0.3", "--entity-pool", "11",
+          "--filler-pool", "7"],
+         SynthConfig(n=37, k_types=4, seed=5, blocks=2, fillers=3, prep_density=0.7,
+                     span2_prob=0.4, residual_frac=0.2, distractor_prob=0.1, bridge_prob=0.3,
+                     entity_pool=11, filler_pool=7)),
+    ], ids=["no-flags", "every-flag"])
+    def test_writes_the_librarys_bytes(self, tmp_path, capsys, flags, cfg):
+        """A flag not given takes SynthConfig's default; one given sets its field."""
+        out, expected = tmp_path / "d.jsonl", tmp_path / "expected.jsonl"
+        assert main(["synth", "--out", str(out), *flags]) == 0
+        save_dataset(expected, generate(cfg))
+        assert out.read_bytes() == expected.read_bytes()
+        assert f"wrote {cfg.n} instances (schema synth-k{cfg.k_types})" in capsys.readouterr().out
+
 
 class TestTrainEval:
     def test_train_writes_checkpoint_and_log(self, tmp_path, dataset, capsys):
@@ -685,7 +703,6 @@ class TestTrainEval:
         main(["train", "--config", str(tiny_config_file(tmp_path)),
               "--train", str(dataset), "--checkpoint", str(ck)])
         alien = tmp_path / "alien.jsonl"
-        from pathrel.data import save_dataset
 
         save_dataset(alien, generate(SynthConfig(n=30, k_types=6, seed=2, residual_frac=0.0)))
         capsys.readouterr()

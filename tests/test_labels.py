@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers import oracle_coarse_index, oracle_fine_index, oracle_fine_label
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,13 +49,31 @@ class TestLayout:
             assert schema.coarse_index(f"{t}(e2,e1)") == i + 1
 
 
+def _schema_or_none(name, types, residual):
+    try:
+        return LabelSchema(name=name, types=types, residual=residual)
+    except ValueError:
+        return None
+
+
+def _outcome(f, *args):
+    """f's value, or the message of the UnknownLabel it raises."""
+    try:
+        return "value", f(*args)
+    except UnknownLabel as err:
+        return "unknown", str(err)
+
+
 class TestParse:
     def test_residual(self, schema):
-        assert schema.parse(schema.residual) == (None, True)
+        assert schema.fine_index(schema.residual) == 0
+        assert schema.coarse_index(schema.residual) == 0
 
     def test_directed(self):
-        assert SEMEVAL.parse("Cause-Effect(e1,e2)") == ("Cause-Effect", True)
-        assert SEMEVAL.parse("Cause-Effect(e2,e1)") == ("Cause-Effect", False)
+        assert SEMEVAL.fine_index("Cause-Effect(e1,e2)") == 1
+        assert SEMEVAL.fine_index("Cause-Effect(e2,e1)") == 2
+        assert SEMEVAL.coarse_index("Cause-Effect(e1,e2)") == 1
+        assert SEMEVAL.coarse_index("Cause-Effect(e2,e1)") == 1
 
     def test_unknown_labels(self, schema):
         for bad in ["Nope(e1,e2)", "Cause-Effect", "Located", "", "(e1,e2)"]:
@@ -62,10 +81,46 @@ class TestParse:
                 schema.fine_index(bad)
 
     def test_cross_schema_labels_rejected(self):
-        with pytest.raises(UnknownLabel):
-            SANWEN.parse("Cause-Effect(e1,e2)")
-        with pytest.raises(UnknownLabel):
-            SEMEVAL.parse("Null")
+        for schema, label, message in (
+            (SANWEN, "Cause-Effect(e1,e2)", "label 'Cause-Effect(e1,e2)' not in schema 'sanwen'"),
+            (SEMEVAL, "Null", "label 'Null' not in schema 'semeval'"),
+        ):
+            for index in (schema.fine_index, schema.coarse_index):
+                with pytest.raises(UnknownLabel) as err:
+                    index(label)
+                assert str(err.value) == message
+
+    # type names and residuals from pieces that put parentheses, empty names and
+    # direction suffixes inside a name, or any short text
+    NAMES = st.one_of(
+        st.lists(st.sampled_from(("A", "B", "Other", "(", ")", "e1,e2", "(e1,e2)", "(e2,e1)", "")),
+                 max_size=3).map("".join),
+        st.text(max_size=3),
+    )
+    SCHEMAS = st.builds(_schema_or_none, st.sampled_from(("x", "y")),
+                        st.lists(NAMES, min_size=1, max_size=4, unique=True), NAMES
+                        ).filter(lambda schema: schema is not None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(schema=SCHEMAS, other=SCHEMAS, data=st.data())
+    def test_table_agrees_with_suffix_parser(self, schema, other, data):
+        """fine_label, fine_index and coarse_index give what the suffix parser gives on
+        a schema's own labels, on near misses of them and on another schema's labels: the
+        same index, or UnknownLabel with the same message."""
+        labels = [oracle_fine_label(schema, i) for i in range(schema.fine_size)]
+        assert [schema.fine_label(i) for i in range(schema.fine_size)] == labels
+        label = data.draw(st.sampled_from(labels))
+        probes = data.draw(st.lists(st.one_of(
+            st.sampled_from(labels),
+            st.sampled_from(schema.types),
+            st.sampled_from([oracle_fine_label(other, i) for i in range(other.fine_size)]),
+            st.sampled_from([label[:-1], label[1:], label.replace("e1", "e2"), label + ")"]),
+            st.tuples(self.NAMES, self.NAMES).map(lambda ab: ab[0] + label + ab[1]),
+            self.NAMES,
+        ), min_size=1, max_size=8))
+        for probe in probes:
+            assert _outcome(schema.fine_index, probe) == _outcome(oracle_fine_index, schema, probe)
+            assert _outcome(schema.coarse_index, probe) == _outcome(oracle_coarse_index, schema, probe)
 
 
 class TestFlip:
@@ -171,6 +226,14 @@ class TestConstruction:
 
     def test_dict_round_trip(self, schema):
         assert LabelSchema.from_dict(schema.to_dict()) == schema
+
+    def test_label_table_is_not_a_field(self):
+        a = LabelSchema(name="x", types=("A", "B"))
+        b = LabelSchema(name="x", types=["A", "B"])
+        assert a.to_dict() == {"name": "x", "types": ["A", "B"], "residual": "Other"}
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "LabelSchema(name='x', types=('A', 'B'), residual='Other')"
+        assert a != LabelSchema(name="x", types=("B", "A"))
 
 
 class TestLoadSchema:

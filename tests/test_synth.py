@@ -186,3 +186,8 @@ class TestValidation:
 
     def test_schema_size_tracks_k(self):
         assert SynthConfig(k_types=6).schema.fine_size == 13
+
+    def test_schema_built_once_per_config(self):
+        cfg = SynthConfig(k_types=3)
+        assert cfg.schema is cfg.schema
+        assert cfg == SynthConfig(k_types=3) and hash(cfg) == hash(SynthConfig(k_types=3))
